@@ -17,13 +17,12 @@ import io
 import json
 import sys
 import warnings
-from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 
 from . import __version__, franz_parisi, mixtures, parisi, phase
 from .lab import LangevinConfig
-from .lab.observables import chaos_scan, correlation_curve
+from .lab.observables import chaos_scan, correlation_curve, map_parallel
 from .lab.disorder import sample_disorder
 
 RESERVED_KEYS = ("command", "version", "seed", "out", "threads")
@@ -124,6 +123,7 @@ def _resolve_config(args: argparse.Namespace) -> dict:
             raise ValueError(f"config is for command "
                              f"{file_cfg['command']!r}, not {command!r}")
         file_cfg.pop("version", None)
+        _check_types(file_cfg, command)
         resolved.update(file_cfg)
     for key in list(DEFAULTS[command]) + ["seed", "out", "threads"]:
         value = getattr(args, key, None)
@@ -132,6 +132,21 @@ def _resolve_config(args: argparse.Namespace) -> dict:
     resolved["command"] = command
     resolved["version"] = __version__
     return resolved
+
+
+def _check_types(file_cfg: dict, command: str) -> None:
+    """Each value must have the type of its default; a float field also
+    takes an int, and bool never passes for a number."""
+    expected = {key: type(value) for key, value in DEFAULTS[command].items()}
+    expected.update(seed=int, threads=int, out=str)
+    for key, value in file_cfg.items():
+        want = expected.get(key)
+        if want is None or (key == "out" and value is None):
+            continue
+        allowed = (int, float) if want is float else (want,)
+        if type(value) not in allowed:
+            raise ValueError(f"config key {key!r} must be of type "
+                             f"{want.__name__}, got {value!r}")
 
 
 def _load_config_file(path: str) -> dict:
@@ -192,19 +207,12 @@ def _run_command(config: dict) -> tuple[list[dict], int]:
     return rows, n_errors
 
 
-def _map_items(fn, items, threads: int) -> list:
-    if threads > 1 and len(items) > 1:
-        with ProcessPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(fn, items))
-    return [fn(item) for item in items]
-
-
 def _run_phase(config: dict) -> list[dict]:
     if config["p_min"] < 3 or config["p_min"] > config["p_max"]:
         raise ValueError("need 3 <= p_min <= p_max")
     items = [(p, config["tol"]) for p in
              range(config["p_min"], config["p_max"] + 1)]
-    return _map_items(_phase_row, items, config["threads"])
+    return map_parallel(_phase_row, items, config["threads"])
 
 
 def _phase_row(item) -> dict:
@@ -231,7 +239,7 @@ def _run_fp(config: dict) -> list[dict]:
     qs = np.linspace(config["q_min"], config["q_max"], config["n_q"])
     items = [(config["p"], config["beta"], float(q),
               config["m"], config["solver_q_max"]) for q in qs]
-    return _map_items(_fp_row, items, config["threads"])
+    return map_parallel(_fp_row, items, config["threads"])
 
 
 def _fp_row(item) -> dict:
@@ -256,7 +264,7 @@ def _run_shatter(config: dict) -> list[dict]:
             items.append((p, frac * bc, bc, config["n_q"],
                           config["n_q_half"], config["m"],
                           config["solver_q_max"]))
-    return _map_items(_shatter_row, items, config["threads"])
+    return map_parallel(_shatter_row, items, config["threads"])
 
 
 def _shatter_row(item) -> dict:
@@ -288,7 +296,7 @@ def _run_simulate(config: dict) -> list[dict]:
                          seed=config["seed"])
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        curve = correlation_curve(d, config["beta"], cfg, config["n_traj"],
+        curve = correlation_curve(d, cfg, config["n_traj"],
                                   seed=config["seed"],
                                   method=config["method"],
                                   threads=config["threads"])

@@ -12,7 +12,7 @@ Configurations are plain numpy vectors on the sphere of radius sqrt(N).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
+from functools import cached_property, reduce
 from typing import Optional
 
 import numpy as np
@@ -98,6 +98,19 @@ class Disorder:
     def __post_init__(self):
         if self.entries.shape != (self.n,) * self.p:
             raise ValueError("entries must have shape (n,) * p")
+
+    @cached_property
+    def symmetric(self) -> np.ndarray:
+        """Mean of ``entries`` over all p! slot permutations, built once.
+
+        Stage k averages the tensor symmetric in slots 0..k-1 over the
+        transpositions (j k), j < k, and the identity, so the whole build
+        costs O(p^2) tensor passes instead of p!.
+        """
+        s = self.entries
+        for k in range(1, self.p):
+            s = (s + sum(np.swapaxes(s, j, k) for j in range(k))) / (k + 1)
+        return s
 
 
 def sample_disorder(n: int, p: int, seed: int) -> Disorder:

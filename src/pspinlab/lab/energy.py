@@ -1,9 +1,13 @@
 """Hamiltonian, gradients and landscape probes for tensor disorder.
 
 H(sigma) = N^{-(p-1)/2} <G, sigma^{(x)p}> evaluated by sequential
-tensor-vector contractions. The entries are i.i.d. (not symmetrized), so the
-exact gradient sums the p slot contractions rather than using a symmetry
-shortcut; Euler's identity <sigma, grad H> = p H(sigma) then holds exactly.
+tensor-vector contractions of the i.i.d. (not symmetrized) entries G.
+H depends on G only through its symmetrization S (the mean over slot
+permutations, cached on the Disorder), so every derivative is one
+contraction chain of S: grad H = p S[sigma,...,sigma,.], the Hessian is
+p(p-1) S[sigma,...,.,.], and the third derivative along x, x is
+p(p-1)(p-2) S[sigma,...,.,x,x]. Euler's identity <sigma, grad H> = p H
+holds up to rounding.
 """
 
 from __future__ import annotations
@@ -19,20 +23,13 @@ __all__ = ["hamiltonian", "gradient", "spherical_gradient", "hessian",
 def hamiltonian(d: Disorder, sigma: Configuration) -> float:
     """p-1 tensor-vector contractions then a dot product; O(N^p)."""
     sigma = _check_dims(d, sigma)
-    a = d.entries
-    for _ in range(d.p - 1):
-        a = a @ sigma
-    return _scale(d) * float(a @ sigma)
+    return _scale(d) * float(_contract(d.entries, [sigma] * d.p))
 
 
 def gradient(d: Disorder, sigma: Configuration) -> np.ndarray:
-    """Exact ambient gradient: sum over the p slots of contracting all
-    other slots with sigma."""
+    """Exact ambient gradient p S[sigma, ..., sigma, .]."""
     sigma = _check_dims(d, sigma)
-    g = np.zeros(d.n)
-    for slot in range(d.p):
-        g += _contract_leaving(d.entries, (slot,), {}, sigma)
-    return _scale(d) * g
+    return (d.p * _scale(d)) * _contract(d.symmetric, [sigma] * (d.p - 1))
 
 
 def spherical_gradient(d: Disorder, sigma: Configuration) -> np.ndarray:
@@ -42,14 +39,11 @@ def spherical_gradient(d: Disorder, sigma: Configuration) -> np.ndarray:
 
 
 def hessian(d: Disorder, sigma: Configuration) -> np.ndarray:
-    """Exact ambient Hessian: sum over ordered pairs of distinct slots."""
+    """Exact ambient Hessian p(p-1) S[sigma, ..., sigma, ., .]."""
     sigma = _check_dims(d, sigma)
-    h = np.zeros((d.n, d.n))
-    for s1 in range(d.p):
-        for s2 in range(d.p):
-            if s1 != s2:
-                h += _contract_leaving(d.entries, (s1, s2), {}, sigma)
-    return _scale(d) * h
+    p = d.p
+    return (p * (p - 1) * _scale(d)) * _contract(d.symmetric,
+                                                 [sigma] * (p - 2))
 
 
 def sup_norm_estimate(d: Disorder, j: int, n_restarts: int = 8,
@@ -85,15 +79,12 @@ def _check_dims(d: Disorder, sigma: np.ndarray) -> np.ndarray:
     return sigma
 
 
-def _contract_leaving(tensor: np.ndarray, keep: tuple[int, ...],
-                      vec_at: dict[int, np.ndarray],
-                      default: np.ndarray) -> np.ndarray:
-    """Contract every slot not in ``keep`` with its assigned vector
-    (``default`` unless overridden), leaving the kept slots free in order."""
-    others = [s for s in range(tensor.ndim) if s not in keep]
-    a = np.transpose(tensor, axes=others + list(keep))
-    for s in others:
-        a = np.tensordot(a, vec_at.get(s, default), axes=([0], [0]))
+def _contract(tensor: np.ndarray, vectors: list[np.ndarray]) -> np.ndarray:
+    """Contract the trailing slots of ``tensor`` with ``vectors``, the last
+    slot with the first vector; the leading slots stay free in order."""
+    a = tensor
+    for v in vectors:
+        a = a @ v
     return a
 
 
@@ -117,19 +108,13 @@ def _objective(d: Disorder, j: int, sigma: np.ndarray):
 
 def _third_directional(d: Disorder, sigma: np.ndarray,
                        x: np.ndarray) -> np.ndarray:
-    """Gradient in sigma of <Hess H(sigma) x, x>: third-derivative tensor
-    contracted with x, x over ordered triples of distinct slots."""
-    g = np.zeros(d.n)
+    """Gradient in sigma of <Hess H(sigma) x, x>: the third-derivative
+    tensor p(p-1)(p-2) S[sigma, ..., sigma, ., x, x]."""
     p = d.p
     if p < 3:
-        return g
-    for s1 in range(p):
-        for s2 in range(p):
-            for s3 in range(p):
-                if len({s1, s2, s3}) == 3:
-                    g += _contract_leaving(d.entries, (s3,),
-                                           {s1: x, s2: x}, sigma)
-    return _scale(d) * g
+        return np.zeros(d.n)
+    return (p * (p - 1) * (p - 2) * _scale(d)) \
+        * _contract(d.symmetric, [x, x] + [sigma] * (p - 3))
 
 
 def _ascend(d: Disorder, j: int, sigma: np.ndarray, n_steps: int) -> float:

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import warnings
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
@@ -25,29 +25,26 @@ W2_MAX_POINTS = 1024  # keeps the cubic assignment solver under a minute
 class ChaosConfig:
     epsilon: float
     n_samples: int
-    sampler: str = "replica-exchange"
-    eta: float = field(init=False)
 
     def __post_init__(self):
         if not 0.0 <= self.epsilon <= 1.0:
             raise ValueError("epsilon must lie in [0, 1]")
         if self.n_samples < 1:
             raise ValueError("n_samples must be positive")
-        e = self.epsilon
-        object.__setattr__(self, "eta", float(np.sqrt(2.0 * e - e * e)))
 
 
-def correlation_curve(d: Disorder, beta: float, cfg: LangevinConfig,
+def correlation_curve(d: Disorder, cfg: LangevinConfig,
                       n_trajectories: int, seed: int = 0,
                       method: str = "replica-exchange",
                       threads: int = 1) -> list[tuple[float, float, float]]:
     """C_N(t) = mean over stationary trajectories of <sigma_0, sigma_t>/N,
     with standard errors, on the monotone time grid of recorded strides.
-    Trajectories are independent and run on ``threads`` workers."""
+    Starts are equilibrium draws at ``cfg.beta``, the temperature of the
+    dynamics. Trajectories are independent and run on ``threads`` workers."""
     if n_trajectories < 1:
         raise ValueError("need at least one trajectory")
-    items = [(d, beta, cfg, method, seed, i) for i in range(n_trajectories)]
-    results = _map_parallel(_one_trajectory, items, threads)
+    items = [(d, cfg, method, seed, i) for i in range(n_trajectories)]
+    results = map_parallel(_one_trajectory, items, threads)
     times = results[0][0]
     arr = np.asarray([overlaps for _, overlaps in results])
     mean = arr.mean(axis=0)
@@ -57,20 +54,18 @@ def correlation_curve(d: Disorder, beta: float, cfg: LangevinConfig,
 
 
 def _one_trajectory(item):
-    d, beta, cfg, method, seed, i = item
+    d, cfg, method, seed, i = item
     eq_seed = int(derived_rng(seed, i, 0).integers(2 ** 63))
     dyn_seed = int(derived_rng(seed, i, 1).integers(2 ** 63))
-    sigma0, _ = equilibrium_sample(d, beta, method=method, seed=eq_seed)
-    traj = langevin_run(d, sigma0,
-                        LangevinConfig(beta=cfg.beta, step=cfg.step,
-                                       n_steps=cfg.n_steps,
-                                       record_every=cfg.record_every,
-                                       seed=dyn_seed))
+    sigma0, _ = equilibrium_sample(d, cfg.beta, method=method, seed=eq_seed)
+    traj = langevin_run(d, sigma0, replace(cfg, seed=dyn_seed))
     times = [t for t, _ in traj]
     return times, [float(sigma0 @ s) / d.n for _, s in traj]
 
 
-def _map_parallel(fn, items, threads: int) -> list:
+def map_parallel(fn, items, threads: int) -> list:
+    """[fn(item) for item in items], in order, on ``threads`` worker
+    processes when there is more than one item."""
     if threads > 1 and len(items) > 1:
         with ProcessPoolExecutor(max_workers=threads) as pool:
             return list(pool.map(fn, items))
@@ -85,18 +80,10 @@ def overlap_chaos(d: Disorder, beta: float, chaos: ChaosConfig,
     _warn_if_low_temperature(d.p, beta)
     d_eps = correlate_disorder(d, chaos.epsilon,
                                int(derived_rng(seed, "eps").integers(2 ** 63)))
-    if chaos.sampler == "replica-exchange":
-        a = _re_draws(d, beta, chaos.n_samples, derived_seed=(seed, 0),
-                      burn_in=burn_in, thin=thin)
-        b = _re_draws(d_eps, beta, chaos.n_samples, derived_seed=(seed, 1),
-                      burn_in=burn_in, thin=thin)
-    else:
-        a = [equilibrium_sample(d, beta, method=chaos.sampler,
-                                seed=int(derived_rng(seed, 0, i).integers(2 ** 63)))[0]
-             for i in range(chaos.n_samples)]
-        b = [equilibrium_sample(d_eps, beta, method=chaos.sampler,
-                                seed=int(derived_rng(seed, 1, i).integers(2 ** 63)))[0]
-             for i in range(chaos.n_samples)]
+    a = _re_draws(d, beta, chaos.n_samples, derived_seed=(seed, 0),
+                  burn_in=burn_in, thin=thin)
+    b = _re_draws(d_eps, beta, chaos.n_samples, derived_seed=(seed, 1),
+                  burn_in=burn_in, thin=thin)
     sq = np.array([(float(x @ y) / d.n) ** 2 for x, y in zip(a, b)])
     stderr = (sq.std(ddof=1) / np.sqrt(len(sq))) if len(sq) > 1 else 0.0
     return float(sq.mean()), float(stderr)
@@ -127,7 +114,7 @@ def chaos_scan(n: int, p: int, beta: float, epsilons, n_samples: int,
     eps = sorted(float(e) for e in epsilons)
     items = [(n, p, beta, eps, n_samples, seed, j, burn_in, thin)
              for j in range(n_disorders)]
-    per_disorder = _map_parallel(_chaos_one_disorder, items, threads)
+    per_disorder = map_parallel(_chaos_one_disorder, items, threads)
     rows = []
     for i, e in enumerate(eps):
         ovl = np.asarray([r[i][0] for r in per_disorder])

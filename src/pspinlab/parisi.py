@@ -37,8 +37,7 @@ from .errors import FeasibilityError, TruncationWarning
 from .mixtures import MixtureFn, evaluate
 
 __all__ = ["ParisiMeasure", "CdfOnGrid", "MinimizeResult", "cs_functional",
-           "rs_value", "minimize_cs", "minimizer_expectation", "make_grid",
-           "DEFAULT_GRID"]
+           "rs_value", "minimize_cs", "make_grid", "DEFAULT_GRID"]
 
 DEFAULT_GRID = (512, 1.0 - 1e-4)
 
@@ -102,6 +101,7 @@ class CdfOnGrid:
         return w
 
     def expectation(self, g: Callable) -> float:
+        """Expectation of g under the atomic measure implied by the CDF."""
         vals = np.broadcast_to(np.asarray(g(self.grid), dtype=float),
                                self.grid.shape)
         return float(self.atom_weights() @ vals)
@@ -244,11 +244,6 @@ def minimize_cs(xi: MixtureFn, beta: float,
                       TruncationWarning, stacklevel=2)
     return MinimizeResult(value=float(fx), cdf=cdf, kkt_residual=float(kkt),
                           converged=converged, iterations=it)
-
-
-def minimizer_expectation(cdf: CdfOnGrid, g: Callable) -> float:
-    """Expectation of g under the atomic measure implied by the CDF."""
-    return cdf.expectation(g)
 
 
 # --------------------------

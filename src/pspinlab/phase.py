@@ -18,7 +18,6 @@ All p-dependent products are taken in log space so p up to 1e4 is safe.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -26,20 +25,9 @@ import numpy as np
 from .errors import SolverError
 from .mixtures import MixtureFn, evaluate
 
-__all__ = ["PhaseRow", "beta_c", "beta_d_pure", "beta_d_mixture", "rs_condition",
-           "phase_scan"]
+__all__ = ["beta_c", "beta_d_pure", "beta_d_mixture", "rs_condition"]
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
-
-
-@dataclass(frozen=True)
-class PhaseRow:
-    """One row of a phase-boundary scan."""
-
-    p: int
-    beta_d: float
-    beta_c: float
-    argmin_q_c: float
 
 
 def beta_c(p: int, tol: float = 1e-10) -> tuple[float, float]:
@@ -111,15 +99,6 @@ def rs_condition(xi: MixtureFn, beta: float) -> bool:
         _, v = _bracketed_min(obj, bracket, 1e-13)
         best = min(best, v)
     return best >= -1e-12
-
-
-def phase_scan(p_values, tol: float = 1e-10) -> list[PhaseRow]:
-    """PhaseRow per p; consumed by the CLI CSV writer."""
-    rows = []
-    for p in p_values:
-        bc, q = beta_c(p, tol)
-        rows.append(PhaseRow(p=int(p), beta_d=beta_d_pure(p), beta_c=bc, argmin_q_c=q))
-    return rows
 
 
 # --------------------------

@@ -70,6 +70,29 @@ def test_config_for_wrong_command_rejected(tmp_path):
     assert run_cli(["fp", "--config", str(cfg)]) == 2
 
 
+@pytest.mark.parametrize("command, cfg, key, want", [
+    ("phase", {"p_max": "5"}, "p_max", "int"),
+    ("simulate", {"n": 8.5}, "n", "int"),
+    ("simulate", {"n_traj": True}, "n_traj", "int"),
+    ("fp", {"beta": False}, "beta", "float"),
+])
+def test_config_value_types_checked(tmp_path, capsys, command, cfg, key,
+                                    want):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    out = tmp_path / "o.csv"
+    assert run_cli([command, "--config", str(path), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert repr(key) in err and want in err
+    assert not out.exists()
+
+
+def test_int_accepted_for_float_config_value(tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"p_max": 3, "tol": 1}))
+    assert run_cli(["phase", "--config", str(cfg)]) == 0
+
+
 def test_flags_override_config(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"command": "phase", "p_min": 3, "p_max": 8}))

@@ -4,6 +4,7 @@ import pytest
 from pspinlab import lab
 from pspinlab.errors import DivergenceError, MixingWarning, StabilityWarning
 from pspinlab.lab import LangevinConfig
+from pspinlab.lab.disorder import derived_rng
 from pspinlab.lab.samplers import ReplicaExchange
 
 
@@ -99,7 +100,7 @@ def test_correlation_curve_shape():
     d = lab.sample_disorder(10, 3, seed=8)
     cfg = LangevinConfig(beta=0.5, step=0.01, n_steps=100, record_every=25,
                          seed=0)
-    curve = lab.correlation_curve(d, 0.5, cfg, n_trajectories=3, seed=5)
+    curve = lab.correlation_curve(d, cfg, n_trajectories=3, seed=5)
     times = [t for t, _, _ in curve]
     assert times == sorted(times)
     assert curve[0][0] == 0.0
@@ -108,8 +109,15 @@ def test_correlation_curve_shape():
 
 
 def test_chaos_config_invariants():
-    cc = lab.ChaosConfig(epsilon=0.3, n_samples=4)
-    assert cc.eta ** 2 == pytest.approx(2 * 0.3 - 0.3 ** 2, abs=1e-12)
+    lab.ChaosConfig(epsilon=0.3, n_samples=4)
+    # the eta = sqrt(2 eps - eps^2) mixing weight lives in correlate_disorder
+    d = lab.sample_disorder(6, 3, seed=1)
+    eps = 0.3
+    mixed = lab.correlate_disorder(d, eps, seed=2)
+    w = derived_rng(2).standard_normal(d.entries.shape)
+    np.testing.assert_array_equal(
+        mixed.entries,
+        (1.0 - eps) * d.entries + np.sqrt(2.0 * eps - eps * eps) * w)
     with pytest.raises(ValueError):
         lab.ChaosConfig(epsilon=1.5, n_samples=4)
     with pytest.raises(ValueError):

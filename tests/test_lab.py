@@ -1,9 +1,12 @@
+import itertools
+import math
+
 import numpy as np
 import pytest
 
 from pspinlab import lab
 from pspinlab.errors import SizeError
-from pspinlab.lab.energy import _ascend
+from pspinlab.lab.energy import _ascend, _third_directional
 
 
 def overlap_pair(n, q, seed):
@@ -80,6 +83,88 @@ def test_gradient_matches_finite_differences():
                         - lab.hamiltonian(d, s - h * e)) / (2 * h)
                        for e in eye])
         assert np.max(np.abs(g - fd)) / np.max(np.abs(g)) < 1e-6
+
+
+def slot_sum_reference(d, sigma, roles):
+    """Brute force over the raw entries: sum over ordered tuples of distinct
+    slots, the k-th slot of a tuple taking roles[k] (a vector, or None to
+    stay a free index, free indices in tuple order), every other slot
+    contracted with sigma."""
+    letters = "abcdefgh"[:d.p]
+    n_free = sum(r is None for r in roles)
+    total = np.zeros((d.n,) * n_free)
+    for slots in itertools.permutations(range(d.p), len(roles)):
+        subs, operands, out = [letters], [d.entries], ""
+        for slot in range(d.p):
+            role = roles[slots.index(slot)] if slot in slots else sigma
+            if role is not None:
+                subs.append(letters[slot])
+                operands.append(role)
+        for slot, role in zip(slots, roles):
+            if role is None:
+                out += letters[slot]
+        total += np.einsum(",".join(subs) + "->" + out, *operands)
+    return float(d.n) ** (-(d.p - 1) / 2.0) * total
+
+
+def test_derivatives_match_slot_sum_reference():
+    rng = np.random.default_rng(12)
+    for p in (2, 3, 4, 5):
+        for n in (1, 2, 4, 6):
+            d = lab.sample_disorder(n, p, seed=100 * p + n)
+            s = lab.sphere_project(rng.standard_normal(n))
+            x = rng.standard_normal(n)
+            for got, want in (
+                    (lab.gradient(d, s), slot_sum_reference(d, s, (None,))),
+                    (lab.hessian(d, s),
+                     slot_sum_reference(d, s, (None, None))),
+                    (_third_directional(d, s, x),
+                     slot_sum_reference(d, s, (x, x, None)))):
+                assert got.shape == want.shape
+                scale = max(np.max(np.abs(want)), 1e-300)
+                assert np.max(np.abs(got - want)) <= 1e-12 * scale
+
+
+def test_symmetric_tensor_is_permutation_mean():
+    for p in (2, 3, 4, 5):
+        d = lab.sample_disorder(4, p, seed=p)
+        sym = d.symmetric
+        assert sym is d.symmetric  # built once, then cached
+        perms = list(itertools.permutations(range(p)))
+        mean = sum(d.entries.transpose(perm) for perm in perms) \
+            / math.factorial(p)
+        tol = 1e-14 * np.max(np.abs(mean))
+        assert np.max(np.abs(sym - mean)) <= tol
+        for perm in perms:
+            assert np.max(np.abs(sym.transpose(perm) - sym)) <= tol
+
+
+def test_third_directional_matches_finite_differences():
+    rng = np.random.default_rng(3)
+    h = 1e-4
+    for p in (3, 4, 5):
+        d = lab.sample_disorder(6, p, seed=20 + p)
+        s = lab.sphere_project(rng.standard_normal(6))
+        x = rng.standard_normal(6)
+        g = _third_directional(d, s, x)
+        fd = np.array([(x @ lab.hessian(d, s + h * e) @ x
+                        - x @ lab.hessian(d, s - h * e) @ x) / (2 * h)
+                       for e in np.eye(6)])
+        assert np.max(np.abs(g - fd)) / np.max(np.abs(g)) < 1e-6
+
+
+def test_derivatives_leave_entries_lineage_exact():
+    direction = lab.random_configuration(6, 5)
+    planted = lab.plant(6, 3, 0.8, direction, seed=3)
+    chained = lab.correlate_disorder(planted, 0.25, seed=4)
+    before = chained.entries.copy()
+    s = lab.random_configuration(6, 9)
+    lab.gradient(chained, s)
+    lab.hessian(chained, s)
+    _third_directional(chained, s, direction)
+    np.testing.assert_array_equal(chained.entries, before)
+    np.testing.assert_array_equal(
+        lab.reconstruct(chained.lineage).entries, chained.entries)
 
 
 def test_hessian_symmetric_and_consistent():

@@ -5,8 +5,7 @@ from pspinlab import parisi
 from pspinlab.errors import TruncationWarning
 from pspinlab.mixtures import band_mixture, pure
 from pspinlab.parisi import (CdfOnGrid, ParisiMeasure, cs_functional,
-                             make_grid, minimize_cs, minimizer_expectation,
-                             rs_value)
+                             make_grid, minimize_cs, rs_value)
 
 
 def random_measure(rng, n_atoms=None, q_top=0.95):
@@ -175,17 +174,17 @@ def test_minimize_grid_refinement():
 def test_minimizer_expectation_cases():
     grid = make_grid(64, 0.99)
     ones = CdfOnGrid(grid, np.ones_like(grid))
-    assert minimizer_expectation(ones, lambda t: np.ones_like(t)) \
+    assert ones.expectation(lambda t: np.ones_like(t)) \
         == pytest.approx(1.0, abs=1e-15)
-    assert minimizer_expectation(ones, lambda t: 1.0) \
+    assert ones.expectation(lambda t: 1.0) \
         == pytest.approx(1.0, abs=1e-15)  # scalar-returning g
-    assert minimizer_expectation(ones, lambda t: t * 7.0 + 2.0) \
+    assert ones.expectation(lambda t: t * 7.0 + 2.0) \
         == pytest.approx(2.0, abs=1e-15)  # delta_0: g(0)
     # single atom at a grid point
     j = 40
     x = np.where(np.arange(len(grid)) >= j, 1.0, 0.0)
     atom = CdfOnGrid(grid, x)
-    assert minimizer_expectation(atom, lambda t: t) \
+    assert atom.expectation(lambda t: t) \
         == pytest.approx(grid[j], abs=1e-15)
 
 

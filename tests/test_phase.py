@@ -1,9 +1,10 @@
+import csv
 import math
 
 import numpy as np
 import pytest
 
-from pspinlab import phase
+from pspinlab import cli, phase
 from pspinlab.mixtures import MixtureFn, pure
 
 
@@ -81,12 +82,17 @@ def test_rs_condition_matches_static_boundary():
         assert phase.rs_condition(pure(p), bc + 2e-6) is False
 
 
-def test_phase_scan_invariants():
-    rows = phase.phase_scan(range(3, 13))
+def test_phase_scan_invariants(tmp_path):
+    out = tmp_path / "phase.csv"
+    assert cli.main(["phase", "--p-min", "3", "--p-max", "12",
+                     "--out", str(out)]) == 0
+    rows = list(csv.DictReader(out.read_text().splitlines()[1:]))
+    assert [int(row["p"]) for row in rows] == list(range(3, 13))
     for row in rows:
-        assert row.beta_d < row.beta_c
-        assert 1.0 < row.beta_d < 2.0
-        assert 0.0 < row.argmin_q_c < 1.0
+        beta_d, beta_c = float(row["beta_d"]), float(row["beta_c"])
+        assert beta_d < beta_c
+        assert 1.0 < beta_d < 2.0
+        assert 0.0 < float(row["argmin_q_c"]) < 1.0
 
 
 def test_bracketed_min_budget_error_carries_bracket():
