@@ -11,6 +11,7 @@ Configurations are plain numpy vectors on the sphere of radius sqrt(N).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property, reduce
 from typing import Optional
@@ -167,12 +168,13 @@ def random_configuration(n: int, seed_or_rng) -> Configuration:
 
 
 def sphere_project(x: np.ndarray) -> Configuration:
-    """Rescale to the sphere of radius sqrt(n)."""
+    """Rescale to the sphere of radius sqrt(n) along the last axis, so each
+    row of a (K, n) batch is projected on its own."""
     x = np.asarray(x, dtype=float)
-    norm = np.linalg.norm(x)
-    if norm == 0.0:
+    norm = np.linalg.norm(x, axis=-1, keepdims=True)
+    if not norm.all():
         raise ValueError("cannot project the zero vector")
-    return x * (np.sqrt(len(x)) / norm)
+    return x * (math.sqrt(x.shape[-1]) / norm)
 
 
 def sphere_check(sigma: Configuration, rel_tol: float = 1e-9) -> None:

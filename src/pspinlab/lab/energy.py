@@ -1,7 +1,8 @@
 """Hamiltonian, gradients and landscape probes for tensor disorder.
 
 H(sigma) = N^{-(p-1)/2} <G, sigma^{(x)p}> evaluated by sequential
-tensor-vector contractions of the i.i.d. (not symmetrized) entries G.
+tensor-vector contractions of the i.i.d. (not symmetrized) entries G, at
+one configuration or at every row of a (K, n) batch in the same call.
 H depends on G only through its symmetrization S (the mean over slot
 permutations, cached on the Disorder), so every derivative is one
 contraction chain of S: grad H = p S[sigma,...,sigma,.], the Hessian is
@@ -20,10 +21,18 @@ __all__ = ["hamiltonian", "gradient", "spherical_gradient", "hessian",
            "sup_norm_estimate"]
 
 
-def hamiltonian(d: Disorder, sigma: Configuration) -> float:
-    """p-1 tensor-vector contractions then a dot product; O(N^p)."""
-    sigma = _check_dims(d, sigma)
-    return _scale(d) * float(_contract(d.entries, [sigma] * d.p))
+def hamiltonian(d: Disorder, sigma: Configuration):
+    """H at one configuration (shape (n,), a float) or at each row of a
+    batch (shape (K, n), a (K,) array). One matrix product contracts the
+    last slot of every row at once, then p-1 batched matrix-vector products
+    finish each row; O(K N^p)."""
+    sigma = _check_dims(d, sigma, batch=True)
+    a = sigma @ d.entries.reshape(-1, d.n).T
+    rows = sigma.shape[:-1] + (-1, d.n)
+    for _ in range(d.p - 1):
+        a = a.reshape(rows) @ sigma[..., None]
+    h = _scale(d) * a[..., 0, 0]
+    return float(h) if sigma.ndim == 1 else h
 
 
 def gradient(d: Disorder, sigma: Configuration) -> np.ndarray:
@@ -71,11 +80,15 @@ def _scale(d: Disorder) -> float:
     return float(d.n) ** (-(d.p - 1) / 2.0)
 
 
-def _check_dims(d: Disorder, sigma: np.ndarray) -> np.ndarray:
+def _check_dims(d: Disorder, sigma: np.ndarray,
+                batch: bool = False) -> np.ndarray:
+    """``sigma`` as a float array of shape (n,), or also (K, n) when
+    ``batch`` is set."""
     sigma = np.asarray(sigma, dtype=float)
-    if sigma.shape != (d.n,):
+    if sigma.shape[-1:] != (d.n,) or sigma.ndim > (2 if batch else 1):
+        want = f"({d.n},) or (K, {d.n})" if batch else f"({d.n},)"
         raise ValueError(f"configuration has shape {sigma.shape}, "
-                         f"expected ({d.n},)")
+                         f"expected {want}")
     return sigma
 
 

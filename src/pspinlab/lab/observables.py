@@ -111,6 +111,11 @@ def chaos_scan(n: int, p: int, beta: float, epsilons, n_samples: int,
     disorders. For each disorder the unperturbed draws are shared across
     the epsilon column, so the epsilon = 0 row is the independent-samples
     baseline for the same measure. Disorders run on ``threads`` workers."""
+    if n_disorders < 1 or n_samples < 1 or thin < 1 or burn_in < 0:
+        raise ValueError(
+            f"need n_disorders >= 1, n_samples >= 1, thin >= 1 and "
+            f"burn_in >= 0, got n_disorders={n_disorders}, "
+            f"n_samples={n_samples}, thin={thin}, burn_in={burn_in}")
     eps = sorted(float(e) for e in epsilons)
     items = [(n, p, beta, eps, n_samples, seed, j, burn_in, thin)
              for j in range(n_disorders)]

@@ -7,6 +7,13 @@ from beta/8 up to beta, each rung doing full-vector sphere-Metropolis moves
 on the sphere), with neighbor swap attempts every sweep. Proposal scales
 adapt toward a target acceptance during burn-in only, so the post-burn-in
 chain satisfies detailed balance.
+
+All rungs move together: the configurations are one (K, n) array, the
+proposals of a sweep are projected and scored by one batched energy call,
+and the swap chain ends in one row permutation. The random stream is read
+in the order of rung-by-rung updates (per rung: proposal normals, then the
+acceptance uniform; then one uniform per neighbor swap), so the chain is
+the one a per-rung loop would run.
 """
 
 from __future__ import annotations
@@ -28,7 +35,10 @@ METHODS = ("replica-exchange", "langevin-equilibrated")
 
 
 class ReplicaExchange:
-    """Parallel tempering on the sphere with a geometric temperature ladder."""
+    """Parallel tempering on the sphere with a geometric temperature ladder.
+
+    ``configs`` holds one rung per row, coldest last, and ``energies`` the
+    matching H values."""
 
     def __init__(self, d: Disorder, beta: float, n_rungs: int = 8,
                  seed: int = 0, target_accept: float = 0.4,
@@ -41,12 +51,17 @@ class ReplicaExchange:
         self.beta = float(beta)
         ratio = (1.0 / 8.0) ** (1.0 / (n_rungs - 1))
         self.betas = beta * ratio ** np.arange(n_rungs - 1, -1, -1)
+        self._swap_dbetas = np.diff(self.betas).tolist()
         self.rng = derived_rng(seed, "replica-exchange")
-        self.configs = [random_configuration(d.n, self.rng)
-                        for _ in range(n_rungs)]
-        self.energies = [hamiltonian(d, s) for s in self.configs]
+        self.configs = sphere_project(
+            self.rng.standard_normal((n_rungs, d.n)))
+        self.energies = hamiltonian(d, self.configs)
         self.steps = np.full(n_rungs, float(initial_step))
         self.target_accept = target_accept
+        # step-size factors after an accepted or a rejected proposal: a
+        # stochastic approximation toward the target acceptance rate
+        self._grow = math.exp(0.1 * (1.0 - target_accept))
+        self._shrink = math.exp(-0.1 * target_accept)
         self._accepts = np.zeros(n_rungs)
         self._proposals = np.zeros(n_rungs)
         self._swap_accepts = np.zeros(n_rungs - 1)
@@ -54,41 +69,56 @@ class ReplicaExchange:
         self.energy_trace: list[float] = []
 
     def sweep(self, adapt: bool = False) -> None:
-        """One Metropolis proposal per rung, then neighbor swap attempts."""
-        n = self.d.n
-        for k, bk in enumerate(self.betas):
-            prop = sphere_project(self.configs[k]
-                                  + self.steps[k] * self.rng.standard_normal(n))
-            e_prop = hamiltonian(self.d, prop)
-            self._proposals[k] += 1
-            accepted = np.log(self.rng.random()) < bk * (e_prop - self.energies[k])
-            if accepted:
-                self.configs[k] = prop
-                self.energies[k] = e_prop
-                self._accepts[k] += 1
-            if adapt:
-                # stochastic approximation toward the target acceptance rate
-                move = (1.0 - self.target_accept) if accepted \
-                    else -self.target_accept
-                self.steps[k] *= math.exp(0.1 * move)
-        for k in range(len(self.betas) - 1):
-            self._swap_attempts[k] += 1
-            log_r = (self.betas[k + 1] - self.betas[k]) \
-                * (self.energies[k] - self.energies[k + 1])
-            if np.log(self.rng.random()) < log_r:
-                self.configs[k], self.configs[k + 1] = \
-                    self.configs[k + 1], self.configs[k]
-                self.energies[k], self.energies[k + 1] = \
-                    self.energies[k + 1], self.energies[k]
-                self._swap_accepts[k] += 1
-        self.energy_trace.append(self.energies[-1])
+        """One Metropolis proposal on every rung at once, scored by one
+        energy call, then neighbor swap attempts from hot to cold."""
+        n_rungs, n = self.configs.shape
+        noise = np.empty((n_rungs, n))
+        u_accept = np.empty(n_rungs)
+        # each rung draws its proposal noise and then its acceptance uniform,
+        # in rung order, so the random stream is consumed as one rung at a
+        # time would consume it
+        for k in range(n_rungs):
+            self.rng.standard_normal(out=noise[k])
+            u_accept[k] = self.rng.random()
+        log_u_swap = np.log(self.rng.random(n_rungs - 1)).tolist()
+
+        prop = sphere_project(self.configs + self.steps[:, None] * noise)
+        e_prop = hamiltonian(self.d, prop)
+        accepted = np.log(u_accept) < self.betas * (e_prop - self.energies)
+        self.configs = np.where(accepted[:, None], prop, self.configs)
+        self.energies = np.where(accepted, e_prop, self.energies)
+        self._proposals += 1
+        self._accepts += accepted
+        if adapt:
+            self.steps *= np.where(accepted, self._grow, self._shrink)
+
+        # each swap sees the energies left by the one before it
+        energies = self.energies.tolist()
+        order = list(range(n_rungs))
+        swapped = np.zeros(n_rungs - 1, dtype=bool)
+        for k, (dbeta, log_u) in enumerate(zip(self._swap_dbetas,
+                                               log_u_swap)):
+            if log_u < dbeta * (energies[k] - energies[k + 1]):
+                energies[k], energies[k + 1] = energies[k + 1], energies[k]
+                order[k], order[k + 1] = order[k + 1], order[k]
+                swapped[k] = True
+        self._swap_attempts += 1
+        self._swap_accepts += swapped
+        self.configs = self.configs[order]
+        self.energies = np.array(energies)
+        self.energy_trace.append(energies[-1])
 
     def run(self, burn_in: int = 500) -> None:
+        if burn_in < 0:
+            raise ValueError(f"burn_in must be >= 0, got {burn_in}")
         for _ in range(burn_in):
             self.sweep(adapt=True)
 
     def draw(self, n_samples: int, thin: int = 20) -> list[Configuration]:
         """Thinned samples at the target inverse temperature."""
+        if n_samples < 1 or thin < 1:
+            raise ValueError(f"need n_samples >= 1 and thin >= 1, got "
+                             f"n_samples={n_samples}, thin={thin}")
         out = []
         for _ in range(n_samples):
             for _ in range(thin):

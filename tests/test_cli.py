@@ -148,6 +148,20 @@ def test_chaos_command(tmp_path):
         assert float(row["w2"]) >= 0.0
 
 
+@pytest.mark.parametrize("flag, value", [("--n-disorders", "0"),
+                                         ("--n-samples", "0"),
+                                         ("--thin", "0"),
+                                         ("--burn-in", "-1")])
+def test_chaos_rejects_bad_run_lengths(tmp_path, capsys, flag, value):
+    out = tmp_path / "chaos.csv"
+    assert run_cli(["chaos", "--n", "6", "--epsilons", "0,1",
+                    "--n-samples", "3", "--n-disorders", "2",
+                    "--burn-in", "40", "--thin", "3", flag, value,
+                    "--out", str(out)]) == 2
+    assert flag.lstrip("-").replace("-", "_") in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_fp_rows_negative_near_one(tmp_path):
     out = tmp_path / "fp.csv"
     assert run_cli(["fp", "--p", "3", "--beta", "1.0", "--q-min", "0.995",
@@ -174,6 +188,20 @@ def test_threads_do_not_change_output(tmp_path):
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"
     run_cli(["phase", "--p-max", "6", "--out", str(a), "--threads", "1"])
     run_cli(["phase", "--p-max", "6", "--out", str(b), "--threads", "3"])
+    assert a.read_bytes().split(b"\r\n", 1)[1] \
+        == b.read_bytes().split(b"\r\n", 1)[1]
+
+
+@pytest.mark.parametrize("args", [
+    ["chaos", "--n", "6", "--epsilons", "0,0.5", "--n-samples", "3",
+     "--n-disorders", "2", "--burn-in", "30", "--thin", "2"],
+    ["simulate", "--n", "8", "--n-steps", "60", "--record-every", "20",
+     "--n-traj", "3"],
+])
+def test_lab_threads_do_not_change_output(tmp_path, args):
+    a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+    assert run_cli(args + ["--out", str(a), "--threads", "1"]) == 0
+    assert run_cli(args + ["--out", str(b), "--threads", "2"]) == 0
     assert a.read_bytes().split(b"\r\n", 1)[1] \
         == b.read_bytes().split(b"\r\n", 1)[1]
 

@@ -1,10 +1,14 @@
+import math
+
 import numpy as np
 import pytest
 
 from pspinlab import lab
 from pspinlab.errors import DivergenceError, MixingWarning, StabilityWarning
 from pspinlab.lab import LangevinConfig
-from pspinlab.lab.disorder import derived_rng
+from pspinlab.lab.disorder import (derived_rng, random_configuration,
+                                   sphere_project)
+from pspinlab.lab.energy import hamiltonian
 from pspinlab.lab.samplers import ReplicaExchange
 
 
@@ -94,6 +98,92 @@ def test_mixing_warning_on_dead_swaps():
     sampler._swap_accepts[:] = 0.0
     with pytest.warns(MixingWarning):
         sampler.check_mixing()
+
+
+class _PerRungReplicaExchange:
+    """Replica exchange updating one rung at a time, kept as the reference
+    that the batched ``ReplicaExchange.sweep`` must reproduce."""
+
+    def __init__(self, d, beta, n_rungs=8, seed=0, target_accept=0.4,
+                 initial_step=0.5):
+        self.d = d
+        ratio = (1.0 / 8.0) ** (1.0 / (n_rungs - 1))
+        self.betas = beta * ratio ** np.arange(n_rungs - 1, -1, -1)
+        self.rng = derived_rng(seed, "replica-exchange")
+        self.configs = [random_configuration(d.n, self.rng)
+                        for _ in range(n_rungs)]
+        self.energies = [hamiltonian(d, s) for s in self.configs]
+        self.steps = np.full(n_rungs, float(initial_step))
+        self.target_accept = target_accept
+        self._accepts = np.zeros(n_rungs)
+        self._proposals = np.zeros(n_rungs)
+        self._swap_accepts = np.zeros(n_rungs - 1)
+        self._swap_attempts = np.zeros(n_rungs - 1)
+        self.energy_trace = []
+
+    def sweep(self, adapt=False):
+        n = self.d.n
+        for k, bk in enumerate(self.betas):
+            prop = sphere_project(self.configs[k]
+                                  + self.steps[k] * self.rng.standard_normal(n))
+            e_prop = hamiltonian(self.d, prop)
+            self._proposals[k] += 1
+            accepted = np.log(self.rng.random()) < bk * (e_prop - self.energies[k])
+            if accepted:
+                self.configs[k] = prop
+                self.energies[k] = e_prop
+                self._accepts[k] += 1
+            if adapt:
+                # stochastic approximation toward the target acceptance rate
+                move = (1.0 - self.target_accept) if accepted \
+                    else -self.target_accept
+                self.steps[k] *= math.exp(0.1 * move)
+        for k in range(len(self.betas) - 1):
+            self._swap_attempts[k] += 1
+            log_r = (self.betas[k + 1] - self.betas[k]) \
+                * (self.energies[k] - self.energies[k + 1])
+            if np.log(self.rng.random()) < log_r:
+                self.configs[k], self.configs[k + 1] = \
+                    self.configs[k + 1], self.configs[k]
+                self.energies[k], self.energies[k + 1] = \
+                    self.energies[k + 1], self.energies[k]
+                self._swap_accepts[k] += 1
+        self.energy_trace.append(self.energies[-1])
+
+
+@pytest.mark.parametrize("n, p", [(8, 3), (6, 4)])
+def test_batched_sweep_matches_per_rung_reference(n, p):
+    d = lab.sample_disorder(n, p, seed=17)
+    batched = ReplicaExchange(d, 1.0, seed=3)
+    ref = _PerRungReplicaExchange(d, 1.0, seed=3)
+    for i in range(300):
+        adapt = i < 150  # adaptive burn-in, then plain sweeps
+        batched.sweep(adapt=adapt)
+        ref.sweep(adapt=adapt)
+    np.testing.assert_allclose(batched.configs, np.array(ref.configs),
+                               rtol=0, atol=1e-12)
+    np.testing.assert_allclose(batched.energies, ref.energies,
+                               rtol=0, atol=1e-12)
+    np.testing.assert_allclose(batched.energy_trace, ref.energy_trace,
+                               rtol=0, atol=1e-12)
+    for name in ("_accepts", "_proposals", "_swap_accepts",
+                 "_swap_attempts"):
+        assert np.array_equal(getattr(batched, name), getattr(ref, name))
+    np.testing.assert_allclose(batched.steps, ref.steps, rtol=1e-15, atol=0)
+    # the comparison only means something if both kinds of move were mixed:
+    # some proposals rejected, some swaps accepted
+    assert 0 < ref._accepts.sum() < ref._proposals.sum()
+    assert 0 < ref._swap_accepts.sum() < ref._swap_attempts.sum()
+
+
+@pytest.mark.parametrize("call", [lambda s: s.run(burn_in=-1),
+                                  lambda s: s.draw(0),
+                                  lambda s: s.draw(2, thin=0)])
+def test_sampler_rejects_bad_run_lengths(call):
+    sampler = ReplicaExchange(lab.sample_disorder(6, 3, seed=2), 1.0)
+    with pytest.raises(ValueError):
+        call(sampler)
+    assert sampler._proposals.sum() == 0
 
 
 def test_correlation_curve_shape():

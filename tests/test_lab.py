@@ -58,6 +58,39 @@ def test_homogeneity_sign():
             (-1.0) ** p * lab.hamiltonian(d, s), abs=1e-12)
 
 
+@pytest.mark.parametrize("p", [2, 3, 4, 5])
+def test_hamiltonian_batch_matches_single_rows(p):
+    d = lab.sample_disorder(5, p, seed=40 + p)
+    batch = lab.sphere_project(
+        np.random.default_rng(p).standard_normal((7, 5)))
+    energies = lab.hamiltonian(d, batch)
+    assert energies.shape == (7,)
+    for k in range(7):
+        single = lab.hamiltonian(d, batch[k])
+        assert type(single) is float
+        assert energies[k] == pytest.approx(single, rel=1e-12, abs=0)
+
+
+@pytest.mark.parametrize("shape", [(3, 6), (2, 3, 5), (4,)])
+def test_hamiltonian_rejects_bad_shapes(shape):
+    d = lab.sample_disorder(5, 3, seed=1)
+    with pytest.raises(ValueError):
+        lab.hamiltonian(d, np.ones(shape))
+
+
+def test_sphere_project_batch_rows():
+    x = np.random.default_rng(0).standard_normal((6, 9))
+    rows = lab.sphere_project(x)
+    assert rows.shape == (6, 9)
+    np.testing.assert_allclose((rows ** 2).sum(axis=1), 9.0, rtol=1e-14)
+    for k in range(6):
+        np.testing.assert_allclose(rows[k], lab.sphere_project(x[k]),
+                                   rtol=1e-15)
+    x[3] = 0.0
+    with pytest.raises(ValueError):
+        lab.sphere_project(x)
+
+
 def test_euler_identity_and_projection():
     rng = np.random.default_rng(31)
     for p in (2, 3, 4):
