@@ -9,6 +9,12 @@ contraction chain of S: grad H = p S[sigma,...,sigma,.], the Hessian is
 p(p-1) S[sigma,...,.,.], and the third derivative along x, x is
 p(p-1)(p-2) S[sigma,...,.,x,x]. Euler's identity <sigma, grad H> = p H
 holds up to rounding.
+
+Every chain contracts the leading slot first: the tensor is viewed as an
+(n, n^(m-1)) matrix and one flat matrix-vector product removes that slot,
+a single BLAS call per slot. (Contracting the trailing slot with
+``tensor @ v`` instead runs a stack of n^(m-2) small products.) S is
+symmetric, so which slots a derivative contracts changes only rounding.
 """
 
 from __future__ import annotations
@@ -24,15 +30,19 @@ __all__ = ["hamiltonian", "gradient", "spherical_gradient", "hessian",
 def hamiltonian(d: Disorder, sigma: Configuration):
     """H at one configuration (shape (n,), a float) or at each row of a
     batch (shape (K, n), a (K,) array). One matrix product contracts the
-    last slot of every row at once, then p-1 batched matrix-vector products
-    finish each row; O(K N^p)."""
+    leading slot of every row at once, then each further slot is one flat
+    (or, for a batch, one batched) matrix-vector product; O(K N^p)."""
     sigma = _check_dims(d, sigma, batch=True)
-    a = sigma @ d.entries.reshape(-1, d.n).T
-    rows = sigma.shape[:-1] + (-1, d.n)
-    for _ in range(d.p - 1):
-        a = a.reshape(rows) @ sigma[..., None]
-    h = _scale(d) * a[..., 0, 0]
-    return float(h) if sigma.ndim == 1 else h
+    n = d.n
+    a = sigma @ d.entries.reshape(n, -1)
+    if sigma.ndim == 1:
+        for _ in range(d.p - 1):
+            a = sigma @ a.reshape(n, -1)
+        return _scale(d) * float(a[0])
+    k = sigma.shape[0]
+    for _ in range(d.p - 2):
+        a = (sigma[:, None, :] @ a.reshape(k, n, -1))[:, 0]
+    return _scale(d) * np.einsum("ki,ki->k", a, sigma)
 
 
 def gradient(d: Disorder, sigma: Configuration) -> np.ndarray:
@@ -93,12 +103,14 @@ def _check_dims(d: Disorder, sigma: np.ndarray,
 
 
 def _contract(tensor: np.ndarray, vectors: list[np.ndarray]) -> np.ndarray:
-    """Contract the trailing slots of ``tensor`` with ``vectors``, the last
-    slot with the first vector; the leading slots stay free in order."""
-    a = tensor
+    """Contract the leading slots of ``tensor`` with ``vectors``, the first
+    slot with the first vector, each by one flat matrix-vector product; the
+    trailing slots stay free in order."""
+    n = tensor.shape[0]
+    a = tensor.reshape(n, -1)
     for v in vectors:
-        a = a @ v
-    return a
+        a = v @ a.reshape(n, -1)
+    return a.reshape((n,) * (tensor.ndim - len(vectors)))
 
 
 def _objective(d: Disorder, j: int, sigma: np.ndarray):

@@ -117,6 +117,9 @@ def chaos_scan(n: int, p: int, beta: float, epsilons, n_samples: int,
             f"burn_in >= 0, got n_disorders={n_disorders}, "
             f"n_samples={n_samples}, thin={thin}, burn_in={burn_in}")
     eps = sorted(float(e) for e in epsilons)
+    if not eps or not all(0.0 <= e <= 1.0 for e in eps):
+        raise ValueError(f"need at least one epsilon, each in [0, 1], "
+                         f"got epsilons={eps}")
     items = [(n, p, beta, eps, n_samples, seed, j, burn_in, thin)
              for j in range(n_disorders)]
     per_disorder = map_parallel(_chaos_one_disorder, items, threads)

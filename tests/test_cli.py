@@ -3,6 +3,7 @@ import json
 import pytest
 
 from pspinlab import cli
+from pspinlab.lab import observables
 
 
 def run_cli(args):
@@ -159,6 +160,25 @@ def test_chaos_rejects_bad_run_lengths(tmp_path, capsys, flag, value):
                     "--burn-in", "40", "--thin", "3", flag, value,
                     "--out", str(out)]) == 2
     assert flag.lstrip("-").replace("-", "_") in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("epsilons", [",", "0,2", "-0.5,0"])
+def test_chaos_rejects_bad_epsilons(tmp_path, capsys, monkeypatch, epsilons):
+    sampled = []
+
+    def no_sampling(item):
+        sampled.append(item)
+        raise RuntimeError("stop")
+
+    monkeypatch.setattr(observables, "_chaos_one_disorder", no_sampling)
+    out = tmp_path / "chaos.csv"
+    assert run_cli(["chaos", "--n", "6", f"--epsilons={epsilons}",
+                    "--n-samples", "3", "--n-disorders", "2",
+                    "--burn-in", "40", "--thin", "3",
+                    "--out", str(out)]) == 2
+    assert "epsilon" in capsys.readouterr().err
+    assert not sampled
     assert not out.exists()
 
 

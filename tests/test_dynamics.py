@@ -47,6 +47,18 @@ def test_langevin_divergence_reports_step():
     assert err.value.step == 1
 
 
+def test_langevin_norm_overflow_is_divergence():
+    # every entry stays finite, but |sigma|^2 overflows: the retraction must
+    # not rescale by sqrt(n)/inf to the zero vector and carry on
+    d = lab.sample_disorder(32, 3, seed=5)
+    start = lab.random_configuration(32, 6)
+    cfg = LangevinConfig(beta=1.0, step=1e160, n_steps=4, seed=0)
+    with pytest.warns(StabilityWarning):
+        with pytest.raises(DivergenceError) as err:
+            lab.langevin_run(d, start, cfg)
+    assert err.value.step == 1
+
+
 def test_stability_warning():
     d = lab.sample_disorder(8, 3, seed=1)
     start = lab.random_configuration(8, 2)

@@ -158,6 +158,61 @@ def test_derivatives_match_slot_sum_reference():
                 assert np.max(np.abs(got - want)) <= 1e-12 * scale
 
 
+def einsum_contract(tensor, vectors):
+    """Reference contraction by one np.einsum: the trailing slots of
+    ``tensor`` take ``vectors`` (last slot, first vector), the leading
+    slots stay free."""
+    letters = "abcdefgh"[:tensor.ndim]
+    free = tensor.ndim - len(vectors)
+    subs = [letters] + [letters[tensor.ndim - 1 - k]
+                        for k in range(len(vectors))]
+    return np.einsum(",".join(subs) + "->" + letters[:free], tensor,
+                     *vectors)
+
+
+def assert_close_rel(got, want, rel=1e-12):
+    got, want = np.asarray(got), np.asarray(want)
+    assert got.shape == want.shape
+    assert np.max(np.abs(got - want)) <= rel * np.max(np.abs(want))
+
+
+# the sizes the benchmark runs, where BLAS blocks the flat products
+BENCHMARK_SIZES = [(32, 3), (16, 4)]
+
+
+@pytest.mark.parametrize("n, p", BENCHMARK_SIZES)
+def test_derivatives_match_einsum_at_benchmark_sizes(n, p):
+    d = lab.sample_disorder(n, p, seed=7 * n + p)
+    rng = np.random.default_rng(n + p)
+    scale = float(n) ** (-(p - 1) / 2.0)
+    for _ in range(3):
+        s = lab.sphere_project(rng.standard_normal(n))
+        x = rng.standard_normal(n)
+        assert_close_rel(lab.gradient(d, s),
+                         p * scale * einsum_contract(d.symmetric,
+                                                     [s] * (p - 1)))
+        assert_close_rel(lab.hessian(d, s),
+                         p * (p - 1) * scale
+                         * einsum_contract(d.symmetric, [s] * (p - 2)))
+        assert_close_rel(_third_directional(d, s, x),
+                         p * (p - 1) * (p - 2) * scale
+                         * einsum_contract(d.symmetric,
+                                           [x, x] + [s] * (p - 3)))
+
+
+@pytest.mark.parametrize("n, p", BENCHMARK_SIZES)
+def test_hamiltonian_matches_einsum_at_benchmark_sizes(n, p):
+    d = lab.sample_disorder(n, p, seed=11 * n + p)
+    batch = lab.sphere_project(
+        np.random.default_rng(n * p).standard_normal((8, n)))
+    letters = "abcdefgh"[:p]
+    want = float(n) ** (-(p - 1) / 2.0) * np.einsum(
+        letters + "," + ",".join("k" + c for c in letters) + "->k",
+        d.entries, *[batch] * p)
+    assert_close_rel(lab.hamiltonian(d, batch), want)
+    assert_close_rel([lab.hamiltonian(d, row) for row in batch], want)
+
+
 def test_symmetric_tensor_is_permutation_mean():
     for p in (2, 3, 4, 5):
         d = lab.sample_disorder(4, p, seed=p)
