@@ -36,6 +36,7 @@ __all__ = ["FpPoint", "FpWindow", "fp_value", "fp_rs_bound", "fp_derivative",
            "fp_dbeta", "find_window", "window_grid", "half_band_grid"]
 
 FP_THRESHOLD = 0.9999  # window start needed for the clustering condition
+MIN_WINDOW_POINTS = 3  # shortest increasing run that counts as a window
 
 
 @dataclass(frozen=True)
@@ -62,7 +63,7 @@ class FpWindow:
 
     @property
     def exists(self) -> bool:
-        return self.n_points >= 3
+        return self.n_points >= MIN_WINDOW_POINTS
 
 
 def fp_value(p: int, beta: float, q: float,
@@ -70,7 +71,7 @@ def fp_value(p: int, beta: float, q: float,
     """Potential at overlap q via the band free energy, plus all per-point
     fields (RS bound, envelope derivative, solver diagnostics)."""
     p, q = _check_pq(p, q)
-    res = _band_solution(p, beta, q, grid_spec)
+    res = minimize_cs(band_mixture(p, q), beta, grid_spec)
     value = res.value + beta * beta * q ** p + 0.5 * math.log1p(-q * q)
     return FpPoint(
         q=q,
@@ -98,7 +99,7 @@ def fp_derivative(p: int, beta: float, q: float,
     if not 0.0 < abs(q) < 1.0:
         raise ValueError("derivative needs q in (0, 1)")
     if solution is None:
-        solution = _band_solution(p, beta, q, grid_spec)
+        solution = minimize_cs(band_mixture(p, q), beta, grid_spec)
     return _envelope_derivative(p, beta, q, solution)
 
 
@@ -109,7 +110,7 @@ def fp_dbeta(p: int, beta: float, q: float,
     beta * E[xi_q(1) - xi_q(x)] under the minimizing measure."""
     p, q = _check_pq(p, q)
     if solution is None:
-        solution = _band_solution(p, beta, q, grid_spec)
+        solution = minimize_cs(band_mixture(p, q), beta, grid_spec)
     xi_q = band_mixture(p, q)
     top = evaluate(xi_q, 1.0)
     exp_xi = solution.cdf.expectation(lambda t: evaluate(xi_q, t))
@@ -117,10 +118,10 @@ def fp_dbeta(p: int, beta: float, q: float,
 
 
 def find_window(p: int, beta: float, q_grid: np.ndarray,
-                grid_spec: tuple[int, float] = DEFAULT_GRID,
-                min_run: int = 3) -> FpWindow:
+                grid_spec: tuple[int, float] = DEFAULT_GRID) -> FpWindow:
     """Scan the potential on a grid in (0.99, 1) and report the maximal
-    strictly increasing run of at least ``min_run`` consecutive points.
+    strictly increasing run of at least MIN_WINDOW_POINTS consecutive
+    points.
 
     passes_fp is set when the run starts at or above 0.9999. Any per-point
     solver failure aborts with a ScanError listing the failed points.
@@ -150,7 +151,7 @@ def find_window(p: int, beta: float, q_grid: np.ndarray,
     values = np.array([pt.value for pt in points])
     noise = 10.0 * max(pt.kkt_residual for pt in points)
     start, length = _longest_increasing_run(values, noise)
-    if length < min_run:
+    if length < MIN_WINDOW_POINTS:
         return FpWindow(q_under=math.nan, q_bar=math.nan, passes_fp=False,
                         n_points=0)
     q_under = float(q_grid[start])
@@ -183,16 +184,6 @@ def half_band_grid(p: int, n: int = 32) -> np.ndarray:
 # --------------------------
 # internals
 # --------------------------
-
-def _band_solution(p: int, beta: float, q: float,
-                   grid_spec: tuple[int, float]) -> MinimizeResult:
-    try:
-        return minimize_cs(band_mixture(p, q), beta, grid_spec)
-    except SolverError as exc:
-        raise SolverError(
-            f"band solver failed at p={p}, beta={beta}, q={q}: {exc}",
-            bracket=exc.bracket, best=exc.best) from exc
-
 
 def _envelope_derivative(p: int, beta: float, q: float,
                          res: MinimizeResult) -> float:

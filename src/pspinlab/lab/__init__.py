@@ -8,8 +8,7 @@ from .energy import (gradient, hamiltonian, hessian, spherical_gradient,
                      sup_norm_estimate)
 from .langevin import LangevinConfig, langevin_run
 from .samplers import ReplicaExchange, equilibrium_sample
-from .observables import (ChaosConfig, correlation_curve, overlap_chaos,
-                          w2_empirical)
+from .observables import chaos_one_disorder, correlation_curve, w2_empirical
 
 __all__ = [
     "Configuration", "Correlation", "Disorder", "Lineage", "Spike",
@@ -19,5 +18,5 @@ __all__ = [
     "sup_norm_estimate",
     "LangevinConfig", "langevin_run",
     "ReplicaExchange", "equilibrium_sample",
-    "ChaosConfig", "correlation_curve", "overlap_chaos", "w2_empirical",
+    "chaos_one_disorder", "correlation_curve", "w2_empirical",
 ]

@@ -106,12 +106,14 @@ class Disorder:
 
         Stage k averages the tensor symmetric in slots 0..k-1 over the
         transpositions (j k), j < k, and the identity, so the whole build
-        costs O(p^2) tensor passes instead of p!.
+        costs O(p^2) tensor passes instead of p!. The sums of swapped views
+        come out in a permuted memory order; C order spares the flat
+        contractions in :mod:`energy` a copy per call.
         """
         s = self.entries
         for k in range(1, self.p):
             s = (s + sum(np.swapaxes(s, j, k) for j in range(k))) / (k + 1)
-        return s
+        return np.ascontiguousarray(s)
 
 
 def sample_disorder(n: int, p: int, seed: int) -> Disorder:

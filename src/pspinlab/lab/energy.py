@@ -1,20 +1,19 @@
 """Hamiltonian, gradients and landscape probes for tensor disorder.
 
-H(sigma) = N^{-(p-1)/2} <G, sigma^{(x)p}> evaluated by sequential
-tensor-vector contractions of the i.i.d. (not symmetrized) entries G, at
-one configuration or at every row of a (K, n) batch in the same call.
-H depends on G only through its symmetrization S (the mean over slot
-permutations, cached on the Disorder), so every derivative is one
-contraction chain of S: grad H = p S[sigma,...,sigma,.], the Hessian is
-p(p-1) S[sigma,...,.,.], and the third derivative along x, x is
-p(p-1)(p-2) S[sigma,...,.,x,x]. Euler's identity <sigma, grad H> = p H
-holds up to rounding.
+H(sigma) = N^{-(p-1)/2} <G, sigma^{(x)p}> depends on the i.i.d. entries G
+only through their symmetrization S (the mean over slot permutations,
+cached on the Disorder), so H and every derivative are one contraction
+chain of S: H = S[sigma, ..., sigma], grad H = p S[sigma,...,sigma,.], the
+Hessian is p(p-1) S[sigma,...,.,.], and the third derivative along x, x is
+p(p-1)(p-2) S[sigma,...,.,x,x]. H is taken at one configuration or at
+every row of a (K, n) batch in the same call. Euler's identity
+<sigma, grad H> = p H holds up to rounding.
 
 Every chain contracts the leading slot first: the tensor is viewed as an
 (n, n^(m-1)) matrix and one flat matrix-vector product removes that slot,
 a single BLAS call per slot. (Contracting the trailing slot with
 ``tensor @ v`` instead runs a stack of n^(m-2) small products.) S is
-symmetric, so which slots a derivative contracts changes only rounding.
+symmetric, so which slots a chain contracts changes only rounding.
 """
 
 from __future__ import annotations
@@ -29,20 +28,10 @@ __all__ = ["hamiltonian", "gradient", "spherical_gradient", "hessian",
 
 def hamiltonian(d: Disorder, sigma: Configuration):
     """H at one configuration (shape (n,), a float) or at each row of a
-    batch (shape (K, n), a (K,) array). One matrix product contracts the
-    leading slot of every row at once, then each further slot is one flat
-    (or, for a batch, one batched) matrix-vector product; O(K N^p)."""
+    batch (shape (K, n), a (K,) array); O(K N^p)."""
     sigma = _check_dims(d, sigma, batch=True)
-    n = d.n
-    a = sigma @ d.entries.reshape(n, -1)
-    if sigma.ndim == 1:
-        for _ in range(d.p - 1):
-            a = sigma @ a.reshape(n, -1)
-        return _scale(d) * float(a[0])
-    k = sigma.shape[0]
-    for _ in range(d.p - 2):
-        a = (sigma[:, None, :] @ a.reshape(k, n, -1))[:, 0]
-    return _scale(d) * np.einsum("ki,ki->k", a, sigma)
+    h = _scale(d) * _contract(d.symmetric, [sigma] * d.p)
+    return float(h) if sigma.ndim == 1 else h
 
 
 def gradient(d: Disorder, sigma: Configuration) -> np.ndarray:
@@ -104,13 +93,21 @@ def _check_dims(d: Disorder, sigma: np.ndarray,
 
 def _contract(tensor: np.ndarray, vectors: list[np.ndarray]) -> np.ndarray:
     """Contract the leading slots of ``tensor`` with ``vectors``, the first
-    slot with the first vector, each by one flat matrix-vector product; the
-    trailing slots stay free in order."""
+    slot with the first vector, each by one flat (for (K, n) batches, one
+    batched) matrix-vector product; the trailing slots stay free in order,
+    after a leading K axis for batches."""
     n = tensor.shape[0]
-    a = tensor.reshape(n, -1)
-    for v in vectors:
-        a = v @ a.reshape(n, -1)
-    return a.reshape((n,) * (tensor.ndim - len(vectors)))
+    free = (n,) * (tensor.ndim - len(vectors))
+    if not vectors or vectors[0].ndim == 1:
+        a = tensor.reshape(n, -1)
+        for v in vectors:
+            a = v @ a.reshape(n, -1)
+        return a.reshape(free)
+    k = vectors[0].shape[0]
+    a = vectors[0] @ tensor.reshape(n, -1)
+    for v in vectors[1:]:
+        a = (v[:, None, :] @ a.reshape(k, n, -1))[:, 0]
+    return a.reshape((k,) + free)
 
 
 def _objective(d: Disorder, j: int, sigma: np.ndarray):

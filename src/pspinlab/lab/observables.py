@@ -1,36 +1,25 @@
-"""Correlation functions, overlap/transport chaos estimators, W2 distance."""
+"""Correlation functions, the overlap/transport chaos estimator, W2 distance."""
 
 from __future__ import annotations
 
 import warnings
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import replace
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 from scipy.spatial.distance import cdist
 
 from .. import phase
-from .disorder import Configuration, Disorder, correlate_disorder, derived_rng
+from .disorder import (Configuration, Disorder, correlate_disorder,
+                       derived_rng, sample_disorder)
 from .langevin import LangevinConfig, langevin_run
 from .samplers import ReplicaExchange, equilibrium_sample
 
-__all__ = ["ChaosConfig", "correlation_curve", "overlap_chaos", "w2_empirical",
+__all__ = ["correlation_curve", "chaos_one_disorder", "w2_empirical",
            "chaos_scan"]
 
 W2_MAX_POINTS = 1024  # keeps the cubic assignment solver under a minute
-
-
-@dataclass(frozen=True)
-class ChaosConfig:
-    epsilon: float
-    n_samples: int
-
-    def __post_init__(self):
-        if not 0.0 <= self.epsilon <= 1.0:
-            raise ValueError("epsilon must lie in [0, 1]")
-        if self.n_samples < 1:
-            raise ValueError("n_samples must be positive")
 
 
 def correlation_curve(d: Disorder, cfg: LangevinConfig,
@@ -72,23 +61,6 @@ def map_parallel(fn, items, threads: int) -> list:
     return [fn(item) for item in items]
 
 
-def overlap_chaos(d: Disorder, beta: float, chaos: ChaosConfig,
-                  seed: int = 0, burn_in: int = 300,
-                  thin: int = 20) -> tuple[float, float]:
-    """E[(<sigma, sigma'>/N)^2] for sigma ~ Gibbs(G), sigma' ~ Gibbs(G^eps),
-    estimated from paired draws of two independent chains."""
-    _warn_if_low_temperature(d.p, beta)
-    d_eps = correlate_disorder(d, chaos.epsilon,
-                               int(derived_rng(seed, "eps").integers(2 ** 63)))
-    a = _re_draws(d, beta, chaos.n_samples, derived_seed=(seed, 0),
-                  burn_in=burn_in, thin=thin)
-    b = _re_draws(d_eps, beta, chaos.n_samples, derived_seed=(seed, 1),
-                  burn_in=burn_in, thin=thin)
-    sq = np.array([(float(x @ y) / d.n) ** 2 for x, y in zip(a, b)])
-    stderr = (sq.std(ddof=1) / np.sqrt(len(sq))) if len(sq) > 1 else 0.0
-    return float(sq.mean()), float(stderr)
-
-
 def w2_empirical(a: list[Configuration], b: list[Configuration]) -> float:
     """Exact normalized Wasserstein-2 distance between the two empirical
     uniform measures: optimal assignment under cost |x - y|^2 / N."""
@@ -107,22 +79,15 @@ def w2_empirical(a: list[Configuration], b: list[Configuration]) -> float:
 def chaos_scan(n: int, p: int, beta: float, epsilons, n_samples: int,
                n_disorders: int, seed: int = 0, burn_in: int = 300,
                thin: int = 15, threads: int = 1) -> list[dict]:
-    """Overlap and transport chaos estimates per epsilon, averaged over
-    disorders. For each disorder the unperturbed draws are shared across
-    the epsilon column, so the epsilon = 0 row is the independent-samples
-    baseline for the same measure. Disorders run on ``threads`` workers."""
-    if n_disorders < 1 or n_samples < 1 or thin < 1 or burn_in < 0:
-        raise ValueError(
-            f"need n_disorders >= 1, n_samples >= 1, thin >= 1 and "
-            f"burn_in >= 0, got n_disorders={n_disorders}, "
-            f"n_samples={n_samples}, thin={thin}, burn_in={burn_in}")
-    eps = sorted(float(e) for e in epsilons)
-    if not eps or not all(0.0 <= e <= 1.0 for e in eps):
-        raise ValueError(f"need at least one epsilon, each in [0, 1], "
-                         f"got epsilons={eps}")
+    """``chaos_one_disorder`` per epsilon, averaged over fresh disorders
+    with standard errors. Disorder j is drawn from the key (seed, j, "d")
+    and estimated under the key (seed, j). Disorders run on ``threads``
+    workers."""
+    eps = sorted(_check_chaos(p, beta, epsilons, n_samples, burn_in, thin,
+                              n_disorders))
     items = [(n, p, beta, eps, n_samples, seed, j, burn_in, thin)
              for j in range(n_disorders)]
-    per_disorder = map_parallel(_chaos_one_disorder, items, threads)
+    per_disorder = map_parallel(_one_disorder, items, threads)
     rows = []
     for i, e in enumerate(eps):
         ovl = np.asarray([r[i][0] for r in per_disorder])
@@ -138,25 +103,63 @@ def chaos_scan(n: int, p: int, beta: float, epsilons, n_samples: int,
     return rows
 
 
-def _chaos_one_disorder(item):
-    n, p, beta, eps, n_samples, seed, j, burn_in, thin = item
-    from .disorder import sample_disorder
-
-    d = sample_disorder(n, p,
-                        seed=int(derived_rng(seed, j, "d").integers(2 ** 63)))
-    base = _re_draws(d, beta, n_samples, derived_seed=(seed, j, 0),
+def chaos_one_disorder(d: Disorder, beta: float, epsilons, n_samples: int,
+                       key: tuple, burn_in: int = 300,
+                       thin: int = 15) -> list[tuple[float, float]]:
+    """(overlap_sq, w2) for each epsilon, in the given order: the mean of
+    (<sigma, sigma'>/N)^2 over paired draws sigma ~ Gibbs(G), sigma' ~
+    Gibbs(G^eps), and the W2 distance between the two draw sets. The
+    unperturbed draws are shared across epsilons, so epsilon = 0 gives the
+    independent-samples baseline of the same measure. Every random stream
+    is derived from the tuple ``key``; inputs are checked before any
+    sampling."""
+    eps = _check_chaos(d.p, beta, epsilons, n_samples, burn_in, thin)
+    base = _re_draws(d, beta, n_samples, derived_seed=(*key, 0),
                      burn_in=burn_in, thin=thin)
     out = []
     for e in eps:
         d_eps = correlate_disorder(
             d, e,
-            seed=int(derived_rng(seed, j, "eps", int(e * 1e9)).integers(2 ** 63)))
+            seed=int(derived_rng(*key, "eps", _eps_key(e)).integers(2 ** 63)))
         other = _re_draws(d_eps, beta, n_samples,
-                          derived_seed=(seed, j, 1, int(e * 1e9)),
+                          derived_seed=(*key, 1, _eps_key(e)),
                           burn_in=burn_in, thin=thin)
-        sq = [(float(x @ y) / n) ** 2 for x, y in zip(base, other)]
+        sq = [(float(x @ y) / d.n) ** 2 for x, y in zip(base, other)]
         out.append((float(np.mean(sq)), w2_empirical(base, other)))
     return out
+
+
+def _one_disorder(item):
+    n, p, beta, eps, n_samples, seed, j, burn_in, thin = item
+    d = sample_disorder(n, p,
+                        seed=int(derived_rng(seed, j, "d").integers(2 ** 63)))
+    return chaos_one_disorder(d, beta, eps, n_samples, (seed, j),
+                              burn_in=burn_in, thin=thin)
+
+
+def _eps_key(e: float) -> int:
+    """The integer that keys epsilon's perturbed disorder and chain."""
+    return int(e * 1e9)
+
+
+def _check_chaos(p: int, beta: float, epsilons, n_samples: int,
+                 burn_in: int, thin: int, n_disorders: int = 1) -> list[float]:
+    """The epsilons as floats, once every chaos input is valid; warns when
+    beta is at or beyond the static boundary."""
+    if n_disorders < 1 or n_samples < 1 or thin < 1 or burn_in < 0:
+        raise ValueError(
+            f"need n_disorders >= 1, n_samples >= 1, thin >= 1 and "
+            f"burn_in >= 0, got n_disorders={n_disorders}, "
+            f"n_samples={n_samples}, thin={thin}, burn_in={burn_in}")
+    eps = [float(e) for e in epsilons]
+    if not eps or not all(0.0 <= e <= 1.0 for e in eps):
+        raise ValueError(f"need at least one epsilon, each in [0, 1], "
+                         f"got epsilons={eps}")
+    if len({_eps_key(e) for e in eps}) < len(eps):
+        raise ValueError(f"each epsilon needs its own seed key "
+                         f"int(epsilon * 1e9), got epsilons={eps}")
+    _warn_if_low_temperature(p, beta)
+    return eps
 
 
 def _re_draws(d: Disorder, beta: float, n: int, derived_seed: tuple,
@@ -170,11 +173,15 @@ def _re_draws(d: Disorder, beta: float, n: int, derived_seed: tuple,
 
 
 def _warn_if_low_temperature(p: int, beta: float) -> None:
+    # beta_d < beta_c and beta_d is closed form: a beta below beta_d skips
+    # the minimization behind beta_c
     try:
+        if beta < phase.beta_d_pure(p):
+            return
         bc, _ = phase.beta_c(p)
     except ValueError:
         return
     if beta >= bc:
         warnings.warn(f"beta = {beta} is at or beyond the static boundary "
                       f"{bc:.4f}; equilibrium sampling is unreliable",
-                      stacklevel=3)
+                      stacklevel=4)

@@ -382,9 +382,9 @@ def test_criterion_09_chaos_trends():
         vals = []
         for j in range(32):
             d = lab.sample_disorder(n, 3, seed=7000 + j)
-            m, _ = lab.overlap_chaos(
-                d, 0.5, lab.ChaosConfig(epsilon=0.5, n_samples=12),
-                seed=7100 + j, burn_in=250, thin=20)
+            [(m, _)] = lab.chaos_one_disorder(
+                d, 0.5, [0.5], n_samples=12, key=(7100 + j,),
+                burn_in=250, thin=20)
             vals.append(m)
         means[n] = float(np.mean(vals))
     assert means[8] > means[16] > means[24]

@@ -163,7 +163,8 @@ def test_chaos_rejects_bad_run_lengths(tmp_path, capsys, flag, value):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("epsilons", [",", "0,2", "-0.5,0"])
+@pytest.mark.parametrize("epsilons", [",", "0,2", "-0.5,0", "0.5,0.5,1",
+                                      "0.5,0.5000000001"])
 def test_chaos_rejects_bad_epsilons(tmp_path, capsys, monkeypatch, epsilons):
     sampled = []
 
@@ -171,7 +172,7 @@ def test_chaos_rejects_bad_epsilons(tmp_path, capsys, monkeypatch, epsilons):
         sampled.append(item)
         raise RuntimeError("stop")
 
-    monkeypatch.setattr(observables, "_chaos_one_disorder", no_sampling)
+    monkeypatch.setattr(observables, "_one_disorder", no_sampling)
     out = tmp_path / "chaos.csv"
     assert run_cli(["chaos", "--n", "6", f"--epsilons={epsilons}",
                     "--n-samples", "3", "--n-disorders", "2",

@@ -211,9 +211,10 @@ def test_correlation_curve_shape():
 
 
 def test_chaos_config_invariants():
-    lab.ChaosConfig(epsilon=0.3, n_samples=4)
-    # the eta = sqrt(2 eps - eps^2) mixing weight lives in correlate_disorder
     d = lab.sample_disorder(6, 3, seed=1)
+    lab.chaos_one_disorder(d, 0.5, [0.3], n_samples=4, key=(0,),
+                           burn_in=20, thin=2)
+    # the eta = sqrt(2 eps - eps^2) mixing weight lives in correlate_disorder
     eps = 0.3
     mixed = lab.correlate_disorder(d, eps, seed=2)
     w = derived_rng(2).standard_normal(d.entries.shape)
@@ -221,25 +222,26 @@ def test_chaos_config_invariants():
         mixed.entries,
         (1.0 - eps) * d.entries + np.sqrt(2.0 * eps - eps * eps) * w)
     with pytest.raises(ValueError):
-        lab.ChaosConfig(epsilon=1.5, n_samples=4)
+        lab.chaos_one_disorder(d, 0.5, [1.5], n_samples=4, key=(0,),
+                               burn_in=20, thin=2)
     with pytest.raises(ValueError):
-        lab.ChaosConfig(epsilon=0.5, n_samples=0)
+        lab.chaos_one_disorder(d, 0.5, [0.5], n_samples=0, key=(0,),
+                               burn_in=20, thin=2)
 
 
 def test_overlap_chaos_warns_beyond_static_boundary():
     d = lab.sample_disorder(6, 3, seed=50)
     with pytest.warns(UserWarning, match="static boundary"):
-        lab.overlap_chaos(d, 1.5, lab.ChaosConfig(epsilon=0.5, n_samples=2),
-                          seed=0, burn_in=20, thin=2)
+        lab.chaos_one_disorder(d, 1.5, [0.5], n_samples=2, key=(0,),
+                               burn_in=20, thin=2)
 
 
 def test_overlap_chaos_bounds():
     d = lab.sample_disorder(8, 3, seed=33)
-    val, se = lab.overlap_chaos(d, 0.5, lab.ChaosConfig(epsilon=0.5,
-                                                        n_samples=6),
-                                seed=0, burn_in=60, thin=5)
+    [(val, w2)] = lab.chaos_one_disorder(d, 0.5, [0.5], n_samples=6,
+                                         key=(0,), burn_in=60, thin=5)
     assert 0.0 <= val <= 1.0
-    assert se >= 0.0
+    assert w2 >= 0.0
 
 
 def test_overlap_chaos_eps_zero_is_two_replica_statistic():
@@ -250,9 +252,9 @@ def test_overlap_chaos_eps_zero_is_two_replica_statistic():
         vals = []
         for j in range(12):
             d = lab.sample_disorder(n, 3, seed=600 + j)
-            m, _ = lab.overlap_chaos(
-                d, 0.5, lab.ChaosConfig(epsilon=0.0, n_samples=8),
-                seed=660 + j, burn_in=150, thin=15)
+            [(m, _)] = lab.chaos_one_disorder(
+                d, 0.5, [0.0], n_samples=8, key=(660 + j,),
+                burn_in=150, thin=15)
             vals.append(m)
         means[n] = float(np.mean(vals))
     assert means[8] > means[16]

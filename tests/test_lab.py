@@ -183,6 +183,9 @@ BENCHMARK_SIZES = [(32, 3), (16, 4)]
 @pytest.mark.parametrize("n, p", BENCHMARK_SIZES)
 def test_derivatives_match_einsum_at_benchmark_sizes(n, p):
     d = lab.sample_disorder(n, p, seed=7 * n + p)
+    # the flat contractions reshape S on every call; in a permuted memory
+    # layout each reshape would be a full copy
+    assert d.symmetric.flags.c_contiguous
     rng = np.random.default_rng(n + p)
     scale = float(n) ** (-(p - 1) / 2.0)
     for _ in range(3):
