@@ -15,6 +15,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import sys
 import warnings
 
@@ -37,8 +38,7 @@ DEFAULTS = {
                      "beta_fracs": "0.85,0.9,0.95", "n_q": 48,
                      "n_q_half": 32, "m": 512, "solver_q_max": 1.0 - 1e-4},
     "simulate": {"n": 16, "p": 3, "beta": 1.0, "step": 0.01, "n_steps": 1000,
-                 "record_every": 10, "n_traj": 8,
-                 "method": "replica-exchange"},
+                 "record_every": 10, "n_traj": 8},
     "chaos": {"n": 16, "p": 3, "beta": 1.0, "epsilons": "0,0.25,0.5,1",
               "n_samples": 16, "n_disorders": 4, "burn_in": 300, "thin": 15},
 }
@@ -131,6 +131,9 @@ def _resolve_config(args: argparse.Namespace) -> dict:
             resolved[key] = value
     resolved["command"] = command
     resolved["version"] = __version__
+    for key, value in resolved.items():
+        if isinstance(value, float) and not math.isfinite(value):
+            raise ValueError(f"config key {key!r} must be finite, got {value}")
     return resolved
 
 
@@ -193,6 +196,16 @@ def _fmt(value) -> str:
 # command execution
 # --------------------------
 
+def _comma_list(config: dict, key: str, cast) -> list:
+    """The comma-separated values of ``config[key]``; an empty list, or a
+    non-finite value, is an error that names the key."""
+    values = [cast(s) for s in str(config[key]).split(",") if s]
+    if not values or not all(math.isfinite(v) for v in values):
+        raise ValueError(f"config key {key!r} needs one or more finite "
+                         f"comma-separated values, got {config[key]!r}")
+    return values
+
+
 def _run_command(config: dict) -> tuple[list[dict], int]:
     runner = {
         "phase": _run_phase,
@@ -236,6 +249,8 @@ def _run_parisi(config: dict) -> list[dict]:
 
 
 def _run_fp(config: dict) -> list[dict]:
+    if config["n_q"] < 1:
+        raise ValueError(f"config key 'n_q' must be >= 1, got {config['n_q']}")
     qs = np.linspace(config["q_min"], config["q_max"], config["n_q"])
     items = [(config["p"], config["beta"], float(q),
               config["m"], config["solver_q_max"]) for q in qs]
@@ -255,10 +270,9 @@ def _fp_row(item) -> dict:
 
 
 def _run_shatter(config: dict) -> list[dict]:
-    p_list = [int(s) for s in str(config["p_list"]).split(",") if s]
-    fracs = [float(s) for s in str(config["beta_fracs"]).split(",") if s]
+    fracs = _comma_list(config, "beta_fracs", float)
     items = []
-    for p in p_list:
+    for p in _comma_list(config, "p_list", int):
         bc, _ = phase.beta_c(p)
         for frac in fracs:
             items.append((p, frac * bc, bc, config["n_q"],
@@ -298,13 +312,12 @@ def _run_simulate(config: dict) -> list[dict]:
         warnings.simplefilter("ignore")
         curve = correlation_curve(d, cfg, config["n_traj"],
                                   seed=config["seed"],
-                                  method=config["method"],
                                   threads=config["threads"])
     return [{"t": t, "corr": c, "stderr": s} for t, c, s in curve]
 
 
 def _run_chaos(config: dict) -> list[dict]:
-    eps = [float(s) for s in str(config["epsilons"]).split(",") if s]
+    eps = _comma_list(config, "epsilons", float)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         return chaos_scan(config["n"], config["p"], config["beta"], eps,

@@ -32,8 +32,8 @@ from .errors import ScanError, SolverError
 from .mixtures import band_mixture, evaluate
 from .parisi import DEFAULT_GRID, MinimizeResult, minimize_cs
 
-__all__ = ["FpPoint", "FpWindow", "fp_value", "fp_rs_bound", "fp_derivative",
-           "fp_dbeta", "find_window", "window_grid", "half_band_grid"]
+__all__ = ["FpPoint", "FpWindow", "fp_value", "fp_rs_bound", "fp_dbeta",
+           "find_window", "window_grid", "half_band_grid"]
 
 FP_THRESHOLD = 0.9999  # window start needed for the clustering condition
 MIN_WINDOW_POINTS = 3  # shortest increasing run that counts as a window
@@ -91,27 +91,13 @@ def fp_rs_bound(p: int, beta: float, q: float) -> float:
     return 0.5 * (beta * beta * (1.0 + q ** p) + q + math.log1p(-q))
 
 
-def fp_derivative(p: int, beta: float, q: float,
-                  grid_spec: tuple[int, float] = DEFAULT_GRID,
-                  solution: MinimizeResult | None = None) -> float:
-    """Envelope derivative of the potential at q in (0, 1)."""
-    p, q = _check_pq(p, q)
-    if not 0.0 < abs(q) < 1.0:
-        raise ValueError("derivative needs q in (0, 1)")
-    if solution is None:
-        solution = minimize_cs(band_mixture(p, q), beta, grid_spec)
-    return _envelope_derivative(p, beta, q, solution)
-
-
 def fp_dbeta(p: int, beta: float, q: float,
-             grid_spec: tuple[int, float] = DEFAULT_GRID,
-             solution: MinimizeResult | None = None) -> float:
+             grid_spec: tuple[int, float] = DEFAULT_GRID) -> float:
     """Temperature derivative of the band free energy,
     beta * E[xi_q(1) - xi_q(x)] under the minimizing measure."""
     p, q = _check_pq(p, q)
-    if solution is None:
-        solution = minimize_cs(band_mixture(p, q), beta, grid_spec)
     xi_q = band_mixture(p, q)
+    solution = minimize_cs(xi_q, beta, grid_spec)
     top = evaluate(xi_q, 1.0)
     exp_xi = solution.cdf.expectation(lambda t: evaluate(xi_q, t))
     return beta * (top - exp_xi)

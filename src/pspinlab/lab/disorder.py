@@ -23,7 +23,7 @@ from ..errors import SizeError
 __all__ = ["Configuration", "Disorder", "Lineage", "Spike", "Correlation",
            "sample_disorder", "plant", "correlate_disorder", "reconstruct",
            "random_configuration", "sphere_project", "sphere_check",
-           "derived_rng", "MAX_ENTRIES"]
+           "derived_rng", "derived_seed", "MAX_ENTRIES"]
 
 Configuration = np.ndarray  # coords on S_N = {sigma : sum sigma_i^2 = N}
 
@@ -179,9 +179,10 @@ def sphere_project(x: np.ndarray) -> Configuration:
     return x * (math.sqrt(x.shape[-1]) / norm)
 
 
-def sphere_check(sigma: Configuration, rel_tol: float = 1e-9) -> None:
+def sphere_check(sigma: Configuration) -> None:
+    """Raise unless |sigma|^2 = N to 1e-9 relative."""
     n = len(sigma)
-    if abs(float(sigma @ sigma) - n) > rel_tol * n:
+    if abs(float(sigma @ sigma) - n) > 1e-9 * n:
         raise ValueError("configuration is not on the sphere of radius sqrt(N)")
 
 
@@ -191,6 +192,12 @@ def derived_rng(*key) -> np.random.Generator:
     parts = [int.from_bytes(k.encode(), "little") if isinstance(k, str) else int(k)
              for k in key]
     return np.random.default_rng(np.random.SeedSequence(parts))
+
+
+def derived_seed(*key) -> int:
+    """An integer seed drawn from the stream of ``key``, for interfaces
+    that take a seed rather than a generator."""
+    return int(derived_rng(*key).integers(2 ** 63))
 
 
 def _rank_one(v: np.ndarray, p: int) -> np.ndarray:

@@ -8,7 +8,7 @@ The target diffusion is
 reversible for the Gibbs measure ~ exp(beta H). Each Euler step is followed
 by renormalization back to the sphere of radius sqrt(N). The O(h) bias of
 this retraction is accepted and not estimated: no step-halving check exists
-yet (ROADMAP item 5), so compare runs at h and h/2 by hand where it matters.
+yet (ROADMAP item 4), so compare runs at h and h/2 by hand where it matters.
 """
 
 from __future__ import annotations
@@ -35,10 +35,12 @@ class LangevinConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.beta < 0:
-            raise ValueError("beta must be >= 0")
-        if self.step <= 0 or self.n_steps < 1 or self.record_every < 1:
-            raise ValueError("step, n_steps and record_every must be positive")
+        if not self.beta >= 0:  # NaN fails this test too
+            raise ValueError(f"beta must be >= 0, got {self.beta}")
+        if not (self.step > 0 and self.n_steps >= 1 and self.record_every >= 1):
+            raise ValueError(f"step, n_steps and record_every must be "
+                             f"positive, got step={self.step}, n_steps="
+                             f"{self.n_steps}, record_every={self.record_every}")
 
 
 def langevin_run(d: Disorder, start: Configuration,

@@ -12,7 +12,7 @@ from scipy.spatial.distance import cdist
 
 from .. import phase
 from .disorder import (Configuration, Disorder, correlate_disorder,
-                       derived_rng, sample_disorder)
+                       derived_seed, sample_disorder)
 from .langevin import LangevinConfig, langevin_run
 from .samplers import ReplicaExchange, equilibrium_sample
 
@@ -24,7 +24,6 @@ W2_MAX_POINTS = 1024  # keeps the cubic assignment solver under a minute
 
 def correlation_curve(d: Disorder, cfg: LangevinConfig,
                       n_trajectories: int, seed: int = 0,
-                      method: str = "replica-exchange",
                       threads: int = 1) -> list[tuple[float, float, float]]:
     """C_N(t) = mean over stationary trajectories of <sigma_0, sigma_t>/N,
     with standard errors, on the monotone time grid of recorded strides.
@@ -32,22 +31,18 @@ def correlation_curve(d: Disorder, cfg: LangevinConfig,
     dynamics. Trajectories are independent and run on ``threads`` workers."""
     if n_trajectories < 1:
         raise ValueError("need at least one trajectory")
-    items = [(d, cfg, method, seed, i) for i in range(n_trajectories)]
+    items = [(d, cfg, seed, i) for i in range(n_trajectories)]
     results = map_parallel(_one_trajectory, items, threads)
     times = results[0][0]
-    arr = np.asarray([overlaps for _, overlaps in results])
-    mean = arr.mean(axis=0)
-    stderr = (arr.std(axis=0, ddof=1) / np.sqrt(n_trajectories)
-              if n_trajectories > 1 else np.zeros(arr.shape[1]))
+    mean, stderr = _mean_stderr(
+        np.asarray([overlaps for _, overlaps in results]))
     return list(zip(times, mean.tolist(), stderr.tolist()))
 
 
 def _one_trajectory(item):
-    d, cfg, method, seed, i = item
-    eq_seed = int(derived_rng(seed, i, 0).integers(2 ** 63))
-    dyn_seed = int(derived_rng(seed, i, 1).integers(2 ** 63))
-    sigma0, _ = equilibrium_sample(d, cfg.beta, method=method, seed=eq_seed)
-    traj = langevin_run(d, sigma0, replace(cfg, seed=dyn_seed))
+    d, cfg, seed, i = item
+    sigma0, _ = equilibrium_sample(d, cfg.beta, seed=derived_seed(seed, i, 0))
+    traj = langevin_run(d, sigma0, replace(cfg, seed=derived_seed(seed, i, 1)))
     times = [t for t, _ in traj]
     return times, [float(sigma0 @ s) / d.n for _, s in traj]
 
@@ -90,17 +85,22 @@ def chaos_scan(n: int, p: int, beta: float, epsilons, n_samples: int,
     per_disorder = map_parallel(_one_disorder, items, threads)
     rows = []
     for i, e in enumerate(eps):
-        ovl = np.asarray([r[i][0] for r in per_disorder])
-        w2 = np.asarray([r[i][1] for r in per_disorder])
-        k = len(ovl)
-        rows.append({
-            "epsilon": e,
-            "overlap_sq": float(ovl.mean()),
-            "overlap_sq_stderr": float(ovl.std(ddof=1) / np.sqrt(k)) if k > 1 else 0.0,
-            "w2": float(w2.mean()),
-            "w2_stderr": float(w2.std(ddof=1) / np.sqrt(k)) if k > 1 else 0.0,
-        })
+        ovl, ovl_err = _mean_stderr(np.asarray([r[i][0] for r in per_disorder]))
+        w2, w2_err = _mean_stderr(np.asarray([r[i][1] for r in per_disorder]))
+        rows.append({"epsilon": e, "overlap_sq": float(ovl),
+                     "overlap_sq_stderr": float(ovl_err), "w2": float(w2),
+                     "w2_stderr": float(w2_err)})
     return rows
+
+
+def _mean_stderr(arr: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Mean over the leading (sample) axis and its standard error, which
+    is 0 for a single sample."""
+    k = len(arr)
+    mean = arr.mean(axis=0)
+    stderr = (arr.std(axis=0, ddof=1) / np.sqrt(k) if k > 1
+              else np.zeros_like(mean))
+    return mean, stderr
 
 
 def chaos_one_disorder(d: Disorder, beta: float, epsilons, n_samples: int,
@@ -114,16 +114,15 @@ def chaos_one_disorder(d: Disorder, beta: float, epsilons, n_samples: int,
     is derived from the tuple ``key``; inputs are checked before any
     sampling."""
     eps = _check_chaos(d.p, beta, epsilons, n_samples, burn_in, thin)
-    base = _re_draws(d, beta, n_samples, derived_seed=(*key, 0),
-                     burn_in=burn_in, thin=thin)
+    base = ReplicaExchange(d, beta, seed=derived_seed(*key, 0)).sample(
+        n_samples, burn_in=burn_in, thin=thin)
     out = []
     for e in eps:
-        d_eps = correlate_disorder(
-            d, e,
-            seed=int(derived_rng(*key, "eps", _eps_key(e)).integers(2 ** 63)))
-        other = _re_draws(d_eps, beta, n_samples,
-                          derived_seed=(*key, 1, _eps_key(e)),
-                          burn_in=burn_in, thin=thin)
+        d_eps = correlate_disorder(d, e,
+                                   seed=derived_seed(*key, "eps", _eps_key(e)))
+        other = ReplicaExchange(
+            d_eps, beta, seed=derived_seed(*key, 1, _eps_key(e))).sample(
+            n_samples, burn_in=burn_in, thin=thin)
         sq = [(float(x @ y) / d.n) ** 2 for x, y in zip(base, other)]
         out.append((float(np.mean(sq)), w2_empirical(base, other)))
     return out
@@ -131,8 +130,7 @@ def chaos_one_disorder(d: Disorder, beta: float, epsilons, n_samples: int,
 
 def _one_disorder(item):
     n, p, beta, eps, n_samples, seed, j, burn_in, thin = item
-    d = sample_disorder(n, p,
-                        seed=int(derived_rng(seed, j, "d").integers(2 ** 63)))
+    d = sample_disorder(n, p, seed=derived_seed(seed, j, "d"))
     return chaos_one_disorder(d, beta, eps, n_samples, (seed, j),
                               burn_in=burn_in, thin=thin)
 
@@ -160,16 +158,6 @@ def _check_chaos(p: int, beta: float, epsilons, n_samples: int,
                          f"int(epsilon * 1e9), got epsilons={eps}")
     _warn_if_low_temperature(p, beta)
     return eps
-
-
-def _re_draws(d: Disorder, beta: float, n: int, derived_seed: tuple,
-              burn_in: int, thin: int) -> list[Configuration]:
-    sampler = ReplicaExchange(
-        d, beta, seed=int(derived_rng(*derived_seed).integers(2 ** 63)))
-    sampler.run(burn_in=burn_in)
-    draws = sampler.draw(n, thin=thin)
-    sampler.check_mixing()
-    return draws
 
 
 def _warn_if_low_temperature(p: int, beta: float) -> None:

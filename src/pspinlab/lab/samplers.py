@@ -1,12 +1,13 @@
-"""Approximate Gibbs samplers: replica exchange and Langevin burn-in.
+"""Approximate Gibbs sampling by replica exchange, the lab's only
+equilibrium sampler.
 
 The Gibbs measure is ~ exp(beta H) against the uniform measure on the
-sphere. Replica exchange runs a geometric ladder of K inverse temperatures
-from beta/8 up to beta, each rung doing full-vector sphere-Metropolis moves
-(isotropic Gaussian perturbation then renormalization, a symmetric proposal
-on the sphere), with neighbor swap attempts every sweep. Proposal scales
-adapt toward a target acceptance during burn-in only, so the post-burn-in
-chain satisfies detailed balance.
+sphere. Replica exchange runs a geometric ladder of K = N_RUNGS inverse
+temperatures from beta/8 up to beta, each rung doing full-vector
+sphere-Metropolis moves (isotropic Gaussian perturbation then
+renormalization, a symmetric proposal on the sphere), with neighbor swap
+attempts every sweep. Proposal scales adapt toward a target acceptance
+during burn-in only, so the post-burn-in chain satisfies detailed balance.
 
 All rungs move together: the configurations are one (K, n) array, the
 proposals of a sweep are projected and scored by one batched energy call,
@@ -24,14 +25,14 @@ import warnings
 import numpy as np
 
 from ..errors import MixingWarning
-from .disorder import (Configuration, Disorder, derived_rng,
-                       random_configuration, sphere_project)
+from .disorder import Configuration, Disorder, derived_rng, sphere_project
 from .energy import hamiltonian
-from .langevin import LangevinConfig, langevin_run
 
 __all__ = ["ReplicaExchange", "equilibrium_sample"]
 
-METHODS = ("replica-exchange", "langevin-equilibrated")
+N_RUNGS = 8
+TARGET_ACCEPT = 0.4  # proposal acceptance the burn-in adapts toward
+INITIAL_STEP = 0.5  # proposal scale of every rung before adaptation
 
 
 class ReplicaExchange:
@@ -40,32 +41,27 @@ class ReplicaExchange:
     ``configs`` holds one rung per row, coldest last, and ``energies`` the
     matching H values."""
 
-    def __init__(self, d: Disorder, beta: float, n_rungs: int = 8,
-                 seed: int = 0, target_accept: float = 0.4,
-                 initial_step: float = 0.5):
-        if beta < 0:
-            raise ValueError("beta must be >= 0")
-        if n_rungs < 2:
-            raise ValueError("need at least two rungs")
+    def __init__(self, d: Disorder, beta: float, seed: int = 0):
+        if not beta >= 0:  # NaN fails this test too
+            raise ValueError(f"beta must be >= 0, got {beta}")
         self.d = d
         self.beta = float(beta)
-        ratio = (1.0 / 8.0) ** (1.0 / (n_rungs - 1))
-        self.betas = beta * ratio ** np.arange(n_rungs - 1, -1, -1)
+        ratio = (1.0 / 8.0) ** (1.0 / (N_RUNGS - 1))
+        self.betas = beta * ratio ** np.arange(N_RUNGS - 1, -1, -1)
         self._swap_dbetas = np.diff(self.betas).tolist()
         self.rng = derived_rng(seed, "replica-exchange")
         self.configs = sphere_project(
-            self.rng.standard_normal((n_rungs, d.n)))
+            self.rng.standard_normal((N_RUNGS, d.n)))
         self.energies = hamiltonian(d, self.configs)
-        self.steps = np.full(n_rungs, float(initial_step))
-        self.target_accept = target_accept
+        self.steps = np.full(N_RUNGS, INITIAL_STEP)
         # step-size factors after an accepted or a rejected proposal: a
         # stochastic approximation toward the target acceptance rate
-        self._grow = math.exp(0.1 * (1.0 - target_accept))
-        self._shrink = math.exp(-0.1 * target_accept)
-        self._accepts = np.zeros(n_rungs)
-        self._proposals = np.zeros(n_rungs)
-        self._swap_accepts = np.zeros(n_rungs - 1)
-        self._swap_attempts = np.zeros(n_rungs - 1)
+        self._grow = math.exp(0.1 * (1.0 - TARGET_ACCEPT))
+        self._shrink = math.exp(-0.1 * TARGET_ACCEPT)
+        self._accepts = np.zeros(N_RUNGS)
+        self._proposals = np.zeros(N_RUNGS)
+        self._swap_accepts = np.zeros(N_RUNGS - 1)
+        self._swap_attempts = np.zeros(N_RUNGS - 1)
         self.energy_trace: list[float] = []
 
     def sweep(self, adapt: bool = False) -> None:
@@ -126,6 +122,15 @@ class ReplicaExchange:
             out.append(self.configs[-1].copy())
         return out
 
+    def sample(self, n_samples: int, burn_in: int,
+               thin: int) -> list[Configuration]:
+        """Adaptive burn-in, then ``draw``, then the mixing check: every
+        equilibrium draw of the lab goes through here."""
+        self.run(burn_in=burn_in)
+        draws = self.draw(n_samples, thin=thin)
+        self.check_mixing()
+        return draws
+
     def diagnostics(self) -> dict:
         with np.errstate(invalid="ignore", divide="ignore"):
             acc = np.where(self._proposals > 0,
@@ -149,27 +154,10 @@ class ReplicaExchange:
                           MixingWarning, stacklevel=3)
 
 
-def equilibrium_sample(d: Disorder, beta: float,
-                       method: str = "replica-exchange", seed: int = 0,
-                       burn_in: int = 500,
-                       langevin_step: float = 0.01,
-                       langevin_time: float = 30.0
-                       ) -> tuple[Configuration, dict]:
-    """One approximate Gibbs sample with sampler diagnostics attached."""
-    if method not in METHODS:
-        raise ValueError(f"method must be one of {METHODS}, got {method!r}")
-    if method == "replica-exchange":
-        sampler = ReplicaExchange(d, beta, seed=seed)
-        sampler.run(burn_in=burn_in)
-        sample = sampler.draw(1, thin=1)[0]
-        sampler.check_mixing()
-        return sample, sampler.diagnostics()
-    start = random_configuration(d.n, derived_rng(seed, "langevin-init"))
-    n_steps = max(int(langevin_time / langevin_step), 1)
-    cfg = LangevinConfig(beta=beta, step=langevin_step, n_steps=n_steps,
-                         record_every=n_steps, seed=seed)
-    traj = langevin_run(d, start, cfg)
-    final = traj[-1][1]
-    diag = {"method": "langevin-equilibrated", "burn_time": langevin_time,
-            "energy": hamiltonian(d, final) / d.n}
-    return final, diag
+def equilibrium_sample(d: Disorder, beta: float, seed: int = 0,
+                       burn_in: int = 500) -> tuple[Configuration, dict]:
+    """One approximate Gibbs sample, the sweep after burn-in, with the
+    sampler diagnostics attached."""
+    sampler = ReplicaExchange(d, beta, seed=seed)
+    (sample,) = sampler.sample(1, burn_in=burn_in, thin=1)
+    return sample, sampler.diagnostics()

@@ -40,6 +40,9 @@ __all__ = ["ParisiMeasure", "CdfOnGrid", "MinimizeResult", "cs_functional",
            "rs_value", "minimize_cs", "make_grid", "DEFAULT_GRID"]
 
 DEFAULT_GRID = (512, 1.0 - 1e-4)
+MAX_ITER = 20000  # iteration budget of minimize_cs
+TOL_REL = 1e-10  # relative objective stagnation that minimize_cs requires
+TOL_KKT = 1e-7  # max KKT violation that minimize_cs requires
 
 
 @dataclass(frozen=True)
@@ -187,15 +190,13 @@ def make_grid(m: int, q_max: float = DEFAULT_GRID[1]) -> np.ndarray:
 
 
 def minimize_cs(xi: MixtureFn, beta: float,
-                grid_spec: tuple[int, float] = DEFAULT_GRID,
-                max_iter: int = 20000, tol_rel: float = 1e-10,
-                tol_kkt: float = 1e-7) -> MinimizeResult:
+                grid_spec: tuple[int, float] = DEFAULT_GRID) -> MinimizeResult:
     """Minimize the discretized functional over monotone CDF vectors.
 
     Accelerated projected gradient (backtracking line search, adaptive
     restart) with projection onto {0 <= x_0 <= ... <= x_{m-1} <= 1} given by
     clipped isotonic regression. Convergence requires both objective
-    stagnation below ``tol_rel`` and max KKT violation below ``tol_kkt``; on
+    stagnation below ``TOL_REL`` and max KKT violation below ``TOL_KKT``; on
     budget exhaustion the best iterate is returned with converged=False.
     """
     if beta <= 0:
@@ -209,7 +210,7 @@ def minimize_cs(xi: MixtureFn, beta: float,
     y, t_acc, step = x.copy(), 1.0, 1.0
     converged = False
     it = 0
-    for it in range(1, max_iter + 1):
+    for it in range(1, MAX_ITER + 1):
         fy, gy = prob.value_grad(y)
         while True:
             xn = _project_chain(y - step * gy)
@@ -229,8 +230,8 @@ def minimize_cs(xi: MixtureFn, beta: float,
         x, fx = xn, fxn
         y, t_acc = y_next, t_next
         step *= 1.3
-        if rel < tol_rel and it > 5:
-            if _kkt_residual(prob, x) < tol_kkt:
+        if rel < TOL_REL and it > 5:
+            if _kkt_residual(prob, x) < TOL_KKT:
                 converged = True
                 break
 

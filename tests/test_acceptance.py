@@ -161,7 +161,7 @@ def test_criterion_05_franz_parisi_structure():
               (0.95, 1e-2), (0.99, 1e-2), (0.995, 1e-2)]
     worst = 0.0
     for q, tol in checks:
-        d = franz_parisi.fp_derivative(p, beta, q)
+        d = franz_parisi.fp_value(p, beta, q).derivative
         fd = (franz_parisi.fp_value(p, beta, q + h).value
               - franz_parisi.fp_value(p, beta, q - h).value) / (2 * h)
         rel = abs(d - fd) / max(abs(fd), 1e-12)

@@ -242,3 +242,67 @@ def test_stdout_output(capsys):
     text = capsys.readouterr().out
     assert text.startswith("# {")
     assert "beta_d" in text
+
+
+@pytest.mark.parametrize("args, key", [
+    (["chaos", "--n", "4", "--beta", "nan", "--epsilons", "0,1",
+      "--n-samples", "2", "--n-disorders", "2", "--burn-in", "10",
+      "--thin", "1"], "beta"),
+    (["phase", "--p-max", "3", "--tol", "inf"], "tol"),
+    (["fp", "--beta", "nan", "--n-q", "2", "--m", "64"], "beta"),
+    (["simulate", "--n", "4", "--beta", "nan", "--n-steps", "10",
+      "--n-traj", "2"], "beta"),
+    (["shatter-scan", "--p-list", "3", "--beta-fracs", "nan",
+      "--n-q", "32", "--m", "64"], "beta_fracs"),
+])
+def test_non_finite_flags_rejected(tmp_path, capsys, args, key):
+    out = tmp_path / "o.csv"
+    assert run_cli(args + ["--out", str(out)]) == 2
+    assert repr(key) in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("text, key", [('{"beta": NaN}', "beta"),
+                                       ('{"q_max": -Infinity}', "q_max")])
+def test_non_finite_json_values_rejected(tmp_path, capsys, text, key):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(text)
+    out = tmp_path / "o.csv"
+    assert run_cli(["fp", "--config", str(cfg), "--n-q", "2", "--m", "64",
+                    "--out", str(out)]) == 2
+    assert repr(key) in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("args, key", [
+    (["shatter-scan", "--p-list", ",", "--beta-fracs", "0.5"], "p_list"),
+    (["shatter-scan", "--p-list", "3", "--beta-fracs", ","], "beta_fracs"),
+    (["fp", "--n-q", "0"], "n_q"),
+])
+def test_empty_inputs_rejected(tmp_path, capsys, args, key):
+    out = tmp_path / "o.csv"
+    assert run_cli(args + ["--out", str(out)]) == 2
+    assert repr(key) in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_simulate_header_with_method_key_rejected(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"command": "simulate",
+                               "method": "replica-exchange"}))
+    assert run_cli(["simulate", "--config", str(cfg)]) == 2
+    assert "method" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("config, status", [(None, 0), ({"p_mn": 4}, 2)])
+def test_console_entry_exits_with_main_status(tmp_path, monkeypatch, capsys,
+                                              config, status):
+    argv = ["pspinlab", "phase", "--p-max", "4"]
+    if config is not None:
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        argv += ["--config", str(cfg)]
+    monkeypatch.setattr("sys.argv", argv)
+    with pytest.raises(SystemExit) as exc:
+        cli.entry()
+    assert exc.value.code == status

@@ -84,13 +84,31 @@ def test_equilibrium_sample_interface():
     s, diag = lab.equilibrium_sample(d, 0.5, seed=3, burn_in=100)
     lab.sphere_check(s)
     assert "swap_acceptance" in diag and "acceptance" in diag
-    s2, diag2 = lab.equilibrium_sample(d, 0.5,
-                                       method="langevin-equilibrated",
-                                       seed=3, langevin_time=5.0)
-    lab.sphere_check(s2)
-    assert diag2["method"] == "langevin-equilibrated"
+
+
+def test_sample_is_run_draw_then_mixing_check():
+    d = lab.sample_disorder(6, 3, seed=2)
+    ref = ReplicaExchange(d, 1.0, seed=5)
+    ref.run(burn_in=30)
+    want = ref.draw(4, thin=3)
+    sampler = ReplicaExchange(d, 1.0, seed=5)
+    got = sampler.sample(4, burn_in=30, thin=3)
+    np.testing.assert_array_equal(np.array(got), np.array(want))
+    assert sampler._proposals[0] == 30 + 4 * 3
+    sampler._swap_accepts[:] = 0.0  # dead swaps: the check must fire
+    sampler._swap_attempts[:] = 100.0
+    with pytest.warns(MixingWarning):
+        sampler.sample(1, burn_in=0, thin=1)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: ReplicaExchange(lab.sample_disorder(6, 3, seed=2), math.nan),
+    lambda: LangevinConfig(beta=math.nan, step=0.01, n_steps=1),
+    lambda: LangevinConfig(beta=1.0, step=math.nan, n_steps=1),
+])
+def test_nan_sampler_settings_rejected(make):
     with pytest.raises(ValueError):
-        lab.equilibrium_sample(d, 0.5, method="metropolis-hastings")
+        make()
 
 
 def test_equilibrium_beta_zero_is_uniform():

@@ -57,18 +57,18 @@ def test_envelope_matches_closed_form_at_delta_zero():
     p, beta, q = 3, 0.5, 0.2
     res = minimize_cs(band_mixture(p, q), beta)
     assert res.cdf.cdf.min() > 1.0 - 1e-9
-    got = fp.fp_derivative(p, beta, q, solution=res)
+    got = fp.fp_value(p, beta, q).derivative
     b2 = beta * beta
     closed = -b2 * p * q ** (2 * p - 1) + b2 * p * q ** (p - 1) - q / (1 - q * q)
     assert got == pytest.approx(closed, abs=1e-12)
-    assert fp.fp_dbeta(p, beta, q, solution=res) == pytest.approx(
+    assert fp.fp_dbeta(p, beta, q) == pytest.approx(
         beta * (1.0 - q ** (2 * p)), abs=1e-12)
 
 
 def test_derivative_matches_finite_differences():
     h = 1e-4
     for p, beta, q, tol in [(3, 1.0, 0.5, 1e-3), (4, 1.2, 0.6, 1e-3)]:
-        d = fp.fp_derivative(p, beta, q)
+        d = fp.fp_value(p, beta, q).derivative
         f = lambda qq: fp.fp_value(p, beta, qq).value
         d_fd = (f(q + h) - f(q - h)) / (2 * h)
         assert abs(d - d_fd) / max(abs(d_fd), 1e-12) < tol
@@ -96,7 +96,7 @@ def test_derivative_positive_near_one_for_large_p():
     p = 512
     beta = 0.9 * 2.8788  # just below the p = 512 static boundary
     q = 1.0 - 0.3 / p
-    assert fp.fp_derivative(p, beta, q) > 0.0
+    assert fp.fp_value(p, beta, q).derivative > 0.0
 
 
 def test_symmetry_in_q():

@@ -396,3 +396,14 @@ def test_configuration_helpers():
         lab.sphere_check(1.5 * s)
     with pytest.raises(ValueError):
         lab.sphere_project(np.zeros(4))
+
+
+def test_derived_seed_is_first_draw_of_derived_rng():
+    # every seeded stream in the lab is keyed this way; changing the draw
+    # would change every simulate and chaos body
+    from pspinlab.lab.disorder import derived_rng, derived_seed
+    for key in [(0,), (3, 1, 0), (5, 2, "d"), (1, "eps", 250000000)]:
+        seed = derived_seed(*key)
+        assert type(seed) is int and 0 <= seed < 2 ** 63
+        assert seed == int(derived_rng(*key).integers(2 ** 63))
+    assert derived_seed(3, 1, 0) != derived_seed(3, 1, 1)
