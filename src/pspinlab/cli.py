@@ -16,8 +16,8 @@ import csv
 import io
 import json
 import math
+import os
 import sys
-import warnings
 
 import numpy as np
 
@@ -26,17 +26,22 @@ from .lab import LangevinConfig
 from .lab.observables import chaos_scan, correlation_curve, map_parallel
 from .lab.disorder import sample_disorder
 
-RESERVED_KEYS = ("command", "version", "seed", "out", "threads")
+# keys of every command besides "command" and "version"; out=None is stdout
+COMMON = {"seed": 0, "out": None, "threads": 1}
 
 DEFAULTS = {
     "phase": {"p_min": 3, "p_max": 10, "tol": 1e-10},
-    "parisi": {"p": 3, "band_q": 0.0, "beta": 1.0, "m": 512,
-               "solver_q_max": 1.0 - 1e-4},
+    "parisi": {"p": 3, "band_q": 0.0, "beta": 1.0,
+               "m": parisi.DEFAULT_GRID[0],
+               "solver_q_max": parisi.DEFAULT_GRID[1]},
     "fp": {"p": 3, "beta": 1.0, "q_min": 0.0, "q_max": 0.99, "n_q": 50,
-           "m": 512, "solver_q_max": 1.0 - 1e-4},
+           "m": parisi.DEFAULT_GRID[0],
+           "solver_q_max": parisi.DEFAULT_GRID[1]},
     "shatter-scan": {"p_list": "128,256,512,1024,2048",
                      "beta_fracs": "0.85,0.9,0.95", "n_q": 48,
-                     "n_q_half": 32, "m": 512, "solver_q_max": 1.0 - 1e-4},
+                     "n_q_half": franz_parisi.MIN_GRID_POINTS,
+                     "m": parisi.DEFAULT_GRID[0],
+                     "solver_q_max": parisi.DEFAULT_GRID[1]},
     "simulate": {"n": 16, "p": 3, "beta": 1.0, "step": 0.01, "n_steps": 1000,
                  "record_every": 10, "n_traj": 8},
     "chaos": {"n": 16, "p": 3, "beta": 1.0, "epsilons": "0,0.25,0.5,1",
@@ -69,10 +74,6 @@ def main(argv=None) -> int:
         return 2
     try:
         config = _resolve_config(args)
-    except (ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    try:
         rows, n_errors = _run_command(config)
     except Exception as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -97,24 +98,26 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", type=str, default=None,
                        help="JSON config file (a '#'-prefixed header line "
                             "from a previous run also works)")
-        p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--out", type=str, default=None,
-                       help="output CSV path (default: stdout)")
-        p.add_argument("--threads", type=int, default=None)
-        for key, value in defaults.items():
+        for key, value in {**COMMON, **defaults}.items():
             flag = "--" + key.replace("_", "-")
-            p.add_argument(flag, type=type(value), default=None)
+            p.add_argument(flag, type=_key_type(value), default=None,
+                           help="output CSV path (default: stdout)"
+                           if key == "out" else None)
     return parser
+
+
+def _key_type(default) -> type:
+    """The type a config key takes: that of its default, str for out."""
+    return str if default is None else type(default)
 
 
 def _resolve_config(args: argparse.Namespace) -> dict:
     command = args.command
-    resolved = dict(DEFAULTS[command])
-    resolved.update({"command": command, "version": __version__, "seed": 0,
-                     "out": None, "threads": 1})
+    keys = {**COMMON, **DEFAULTS[command]}
+    resolved = {**keys, "command": command, "version": __version__}
     if args.config is not None:
         file_cfg = _load_config_file(args.config)
-        known = set(DEFAULTS[command]) | set(RESERVED_KEYS)
+        known = set(resolved)
         unknown = set(file_cfg) - known
         if unknown:
             raise ValueError(f"unknown config keys {sorted(unknown)}; "
@@ -123,29 +126,33 @@ def _resolve_config(args: argparse.Namespace) -> dict:
             raise ValueError(f"config is for command "
                              f"{file_cfg['command']!r}, not {command!r}")
         file_cfg.pop("version", None)
-        _check_types(file_cfg, command)
+        _check_types(file_cfg, keys)
         resolved.update(file_cfg)
-    for key in list(DEFAULTS[command]) + ["seed", "out", "threads"]:
-        value = getattr(args, key, None)
+    for key in keys:
+        value = getattr(args, key)
         if value is not None:
             resolved[key] = value
-    resolved["command"] = command
-    resolved["version"] = __version__
     for key, value in resolved.items():
         if isinstance(value, float) and not math.isfinite(value):
             raise ValueError(f"config key {key!r} must be finite, got {value}")
+    if resolved["threads"] < 1:
+        raise ValueError(f"config key 'threads' must be >= 1, "
+                         f"got {resolved['threads']}")
+    out = resolved["out"]
+    if out is not None and not os.path.isdir(os.path.dirname(out) or "."):
+        raise ValueError(f"config key 'out' names a file in a missing "
+                         f"directory: {out!r}")
     return resolved
 
 
-def _check_types(file_cfg: dict, command: str) -> None:
-    """Each value must have the type of its default; a float field also
-    takes an int, and bool never passes for a number."""
-    expected = {key: type(value) for key, value in DEFAULTS[command].items()}
-    expected.update(seed=int, threads=int, out=str)
+def _check_types(file_cfg: dict, keys: dict) -> None:
+    """Each value must have the type of its default in ``keys``; a float
+    field also takes an int, bool never passes for a number, and a key
+    whose default is None (out) also takes None."""
     for key, value in file_cfg.items():
-        want = expected.get(key)
-        if want is None or (key == "out" and value is None):
+        if key not in keys or (value is None and keys[key] is None):
             continue
+        want = _key_type(keys[key])
         allowed = (int, float) if want is float else (want,)
         if type(value) not in allowed:
             raise ValueError(f"config key {key!r} must be of type "
@@ -239,8 +246,7 @@ def _phase_row(item) -> dict:
 
 
 def _run_parisi(config: dict) -> list[dict]:
-    xi = (mixtures.band_mixture(config["p"], config["band_q"])
-          if config["band_q"] != 0.0 else mixtures.pure(config["p"]))
+    xi = mixtures.band_mixture(config["p"], config["band_q"])
     res = parisi.minimize_cs(xi, config["beta"],
                              (config["m"], config["solver_q_max"]))
     return [{"t": t, "cdf": x, "value": res.value,
@@ -270,6 +276,11 @@ def _fp_row(item) -> dict:
 
 
 def _run_shatter(config: dict) -> list[dict]:
+    for key in ("n_q", "n_q_half"):
+        if config[key] < franz_parisi.MIN_GRID_POINTS:
+            raise ValueError(f"config key {key!r} must be >= "
+                             f"{franz_parisi.MIN_GRID_POINTS}, "
+                             f"got {config[key]}")
     fracs = _comma_list(config, "beta_fracs", float)
     items = []
     for p in _comma_list(config, "p_list", int):
@@ -290,7 +301,7 @@ def _shatter_row(item) -> dict:
             p, beta, franz_parisi.window_grid(p, n=n_q), spec)
         row.update({"q_under": win.q_under, "q_bar": win.q_bar,
                     "passes_fp": win.passes_fp, "n_points": win.n_points})
-        if p >= 51:  # [1 - 1/(2p), 1) lies inside the scannable (0.99, 1)
+        if p >= franz_parisi.HALF_BAND_MIN_P:
             hb = franz_parisi.find_window(
                 p, beta, franz_parisi.half_band_grid(p, n=n_q_half), spec)
             row.update({"hb_q_under": hb.q_under, "hb_q_bar": hb.q_bar,
@@ -306,24 +317,18 @@ def _run_simulate(config: dict) -> list[dict]:
     d = sample_disorder(config["n"], config["p"], seed=config["seed"])
     cfg = LangevinConfig(beta=config["beta"], step=config["step"],
                          n_steps=config["n_steps"],
-                         record_every=config["record_every"],
-                         seed=config["seed"])
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        curve = correlation_curve(d, cfg, config["n_traj"],
-                                  seed=config["seed"],
-                                  threads=config["threads"])
+                         record_every=config["record_every"])
+    curve = correlation_curve(d, cfg, config["n_traj"], seed=config["seed"],
+                              threads=config["threads"])
     return [{"t": t, "corr": c, "stderr": s} for t, c, s in curve]
 
 
 def _run_chaos(config: dict) -> list[dict]:
     eps = _comma_list(config, "epsilons", float)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        return chaos_scan(config["n"], config["p"], config["beta"], eps,
-                          config["n_samples"], config["n_disorders"],
-                          seed=config["seed"], burn_in=config["burn_in"],
-                          thin=config["thin"], threads=config["threads"])
+    return chaos_scan(config["n"], config["p"], config["beta"], eps,
+                      config["n_samples"], config["n_disorders"],
+                      seed=config["seed"], burn_in=config["burn_in"],
+                      thin=config["thin"], threads=config["threads"])
 
 
 if __name__ == "__main__":

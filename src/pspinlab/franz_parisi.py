@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ScanError, SolverError
+from .errors import ScanError
 from .mixtures import band_mixture, evaluate
 from .parisi import DEFAULT_GRID, MinimizeResult, minimize_cs
 
@@ -37,6 +37,8 @@ __all__ = ["FpPoint", "FpWindow", "fp_value", "fp_rs_bound", "fp_dbeta",
 
 FP_THRESHOLD = 0.9999  # window start needed for the clustering condition
 MIN_WINDOW_POINTS = 3  # shortest increasing run that counts as a window
+MIN_GRID_POINTS = 32  # fewest points a window scan accepts
+HALF_BAND_MIN_P = 51  # smallest p whose half-band grid lies in (0.99, 1)
 
 
 @dataclass(frozen=True)
@@ -48,8 +50,8 @@ class FpPoint:
     rs_bound: float
     derivative: float
     band_free_energy: float
-    kkt_residual: float = 0.0
-    converged: bool = True
+    kkt_residual: float
+    converged: bool
 
 
 @dataclass(frozen=True)
@@ -59,7 +61,7 @@ class FpWindow:
     q_under: float
     q_bar: float
     passes_fp: bool
-    n_points: int = 0
+    n_points: int
 
     @property
     def exists(self) -> bool:
@@ -113,8 +115,8 @@ def find_window(p: int, beta: float, q_grid: np.ndarray,
     solver failure aborts with a ScanError listing the failed points.
     """
     q_grid = np.asarray(q_grid, dtype=float)
-    if len(q_grid) < 32:
-        raise ValueError("window grid needs at least 32 points")
+    if len(q_grid) < MIN_GRID_POINTS:
+        raise ValueError(f"window grid needs at least {MIN_GRID_POINTS} points")
     if np.any(np.diff(q_grid) <= 0):
         raise ValueError("window grid must be strictly increasing")
     if q_grid[0] <= 0.99 or q_grid[-1] >= 1.0:
@@ -128,7 +130,7 @@ def find_window(p: int, beta: float, q_grid: np.ndarray,
             if not pt.converged:
                 failures.append((float(q), "band solver did not converge"))
             points.append(pt)
-        except (SolverError, FloatingPointError) as exc:  # pragma: no cover
+        except FloatingPointError as exc:  # pragma: no cover
             failures.append((float(q), str(exc)))
     if failures:
         raise ScanError(f"{len(failures)} window grid points failed",
@@ -159,11 +161,11 @@ def window_grid(p: int, n: int = 48, v_max: float = 5.0,
     return 1.0 - one_minus_q
 
 
-def half_band_grid(p: int, n: int = 32) -> np.ndarray:
+def half_band_grid(p: int, n: int = MIN_GRID_POINTS) -> np.ndarray:
     """Grid covering [1 - 1/(2p), 1): where the potential derivative is
     provably positive for large p, beta near the static boundary."""
-    if p < 51:
-        raise ValueError("half-band grid lies inside (0.99, 1) only for p >= 51")
+    if p < HALF_BAND_MIN_P:
+        raise ValueError(f"half-band grid needs p >= {HALF_BAND_MIN_P}, got {p}")
     return window_grid(p, n=n, v_max=0.5, v_min=0.02)
 
 

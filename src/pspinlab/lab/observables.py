@@ -144,10 +144,11 @@ def _check_chaos(p: int, beta: float, epsilons, n_samples: int,
                  burn_in: int, thin: int, n_disorders: int = 1) -> list[float]:
     """The epsilons as floats, once every chaos input is valid; warns when
     beta is at or beyond the static boundary."""
-    if n_disorders < 1 or n_samples < 1 or thin < 1 or burn_in < 0:
+    if (n_disorders < 1 or not 1 <= n_samples <= W2_MAX_POINTS or thin < 1
+            or burn_in < 0):
         raise ValueError(
-            f"need n_disorders >= 1, n_samples >= 1, thin >= 1 and "
-            f"burn_in >= 0, got n_disorders={n_disorders}, "
+            f"need n_disorders >= 1, 1 <= n_samples <= {W2_MAX_POINTS}, "
+            f"thin >= 1 and burn_in >= 0, got n_disorders={n_disorders}, "
             f"n_samples={n_samples}, thin={thin}, burn_in={burn_in}")
     eps = [float(e) for e in epsilons]
     if not eps or not all(0.0 <= e <= 1.0 for e in eps):

@@ -33,6 +33,10 @@ __all__ = ["ReplicaExchange", "equilibrium_sample"]
 N_RUNGS = 8
 TARGET_ACCEPT = 0.4  # proposal acceptance the burn-in adapts toward
 INITIAL_STEP = 0.5  # proposal scale of every rung before adaptation
+# step-size factors after an accepted or a rejected proposal: a stochastic
+# approximation toward the target acceptance rate
+_GROW = math.exp(0.1 * (1.0 - TARGET_ACCEPT))
+_SHRINK = math.exp(-0.1 * TARGET_ACCEPT)
 
 
 class ReplicaExchange:
@@ -54,10 +58,6 @@ class ReplicaExchange:
             self.rng.standard_normal((N_RUNGS, d.n)))
         self.energies = hamiltonian(d, self.configs)
         self.steps = np.full(N_RUNGS, INITIAL_STEP)
-        # step-size factors after an accepted or a rejected proposal: a
-        # stochastic approximation toward the target acceptance rate
-        self._grow = math.exp(0.1 * (1.0 - TARGET_ACCEPT))
-        self._shrink = math.exp(-0.1 * TARGET_ACCEPT)
         self._accepts = np.zeros(N_RUNGS)
         self._proposals = np.zeros(N_RUNGS)
         self._swap_accepts = np.zeros(N_RUNGS - 1)
@@ -86,7 +86,7 @@ class ReplicaExchange:
         self._proposals += 1
         self._accepts += accepted
         if adapt:
-            self.steps *= np.where(accepted, self._grow, self._shrink)
+            self.steps *= np.where(accepted, _GROW, _SHRINK)
 
         # each swap sees the energies left by the one before it
         energies = self.energies.tolist()
@@ -132,12 +132,8 @@ class ReplicaExchange:
         return draws
 
     def diagnostics(self) -> dict:
-        with np.errstate(invalid="ignore", divide="ignore"):
-            acc = np.where(self._proposals > 0,
-                           self._accepts / np.maximum(self._proposals, 1), 0.0)
-            swap = np.where(self._swap_attempts > 0,
-                            self._swap_accepts / np.maximum(self._swap_attempts, 1),
-                            0.0)
+        acc = self._accepts / np.maximum(self._proposals, 1)
+        swap = self._swap_accepts / np.maximum(self._swap_attempts, 1)
         return {
             "betas": self.betas.tolist(),
             "acceptance": acc.tolist(),

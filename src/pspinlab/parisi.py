@@ -96,18 +96,12 @@ class CdfOnGrid:
         object.__setattr__(self, "grid", g.copy())
         object.__setattr__(self, "cdf", np.clip(x, 0.0, 1.0))
 
-    def atom_weights(self) -> np.ndarray:
-        """Mass placed at each grid point where the CDF jumps."""
-        w = np.empty_like(self.cdf)
-        w[0] = self.cdf[0]
-        w[1:] = np.diff(self.cdf)
-        return w
-
     def expectation(self, g: Callable) -> float:
-        """Expectation of g under the atomic measure implied by the CDF."""
+        """Expectation of g under the atomic measure implied by the CDF:
+        the mass at each grid point is the jump of the CDF there."""
         vals = np.broadcast_to(np.asarray(g(self.grid), dtype=float),
                                self.grid.shape)
-        return float(self.atom_weights() @ vals)
+        return float(np.diff(self.cdf, prepend=0.0) @ vals)
 
 
 @dataclass(frozen=True)

@@ -152,7 +152,8 @@ def test_chaos_command(tmp_path):
 @pytest.mark.parametrize("flag, value", [("--n-disorders", "0"),
                                          ("--n-samples", "0"),
                                          ("--thin", "0"),
-                                         ("--burn-in", "-1")])
+                                         ("--burn-in", "-1"),
+                                         ("--n-samples", "1025")])
 def test_chaos_rejects_bad_run_lengths(tmp_path, capsys, flag, value):
     out = tmp_path / "chaos.csv"
     assert run_cli(["chaos", "--n", "6", "--epsilons", "0,1",
@@ -227,14 +228,20 @@ def test_lab_threads_do_not_change_output(tmp_path, args):
         == b.read_bytes().split(b"\r\n", 1)[1]
 
 
-def test_warnings_do_not_change_exit_status(tmp_path, recwarn):
-    out = tmp_path / "parisi.csv"
-    # q_max below the minimizer support triggers a truncation warning,
-    # which must not affect the exit status
-    assert run_cli(["parisi", "--p", "3", "--beta", "1.5",
-                    "--solver-q-max", "0.5", "--m", "64",
-                    "--out", str(out)]) == 0
-    assert any("q_max" in str(w.message) for w in recwarn.list)
+@pytest.mark.parametrize("args, text", [
+    # q_max below the minimizer support triggers a truncation warning
+    (["parisi", "--p", "3", "--beta", "1.5", "--solver-q-max", "0.5",
+      "--m", "64"], "q_max"),
+    (["chaos", "--n", "4", "--beta", "1.5", "--epsilons", "0,1",
+      "--n-samples", "2", "--n-disorders", "1", "--burn-in", "10",
+      "--thin", "1"], "static boundary"),
+])
+def test_warnings_do_not_change_exit_status(tmp_path, recwarn, args, text):
+    # every command lets its warnings through, and none affects the exit
+    # status
+    out = tmp_path / "o.csv"
+    assert run_cli(args + ["--out", str(out)]) == 0
+    assert any(text in str(w.message) for w in recwarn.list)
 
 
 def test_stdout_output(capsys):
@@ -278,12 +285,25 @@ def test_non_finite_json_values_rejected(tmp_path, capsys, text, key):
     (["shatter-scan", "--p-list", ",", "--beta-fracs", "0.5"], "p_list"),
     (["shatter-scan", "--p-list", "3", "--beta-fracs", ","], "beta_fracs"),
     (["fp", "--n-q", "0"], "n_q"),
+    (["shatter-scan", "--p-list", "3", "--beta-fracs", "0.5", "--n-q", "5"],
+     "n_q"),
+    (["shatter-scan", "--p-list", "3", "--beta-fracs", "0.5",
+      "--n-q-half", "5"], "n_q_half"),
+    (["phase", "--p-max", "3", "--threads", "0"], "threads"),
+    (["phase", "--p-max", "3", "--threads", "-2"], "threads"),
 ])
 def test_empty_inputs_rejected(tmp_path, capsys, args, key):
     out = tmp_path / "o.csv"
     assert run_cli(args + ["--out", str(out)]) == 2
     assert repr(key) in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_out_in_missing_directory_rejected(tmp_path, capsys):
+    out = tmp_path / "missing" / "o.csv"
+    assert run_cli(["fp", "--n-q", "2", "--m", "64", "--out", str(out)]) == 2
+    assert "'out'" in capsys.readouterr().err
+    assert not out.parent.exists()
 
 
 def test_simulate_header_with_method_key_rejected(tmp_path, capsys):
