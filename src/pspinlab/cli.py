@@ -142,6 +142,8 @@ def _resolve_config(args: argparse.Namespace) -> dict:
     if out is not None and not os.path.isdir(os.path.dirname(out) or "."):
         raise ValueError(f"config key 'out' names a file in a missing "
                          f"directory: {out!r}")
+    if out is not None and os.path.isdir(out):
+        raise ValueError(f"config key 'out' names a directory: {out!r}")
     return resolved
 
 

@@ -77,7 +77,8 @@ def chaos_scan(n: int, p: int, beta: float, epsilons, n_samples: int,
     """``chaos_one_disorder`` per epsilon, averaged over fresh disorders
     with standard errors. Disorder j is drawn from the key (seed, j, "d")
     and estimated under the key (seed, j). Disorders run on ``threads``
-    workers."""
+    workers; the inputs are checked, and the static-boundary warning
+    given, once for the whole scan."""
     eps = sorted(_check_chaos(p, beta, epsilons, n_samples, burn_in, thin,
                               n_disorders))
     items = [(n, p, beta, eps, n_samples, seed, j, burn_in, thin)
@@ -114,6 +115,13 @@ def chaos_one_disorder(d: Disorder, beta: float, epsilons, n_samples: int,
     is derived from the tuple ``key``; inputs are checked before any
     sampling."""
     eps = _check_chaos(d.p, beta, epsilons, n_samples, burn_in, thin)
+    return _chaos_estimates(d, beta, eps, n_samples, key, burn_in, thin)
+
+
+def _chaos_estimates(d: Disorder, beta: float, eps: list[float],
+                     n_samples: int, key: tuple, burn_in: int,
+                     thin: int) -> list[tuple[float, float]]:
+    """``chaos_one_disorder`` on inputs that ``_check_chaos`` has passed."""
     base = ReplicaExchange(d, beta, seed=derived_seed(*key, 0)).sample(
         n_samples, burn_in=burn_in, thin=thin)
     out = []
@@ -131,8 +139,8 @@ def chaos_one_disorder(d: Disorder, beta: float, epsilons, n_samples: int,
 def _one_disorder(item):
     n, p, beta, eps, n_samples, seed, j, burn_in, thin = item
     d = sample_disorder(n, p, seed=derived_seed(seed, j, "d"))
-    return chaos_one_disorder(d, beta, eps, n_samples, (seed, j),
-                              burn_in=burn_in, thin=thin)
+    return _chaos_estimates(d, beta, eps, n_samples, (seed, j), burn_in,
+                            thin)
 
 
 def _eps_key(e: float) -> int:

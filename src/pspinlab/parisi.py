@@ -189,9 +189,11 @@ def minimize_cs(xi: MixtureFn, beta: float,
 
     Accelerated projected gradient (backtracking line search, adaptive
     restart) with projection onto {0 <= x_0 <= ... <= x_{m-1} <= 1} given by
-    clipped isotonic regression. Convergence requires both objective
-    stagnation below ``TOL_REL`` and max KKT violation below ``TOL_KKT``; on
-    budget exhaustion the best iterate is returned with converged=False.
+    clipped isotonic regression. Line-search trials compute only the
+    objective value; the gradient is taken only at the extrapolated points
+    and in the KKT check. Convergence requires both objective stagnation
+    below ``TOL_REL`` and max KKT violation below ``TOL_KKT``; on budget
+    exhaustion the best iterate is returned with converged=False.
     """
     if beta <= 0:
         raise ValueError("beta must be positive")
@@ -200,7 +202,7 @@ def minimize_cs(xi: MixtureFn, beta: float,
     prob = _CsProblem(xi, beta, grid)
 
     x = np.ones(len(grid) - 1)  # delta_0 start: exact in the RS phase
-    fx, _ = prob.value_grad(x)
+    fx = prob.value(x)
     y, t_acc, step = x.copy(), 1.0, 1.0
     converged = False
     it = 0
@@ -208,7 +210,7 @@ def minimize_cs(xi: MixtureFn, beta: float,
         fy, gy = prob.value_grad(y)
         while True:
             xn = _project_chain(y - step * gy)
-            fxn, _ = prob.value_grad(xn)
+            fxn = prob.value(xn)
             d = xn - y
             if fxn <= fy + gy @ d + (d @ d) / (2.0 * step) + 1e-18:
                 break
@@ -225,19 +227,20 @@ def minimize_cs(xi: MixtureFn, beta: float,
         y, t_acc = y_next, t_next
         step *= 1.3
         if rel < TOL_REL and it > 5:
-            if _kkt_residual(prob, x) < TOL_KKT:
+            kkt = _kkt_residual(prob, x)
+            if kkt < TOL_KKT:
                 converged = True
                 break
 
-    fx, gx = prob.value_grad(x)
-    kkt = _kkt_residual(prob, x, gx)
+    if not converged:
+        kkt = _kkt_residual(prob, x)
     cdf = CdfOnGrid(grid, np.concatenate([x, [1.0]]))
     boundary_mass = 1.0 - x[-1]
     if boundary_mass > 1e-6:
         warnings.warn("minimizer support reached q_max "
                       f"(boundary mass {boundary_mass:.2e}); increase q_max",
                       TruncationWarning, stacklevel=2)
-    return MinimizeResult(value=float(fx), cdf=cdf, kkt_residual=float(kkt),
+    return MinimizeResult(value=float(fx), cdf=cdf, kkt_residual=kkt,
                           converged=converged, iterations=it)
 
 
@@ -256,53 +259,66 @@ class _CsProblem:
 
     where f(u) = log(1+u)/u. Differentiating, a shift of x_k moves phi_j for
     all j <= k in lockstep, and d seg_j / d(common phi shift) collapses to
-    -L_j / (phi_j phi_{j+1}) with no cancellation.
+    -L_j / (phi_j phi_{j+1}) with no cancellation. ``value`` skips the
+    gradient work and returns bit for bit the value of ``value_grad``.
     """
 
     def __init__(self, xi: MixtureFn, beta: float, grid: np.ndarray):
         self.L = np.diff(grid)
-        xg = evaluate(xi, grid)
-        self.dxi = np.diff(xg)
+        self.neg_L = -self.L
+        xg = evaluate(xi, np.append(grid, 1.0))  # one Horner pass for xi(1)
+        self.dxi = np.diff(xg[:-1])
         self.b2 = beta * beta
-        self.const = self.b2 * (evaluate(xi, 1.0) - xg[-1]) + math.log1p(-grid[-1])
+        self.b2_dxi = self.b2 * self.dxi
+        self.const = self.b2 * (xg[-1] - xg[-2]) + math.log1p(-grid[-1])
         self.phi_end = 1.0 - grid[-1]
 
+    def value(self, x: np.ndarray) -> float:
+        _, ratio, u = self._segments(x)
+        return self._total(x, ratio, _logratio(u))
+
     def value_grad(self, x: np.ndarray) -> tuple[float, np.ndarray]:
-        xl = x * self.L
+        phi, ratio, u = self._segments(x)
+        f, df = _logratio(u, slope=True)
+        dseg = ratio * ratio * df
+        # prefix_k = sum_{j < k} shift_j, shift_j = -L_j / (phi_j phi_{j+1})
+        prefix = np.zeros(len(x))
+        np.cumsum(self.neg_L[:-1] / (phi[:-2] * phi[1:-1]), out=prefix[1:])
+        grad = 0.5 * (self.b2_dxi + dseg + self.L * prefix)
+        return self._total(x, ratio, f), grad
+
+    def _segments(self, x: np.ndarray):
+        """phi on the grid, ratio_j = L_j / phi_{j+1} and u_j = x_j ratio_j."""
         phi = np.empty(len(x) + 1)
         phi[-1] = self.phi_end
-        phi[:-1] = self.phi_end + np.cumsum(xl[::-1])[::-1]
+        phi[:-1] = self.phi_end + np.cumsum((x * self.L)[::-1])[::-1]
         ratio = self.L / phi[1:]
-        u = x * ratio
-        val = 0.5 * (self.b2 * (x @ self.dxi)
-                     + (ratio * _f_logratio(u)).sum() + self.const)
-        dseg = ratio * ratio * _df_logratio(u)
-        shift = -self.L / (phi[:-1] * phi[1:])
-        prefix = np.concatenate([[0.0], np.cumsum(shift[:-1])])
-        grad = 0.5 * (self.b2 * self.dxi + dseg + self.L * prefix)
-        return float(val), grad
+        return phi, ratio, x * ratio
+
+    def _total(self, x: np.ndarray, ratio: np.ndarray, f: np.ndarray) -> float:
+        return float(0.5 * (self.b2 * (x @ self.dxi) + (ratio * f).sum()
+                            + self.const))
 
 
-def _f_logratio(u: np.ndarray) -> np.ndarray:
-    # log(1+u)/u, series below 1e-6 to avoid 0/0
-    out = np.empty_like(u)
-    small = u < 1e-6
-    us = u[small]
-    out[small] = 1.0 - 0.5 * us + us * us / 3.0
-    ub = u[~small]
-    out[~small] = np.log1p(ub) / ub
-    return out
+def _logratio(u: np.ndarray, slope: bool = False):
+    """f(u) = log(1+u)/u and, with ``slope``, f'(u), from one log1p pass.
 
-
-def _df_logratio(u: np.ndarray) -> np.ndarray:
-    # d/du of log(1+u)/u, series below 1e-4 where the closed form cancels
-    out = np.empty_like(u)
+    Series replace the closed forms where those fail: f below 1e-6 (0/0 at
+    u = 0) and f' below 1e-4 (cancellation). The closed forms divide by a
+    safe denominator, equal to u (or u^2) wherever they are kept.
+    """
+    lg = np.log1p(u)
+    f = lg / np.maximum(u, 1e-6)
     small = u < 1e-4
-    us = u[small]
-    out[small] = -0.5 + 2.0 * us / 3.0 - 0.75 * us * us
-    ub = u[~small]
-    out[~small] = (ub / (1.0 + ub) - np.log1p(ub)) / (ub * ub)
-    return out
+    any_small = small.any()
+    if any_small:
+        np.copyto(f, 1.0 - 0.5 * u + u * u / 3.0, where=u < 1e-6)
+    if not slope:
+        return f
+    df = (u / (1.0 + u) - lg) / np.maximum(u * u, 1e-8)
+    if any_small:
+        np.copyto(df, -0.5 + 2.0 * u / 3.0 - 0.75 * u * u, where=small)
+    return f, df
 
 
 def _project_chain(v: np.ndarray) -> np.ndarray:
@@ -311,8 +327,6 @@ def _project_chain(v: np.ndarray) -> np.ndarray:
     return np.clip(isotonic_regression(v).x, 0.0, 1.0)
 
 
-def _kkt_residual(prob: _CsProblem, x: np.ndarray,
-                  grad: np.ndarray | None = None) -> float:
-    if grad is None:
-        _, grad = prob.value_grad(x)
+def _kkt_residual(prob: _CsProblem, x: np.ndarray) -> float:
+    _, grad = prob.value_grad(x)
     return float(np.max(np.abs(x - _project_chain(x - grad))))

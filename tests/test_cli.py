@@ -306,6 +306,13 @@ def test_out_in_missing_directory_rejected(tmp_path, capsys):
     assert not out.parent.exists()
 
 
+def test_out_naming_a_directory_rejected(tmp_path, capsys):
+    assert run_cli(["phase", "--p-max", "3", "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert "'out'" in err and "directory" in err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_simulate_header_with_method_key_rejected(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"command": "simulate",

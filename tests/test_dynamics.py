@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -252,6 +253,29 @@ def test_overlap_chaos_warns_beyond_static_boundary():
     with pytest.warns(UserWarning, match="static boundary"):
         lab.chaos_one_disorder(d, 1.5, [0.5], n_samples=2, key=(0,),
                                burn_in=20, thin=2)
+
+
+def test_chaos_scan_checks_and_warns_once(monkeypatch):
+    # the static-boundary check needs beta_c(p), a minimization: one per
+    # scan, not one more per disorder
+    from pspinlab import phase
+    from pspinlab.lab.observables import chaos_scan
+
+    calls = []
+    beta_c = phase.beta_c
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return beta_c(*args, **kwargs)
+
+    monkeypatch.setattr(phase, "beta_c", counted)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        rows = chaos_scan(4, 3, 1.5, [0.0, 1.0], n_samples=2, n_disorders=3,
+                          burn_in=10, thin=1)
+    assert len(rows) == 2
+    assert len(calls) == 1
+    assert sum("static boundary" in str(w.message) for w in caught) == 1
 
 
 def test_overlap_chaos_bounds():

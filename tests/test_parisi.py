@@ -117,6 +117,64 @@ def test_objective_gradient_matches_finite_differences():
         assert abs(g[k] - fd) / max(abs(fd), 1e-9) < 1e-5
 
 
+def _f_logratio_reference(u):
+    # log(1+u)/u with the series below 1e-6, as two masked halves
+    out = np.empty_like(u)
+    small = u < 1e-6
+    us = u[small]
+    out[small] = 1.0 - 0.5 * us + us * us / 3.0
+    ub = u[~small]
+    out[~small] = np.log1p(ub) / ub
+    return out
+
+
+def _df_logratio_reference(u):
+    # d/du of log(1+u)/u with the series below 1e-4, as two masked halves
+    out = np.empty_like(u)
+    small = u < 1e-4
+    us = u[small]
+    out[small] = -0.5 + 2.0 * us / 3.0 - 0.75 * us * us
+    ub = u[~small]
+    out[~small] = (ub / (1.0 + ub) - np.log1p(ub)) / (ub * ub)
+    return out
+
+
+@pytest.mark.parametrize("u", [
+    np.concatenate([[0.0, 1e-7],
+                    np.nextafter(1e-6, [0.0, 1.0]), [1e-6],
+                    np.nextafter(1e-4, [0.0, 1.0]), [1e-4],
+                    np.logspace(-3, 1, 60)]),
+    np.logspace(-3, 1, 40),  # no series branch taken
+], ids=["across-series-cuts", "closed-form-only"])
+def test_logratio_matches_masked_reference_bit_for_bit(u):
+    f, df = parisi._logratio(u, slope=True)
+    np.testing.assert_array_equal(f, _f_logratio_reference(u))
+    np.testing.assert_array_equal(df, _df_logratio_reference(u))
+    np.testing.assert_array_equal(parisi._logratio(u), f)
+
+
+def test_value_equals_value_grad_value_exactly():
+    rng = np.random.default_rng(31)
+    grid = make_grid(128)
+    prob = parisi._CsProblem(band_mixture(64, 0.995), 2.0, grid)
+    m = len(grid) - 1
+    for n_zero in (0, 1, 40, m - 1):
+        x = np.sort(rng.uniform(0.0, 1.0, m))
+        x[:n_zero] = 0.0
+        assert prob.value(x) == prob.value_grad(x)[0]
+
+
+def test_minimize_slow_window_point_reproduces_reference_iterates():
+    # a 1RSB-like window-grid point (p = 128, beta = 0.95 beta_c, the first
+    # point of window_grid(128)); the reference iteration count and value
+    # come from the masked two-helper kernel, so any drift in the iterates
+    # shows up here
+    res = minimize_cs(band_mixture(128, 0.9901), 2.4529900038181776)
+    assert res.converged
+    assert res.iterations == 193
+    assert res.value == 2.1403499758487587
+
+
 def test_minimize_rs_phase():
     res = minimize_cs(pure(3), 0.8, (512, 0.995))
     assert res.converged
