@@ -215,6 +215,23 @@ def _comma_list(config: dict, key: str, cast) -> list:
     return values
 
 
+def _check_key(key: str, check, *args) -> None:
+    """Run the check that owns the rule for ``config[key]`` before any work
+    starts; its ValueError becomes an error that names the key."""
+    try:
+        check(*args)
+    except ValueError as exc:
+        raise ValueError(f"config key {key!r}: {exc}") from None
+
+
+def _check_solver_grid(config: dict) -> None:
+    """``parisi.make_grid`` owns the grid rules. ``m`` is checked on a
+    valid ``solver_q_max``, so each error names the key at fault."""
+    q_max = config["solver_q_max"]
+    _check_key("solver_q_max", parisi.make_grid, parisi.DEFAULT_GRID[0], q_max)
+    _check_key("m", parisi.make_grid, config["m"], q_max)
+
+
 def _run_command(config: dict) -> tuple[list[dict], int]:
     runner = {
         "phase": _run_phase,
@@ -232,6 +249,7 @@ def _run_command(config: dict) -> tuple[list[dict], int]:
 def _run_phase(config: dict) -> list[dict]:
     if config["p_min"] < 3 or config["p_min"] > config["p_max"]:
         raise ValueError("need 3 <= p_min <= p_max")
+    _check_key("tol", phase._check_tol, config["tol"])
     items = [(p, config["tol"]) for p in
              range(config["p_min"], config["p_max"] + 1)]
     return map_parallel(_phase_row, items, config["threads"])
@@ -248,6 +266,7 @@ def _phase_row(item) -> dict:
 
 
 def _run_parisi(config: dict) -> list[dict]:
+    _check_solver_grid(config)
     xi = mixtures.band_mixture(config["p"], config["band_q"])
     res = parisi.minimize_cs(xi, config["beta"],
                              (config["m"], config["solver_q_max"]))
@@ -259,6 +278,7 @@ def _run_parisi(config: dict) -> list[dict]:
 def _run_fp(config: dict) -> list[dict]:
     if config["n_q"] < 1:
         raise ValueError(f"config key 'n_q' must be >= 1, got {config['n_q']}")
+    _check_solver_grid(config)
     qs = np.linspace(config["q_min"], config["q_max"], config["n_q"])
     items = [(config["p"], config["beta"], float(q),
               config["m"], config["solver_q_max"]) for q in qs]
@@ -283,6 +303,7 @@ def _run_shatter(config: dict) -> list[dict]:
             raise ValueError(f"config key {key!r} must be >= "
                              f"{franz_parisi.MIN_GRID_POINTS}, "
                              f"got {config[key]}")
+    _check_solver_grid(config)
     fracs = _comma_list(config, "beta_fracs", float)
     items = []
     for p in _comma_list(config, "p_list", int):

@@ -3,12 +3,9 @@
 from __future__ import annotations
 
 import warnings
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
-from scipy.spatial.distance import cdist
 
 from .. import phase
 from .disorder import (Configuration, Disorder, correlate_disorder,
@@ -51,6 +48,8 @@ def map_parallel(fn, items, threads: int) -> list:
     """[fn(item) for item in items], in order, on ``threads`` worker
     processes when there is more than one item."""
     if threads > 1 and len(items) > 1:
+        # imported here: it loads multiprocessing, which only a pool needs
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=threads) as pool:
             return list(pool.map(fn, items))
     return [fn(item) for item in items]
@@ -59,6 +58,9 @@ def map_parallel(fn, items, threads: int) -> list:
 def w2_empirical(a: list[Configuration], b: list[Configuration]) -> float:
     """Exact normalized Wasserstein-2 distance between the two empirical
     uniform measures: optimal assignment under cost |x - y|^2 / N."""
+    # scipy loads on first use, so simulate and phase never load it
+    from scipy.optimize import linear_sum_assignment
+    from scipy.spatial.distance import cdist
     a_arr = np.asarray(a, dtype=float)
     b_arr = np.asarray(b, dtype=float)
     if a_arr.shape != b_arr.shape or a_arr.ndim != 2:

@@ -15,7 +15,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln
 
 __all__ = ["MixtureFn", "pure", "band_mixture", "evaluate"]
 
@@ -73,6 +72,7 @@ def band_mixture(p: int, q: float) -> MixtureFn:
         raise ValueError(f"band overlap must satisfy |q| < 1, got {q}")
     if q == 0.0:
         return pure(p)
+    from scipy.special import gammaln  # scipy loads on first use
     k = np.arange(1, p + 1)
     log_binom = gammaln(p + 1) - gammaln(k + 1) - gammaln(p - k + 1)
     log_c = log_binom + 2.0 * (p - k) * np.log(abs(q)) + k * np.log1p(-q * q)

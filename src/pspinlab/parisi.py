@@ -31,7 +31,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.optimize import isotonic_regression
 
 from .errors import FeasibilityError, TruncationWarning
 from .mixtures import MixtureFn, evaluate
@@ -171,9 +170,9 @@ def make_grid(m: int, q_max: float = DEFAULT_GRID[1]) -> np.ndarray:
     """Optimization grid: uniform on [0, 0.9] plus geometric accumulation
     of 1 - g toward q_max; band mixtures at large p need resolution near 1."""
     if m < 16:
-        raise ValueError("grid needs at least 16 intervals")
+        raise ValueError(f"grid needs at least 16 intervals, got {m!r}")
     if not 0.0 < q_max < 1.0:
-        raise ValueError("q_max must lie in (0, 1)")
+        raise ValueError(f"q_max must lie in (0, 1), got {q_max!r}")
     if q_max <= 0.92:
         return np.linspace(0.0, q_max, m + 1)
     m_u = int(0.6 * m)
@@ -209,7 +208,7 @@ def minimize_cs(xi: MixtureFn, beta: float,
     for it in range(1, MAX_ITER + 1):
         fy, gy = prob.value_grad(y)
         while True:
-            xn = _project_chain(y - step * gy)
+            xn = prob.project(y - step * gy)
             fxn = prob.value(xn)
             d = xn - y
             if fxn <= fy + gy @ d + (d @ d) / (2.0 * step) + 1e-18:
@@ -261,9 +260,13 @@ class _CsProblem:
     all j <= k in lockstep, and d seg_j / d(common phi shift) collapses to
     -L_j / (phi_j phi_{j+1}) with no cancellation. ``value`` skips the
     gradient work and returns bit for bit the value of ``value_grad``.
+    ``project`` maps a vector onto the feasible CDFs.
     """
 
     def __init__(self, xi: MixtureFn, beta: float, grid: np.ndarray):
+        # scipy loads on the first solve, so importing pspinlab does not
+        from scipy.optimize import isotonic_regression
+        self._isotonic = isotonic_regression
         self.L = np.diff(grid)
         self.neg_L = -self.L
         xg = evaluate(xi, np.append(grid, 1.0))  # one Horner pass for xi(1)
@@ -272,6 +275,12 @@ class _CsProblem:
         self.b2_dxi = self.b2 * self.dxi
         self.const = self.b2 * (xg[-1] - xg[-2]) + math.log1p(-grid[-1])
         self.phi_end = 1.0 - grid[-1]
+
+    def project(self, v: np.ndarray) -> np.ndarray:
+        # euclidean projection onto the monotone chain intersected with
+        # [0, 1]; clipping the unconstrained isotonic fit is exact for box
+        # bounds
+        return np.clip(self._isotonic(v).x, 0.0, 1.0)
 
     def value(self, x: np.ndarray) -> float:
         _, ratio, u = self._segments(x)
@@ -321,12 +330,6 @@ def _logratio(u: np.ndarray, slope: bool = False):
     return f, df
 
 
-def _project_chain(v: np.ndarray) -> np.ndarray:
-    # euclidean projection onto the monotone chain intersected with [0, 1];
-    # clipping the unconstrained isotonic fit is exact for box bounds
-    return np.clip(isotonic_regression(v).x, 0.0, 1.0)
-
-
 def _kkt_residual(prob: _CsProblem, x: np.ndarray) -> float:
     _, grad = prob.value_grad(x)
-    return float(np.max(np.abs(x - _project_chain(x - grad))))
+    return float(np.max(np.abs(x - prob.project(x - grad))))

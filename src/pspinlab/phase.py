@@ -38,8 +38,7 @@ def beta_c(p: int, tol: float = 1e-10) -> tuple[float, float]:
     golden-section to absolute objective tolerance ``tol``.
     """
     p = _check_p(p)
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+    _check_tol(tol)
     obj = lambda q: _beta_c_objective(q, p)
     q, val = _bracketed_min(obj, _q_grid(), tol)
     return math.sqrt(val), q
@@ -58,8 +57,7 @@ def beta_d_mixture(xi: MixtureFn, tol: float = 1e-12) -> float:
     The plateau equation needs xi'(0) = 0 and some degree >= 3, else the
     infimum degenerates (it is attained trivially at q -> 0).
     """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+    _check_tol(tol)
     if xi.degree < 3:
         raise ValueError("dynamical boundary needs a coefficient at degree >= 3")
     if xi.coefficient(1) != 0.0:
@@ -169,3 +167,8 @@ def _check_p(p) -> int:
     if int(p) != p or int(p) < 3:
         raise ValueError(f"p must be an integer >= 3, got {p!r}")
     return int(p)
+
+
+def _check_tol(tol) -> None:
+    if tol <= 0:
+        raise ValueError(f"tol must be positive, got {tol!r}")

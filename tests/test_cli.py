@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import pspinlab
 from pspinlab import cli
 from pspinlab.lab import observables
 
@@ -297,6 +302,88 @@ def test_empty_inputs_rejected(tmp_path, capsys, args, key):
     assert run_cli(args + ["--out", str(out)]) == 2
     assert repr(key) in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("args, key", [
+    (["fp", "--n-q", "2", "--m", "8"], "m"),
+    (["fp", "--n-q", "2", "--solver-q-max", "1.5"], "solver_q_max"),
+    (["fp", "--n-q", "2", "--m", "8", "--solver-q-max", "0"],
+     "solver_q_max"),
+    (["parisi", "--m", "8"], "m"),
+    (["shatter-scan", "--p-list", "128", "--beta-fracs", "0.9",
+      "--solver-q-max", "1.5"], "solver_q_max"),
+    (["phase", "--p-max", "3", "--tol", "0"], "tol"),
+    (["phase", "--p-max", "3", "--tol", "-1"], "tol"),
+])
+def test_bad_solver_keys_rejected_before_work(tmp_path, capsys, monkeypatch,
+                                              args, key):
+    calls = []
+
+    def record(*a, **k):
+        calls.append(a)
+        raise RuntimeError("work started")
+
+    for owner, name in [(cli, "map_parallel"), (cli.phase, "beta_c"),
+                        (cli.parisi, "minimize_cs")]:
+        monkeypatch.setattr(owner, name, record)
+    out = tmp_path / "o.csv"
+    assert run_cli(args + ["--out", str(out)]) == 2
+    assert f"config key {key!r}" in capsys.readouterr().err
+    assert calls == []
+    assert not out.exists()
+
+
+# runs in a fresh interpreter, since this test process has scipy loaded;
+# prints one [step, exit status, scipy modules loaded] triple per step
+STARTUP_SCRIPT = r"""
+import json, sys
+
+def scipy_modules():
+    return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+
+from pspinlab import cli
+out = sys.argv[1]
+steps = [("import", None, scipy_modules())]
+runs = [
+    ("phase", ["phase", "--p-max", "3"]),
+    ("simulate", ["simulate", "--n", "6", "--n-steps", "20",
+                  "--record-every", "10", "--n-traj", "2"]),
+    ("help", ["--help"]),
+    ("config error", ["fp", "--m", "8"]),
+    ("parisi", ["parisi", "--m", "64"]),
+    ("chaos", ["chaos", "--n", "4", "--beta", "1.5", "--epsilons", "0,1",
+               "--n-samples", "2", "--n-disorders", "2", "--burn-in", "10",
+               "--thin", "1"]),
+]
+for name, argv in runs:
+    try:
+        status = cli.main(argv + ["--out", out])
+    except SystemExit as exc:
+        status = exc.code
+    steps.append((name, status, scipy_modules()))
+print(json.dumps(steps))
+"""
+
+
+def test_startup_does_not_load_scipy(tmp_path):
+    src = str(Path(pspinlab.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p])}
+    proc = subprocess.run(
+        [sys.executable, "-c", STARTUP_SCRIPT, str(tmp_path / "o.csv")],
+        env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    steps = {name: (status, loaded) for name, status, loaded
+             in json.loads(proc.stdout.splitlines()[-1])}
+    for name in ("import", "phase", "simulate", "help", "config error"):
+        assert steps[name][1] == [], f"{name} loaded scipy"
+    assert [steps[name][0] for name in ("phase", "simulate", "help",
+                                        "config error")] == [0, 0, 0, 2]
+    # the commands that need scipy load it on first use
+    status, loaded = steps["parisi"]
+    assert status == 0 and "scipy.optimize" in loaded
+    status, loaded = steps["chaos"]
+    assert status == 0 and "scipy.spatial.distance" in loaded
 
 
 def test_out_in_missing_directory_rejected(tmp_path, capsys):
