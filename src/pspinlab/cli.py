@@ -266,6 +266,7 @@ def _phase_row(item) -> dict:
 
 
 def _run_parisi(config: dict) -> list[dict]:
+    _check_key("beta", parisi._check_beta, config["beta"])
     _check_solver_grid(config)
     xi = mixtures.band_mixture(config["p"], config["band_q"])
     res = parisi.minimize_cs(xi, config["beta"],
@@ -278,6 +279,7 @@ def _run_parisi(config: dict) -> list[dict]:
 def _run_fp(config: dict) -> list[dict]:
     if config["n_q"] < 1:
         raise ValueError(f"config key 'n_q' must be >= 1, got {config['n_q']}")
+    _check_key("beta", parisi._check_beta, config["beta"])
     _check_solver_grid(config)
     qs = np.linspace(config["q_min"], config["q_max"], config["n_q"])
     items = [(config["p"], config["beta"], float(q),
@@ -305,6 +307,8 @@ def _run_shatter(config: dict) -> list[dict]:
                              f"got {config[key]}")
     _check_solver_grid(config)
     fracs = _comma_list(config, "beta_fracs", float)
+    for frac in fracs:  # beta = frac * beta_c has the sign of frac
+        _check_key("beta_fracs", parisi._check_beta, frac)
     items = []
     for p in _comma_list(config, "p_list", int):
         bc, _ = phase.beta_c(p)

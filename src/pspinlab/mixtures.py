@@ -37,19 +37,6 @@ class MixtureFn:
         object.__setattr__(self, "coeffs", c[: nz[-1] + 1].copy())
         self.coeffs.setflags(write=False)
 
-    @property
-    def degree(self) -> int:
-        return len(self.coeffs)
-
-    def coefficient(self, k: int) -> float:
-        """gamma_k^2, zero above the top degree."""
-        if k < 1:
-            raise ValueError("degrees start at 1")
-        return float(self.coeffs[k - 1]) if k <= self.degree else 0.0
-
-    def __call__(self, t, order: int = 0):
-        return evaluate(self, t, order)
-
 
 def pure(p: int) -> MixtureFn:
     """Pure p-spin mixture xi(t) = t^p."""

@@ -131,8 +131,7 @@ def cs_functional(zeta: ParisiMeasure, xi: MixtureFn, beta: float,
     replaces log(1 - q_hat) by log(1 - q_top); by the telescoping identity
     this leaves the value unchanged. Default uses q_hat itself.
     """
-    if beta <= 0:
-        raise ValueError("beta must be positive")
+    _check_beta(beta)
     loc, w = zeta.locations, zeta.weights
     q_hat = zeta.q_hat
     if q_top is None:
@@ -182,6 +181,11 @@ def make_grid(m: int, q_max: float = DEFAULT_GRID[1]) -> np.ndarray:
     return np.unique(np.concatenate([uniform, geo]))
 
 
+def _check_beta(beta) -> None:
+    if beta <= 0:
+        raise ValueError(f"beta must be positive, got {beta!r}")
+
+
 def minimize_cs(xi: MixtureFn, beta: float,
                 grid_spec: tuple[int, float] = DEFAULT_GRID) -> MinimizeResult:
     """Minimize the discretized functional over monotone CDF vectors.
@@ -194,8 +198,7 @@ def minimize_cs(xi: MixtureFn, beta: float,
     below ``TOL_REL`` and max KKT violation below ``TOL_KKT``; on budget
     exhaustion the best iterate is returned with converged=False.
     """
-    if beta <= 0:
-        raise ValueError("beta must be positive")
+    _check_beta(beta)
     m, q_max = int(grid_spec[0]), float(grid_spec[1])
     grid = make_grid(m, q_max)
     prob = _CsProblem(xi, beta, grid)

@@ -2,11 +2,7 @@
 
 The static boundary (replica symmetric to 1-RSB) for the pure model is
 
-    beta_c^2(p) = inf_{q in (0,1)} [ q^{-p} log(1/(1-q)) - q^{-(p-1)} ],
-
-and replica symmetry at inverse temperature beta is equivalent to
-
-    inf_{q in (0,1)} ( -beta^2 xi(q) - q + log(1/(1-q)) ) >= 0.
+    beta_c^2(p) = inf_{q in (0,1)} [ q^{-p} log(1/(1-q)) - q^{-(p-1)} ].
 
 The dynamical (ergodicity-breaking) boundary comes from the plateau
 equation beta^2 xi'(q)(1-q) = q: the smallest beta with a non-zero
@@ -23,9 +19,8 @@ from typing import Callable
 import numpy as np
 
 from .errors import SolverError
-from .mixtures import MixtureFn, evaluate
 
-__all__ = ["beta_c", "beta_d_pure", "beta_d_mixture", "rs_condition"]
+__all__ = ["beta_c", "beta_d_pure"]
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -51,54 +46,6 @@ def beta_d_pure(p: int) -> float:
     return math.exp(0.5 * log_b2)
 
 
-def beta_d_mixture(xi: MixtureFn, tol: float = 1e-12) -> float:
-    """Dynamical boundary sqrt(inf_q q/(xi'(q)(1-q))) for a general mixture.
-
-    The plateau equation needs xi'(0) = 0 and some degree >= 3, else the
-    infimum degenerates (it is attained trivially at q -> 0).
-    """
-    _check_tol(tol)
-    if xi.degree < 3:
-        raise ValueError("dynamical boundary needs a coefficient at degree >= 3")
-    if xi.coefficient(1) != 0.0:
-        raise ValueError("plateau equation assumes xi'(0) = 0 (no degree-1 term)")
-
-    def obj(q: float) -> float:
-        d = evaluate(xi, q, 1) * (1.0 - q)
-        return q / d if d > 0 else math.inf
-
-    q, val = _bracketed_min(obj, _q_grid(), tol)
-    return math.sqrt(val)
-
-
-def rs_condition(xi: MixtureFn, beta: float) -> bool:
-    """Whether adding any atom to delta_0 raises the variational functional.
-
-    True iff inf_{q in (0,1)} (-beta^2 xi(q) - q + log(1/(1-q))) >= -1e-12,
-    evaluated on an adaptive grid with local golden refinement.
-    """
-    if beta <= 0:
-        raise ValueError("beta must be positive")
-    b2 = beta * beta
-
-    def obj(q: float) -> float:
-        return -b2 * evaluate(xi, q) - q - math.log1p(-q)
-
-    grid = np.unique(np.concatenate([
-        np.linspace(1e-6, 0.95, 1200),
-        1.0 - np.exp(np.linspace(math.log(0.05), math.log(1e-12), 600)),
-    ]))
-    # near the boundary the negative dip can be narrower than the grid
-    # spacing, so refine around every local minimum of the grid values
-    vals = np.array([obj(q) for q in grid])
-    best = math.inf
-    for i in _local_minima(vals):
-        bracket = grid[max(i - 1, 0):min(i + 2, len(grid))]
-        _, v = _bracketed_min(obj, bracket, 1e-13)
-        best = min(best, v)
-    return best >= -1e-12
-
-
 # --------------------------
 # internals
 # --------------------------
@@ -122,13 +69,6 @@ def _q_grid() -> np.ndarray:
         np.linspace(0.02, 0.9, 250),
         1.0 - np.exp(np.linspace(math.log(0.1), math.log(1e-9), 400)),
     ]))
-
-
-def _local_minima(vals: np.ndarray) -> list[int]:
-    """Indices no larger than both neighbors (endpoints count)."""
-    lower = np.concatenate([[math.inf], vals[:-1]])
-    upper = np.concatenate([vals[1:], [math.inf]])
-    return list(np.nonzero((vals <= lower) & (vals <= upper))[0])
 
 
 def _bracketed_min(obj: Callable[[float], float], grid: np.ndarray,

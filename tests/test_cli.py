@@ -1,5 +1,7 @@
+import importlib
 import json
 import os
+import pkgutil
 import subprocess
 import sys
 from pathlib import Path
@@ -314,6 +316,12 @@ def test_empty_inputs_rejected(tmp_path, capsys, args, key):
       "--solver-q-max", "1.5"], "solver_q_max"),
     (["phase", "--p-max", "3", "--tol", "0"], "tol"),
     (["phase", "--p-max", "3", "--tol", "-1"], "tol"),
+    (["fp", "--beta", "0"], "beta"),
+    (["fp", "--beta", "-1"], "beta"),
+    (["parisi", "--beta", "0"], "beta"),
+    (["shatter-scan", "--p-list", "128", "--beta-fracs", "0"], "beta_fracs"),
+    (["shatter-scan", "--p-list", "128", "--beta-fracs", "0.9,-0.5"],
+     "beta_fracs"),
 ])
 def test_bad_solver_keys_rejected_before_work(tmp_path, capsys, monkeypatch,
                                               args, key):
@@ -391,6 +399,20 @@ def test_out_in_missing_directory_rejected(tmp_path, capsys):
     assert run_cli(["fp", "--n-q", "2", "--m", "64", "--out", str(out)]) == 2
     assert "'out'" in capsys.readouterr().err
     assert not out.parent.exists()
+
+
+def test_export_lists_resolve():
+    # a name left in __all__ after its definition is deleted breaks
+    # "from module import *" only when someone runs it
+    from pspinlab import lab
+
+    for package in (pspinlab, lab):
+        for info in pkgutil.iter_modules(package.__path__):
+            module = importlib.import_module(f"{package.__name__}.{info.name}")
+            missing = [name for name in getattr(module, "__all__", ())
+                       if not hasattr(module, name)]
+            assert missing == [], module.__name__
+    assert [name for name in lab.__all__ if not hasattr(lab, name)] == []
 
 
 def test_out_naming_a_directory_rejected(tmp_path, capsys):

@@ -3,7 +3,7 @@ import pytest
 
 from pspinlab import parisi
 from pspinlab.errors import TruncationWarning
-from pspinlab.mixtures import band_mixture, pure
+from pspinlab.mixtures import band_mixture, evaluate, pure
 from pspinlab.parisi import (CdfOnGrid, ParisiMeasure, cs_functional,
                              make_grid, minimize_cs, rs_value)
 
@@ -39,7 +39,7 @@ def test_single_atom_equals_rs_value():
 def test_rs_value_edges():
     xi = band_mixture(4, 0.3)
     assert rs_value(0.0, xi, 1.7) == pytest.approx(
-        1.7 ** 2 * xi(1.0) / 2.0, abs=1e-14)
+        1.7 ** 2 * evaluate(xi, 1.0) / 2.0, abs=1e-14)
     assert rs_value(1.0 - 1e-12, pure(3), 1.0) > 1e10  # pole at t -> 1
     with pytest.raises(ValueError):
         rs_value(1.0, pure(3), 1.0)

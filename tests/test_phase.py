@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from pspinlab import cli, phase
-from pspinlab.mixtures import MixtureFn, pure
 
 
 def brute_force_beta_c(p, n_grid=400000):
@@ -54,32 +53,15 @@ def test_beta_c_ratio_decreases_toward_one():
     assert ratios[0] > ratios[1] > ratios[2] > 1.0
 
 
-def test_beta_d_mixture_matches_pure():
+def test_beta_d_pure_matches_plateau_infimum():
+    # the plateau equation's infimum sqrt(inf_q q / (xi'(q)(1-q))) for
+    # xi(t) = t^p, found numerically, against the closed form
     for p in range(3, 21):
-        assert phase.beta_d_mixture(pure(p)) == pytest.approx(
-            phase.beta_d_pure(p), abs=1e-8)
-
-
-def test_beta_d_mixture_degenerate_inputs():
-    with pytest.raises(ValueError):
-        phase.beta_d_mixture(pure(2))
-    with pytest.raises(ValueError):
-        # degree-1 coefficient breaks the plateau equation
-        phase.beta_d_mixture(MixtureFn([0.2, 0.0, 0.8]))
-
-
-def test_rs_condition_cases():
-    xi3 = pure(3)
-    assert phase.rs_condition(xi3, 0.8) is True
-    assert phase.rs_condition(xi3, 1.5) is False
-    assert phase.rs_condition(xi3, 1e-6) is True
-
-
-def test_rs_condition_matches_static_boundary():
-    for p in (3, 5, 10):
-        bc, _ = phase.beta_c(p)
-        assert phase.rs_condition(pure(p), bc - 2e-6) is True
-        assert phase.rs_condition(pure(p), bc + 2e-6) is False
+        q, val = phase._bracketed_min(
+            lambda q: q / (p * q ** (p - 1) * (1.0 - q)), phase._q_grid(),
+            1e-12)
+        assert math.sqrt(val) == pytest.approx(phase.beta_d_pure(p), abs=1e-8)
+        assert q == pytest.approx((p - 2) / (p - 1), abs=1e-4)
 
 
 def test_phase_scan_invariants(tmp_path):
@@ -112,5 +94,3 @@ def test_input_validation():
         phase.beta_c(3, tol=-1.0)
     with pytest.raises(ValueError):
         phase.beta_d_pure(2)
-    with pytest.raises(ValueError):
-        phase.rs_condition(pure(3), 0.0)
