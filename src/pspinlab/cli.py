@@ -281,6 +281,10 @@ def _run_fp(config: dict) -> list[dict]:
         raise ValueError(f"config key 'n_q' must be >= 1, got {config['n_q']}")
     _check_key("beta", parisi._check_beta, config["beta"])
     _check_solver_grid(config)
+    # p first, so that a bad p is not reported against q_min
+    _check_key("p", franz_parisi._check_pq, config["p"], 0.0)
+    for key in ("q_min", "q_max"):
+        _check_key(key, franz_parisi._check_pq, config["p"], config[key])
     qs = np.linspace(config["q_min"], config["q_max"], config["n_q"])
     items = [(config["p"], config["beta"], float(q),
               config["m"], config["solver_q_max"]) for q in qs]
@@ -341,10 +345,13 @@ def _shatter_row(item) -> dict:
 
 
 def _run_simulate(config: dict) -> list[dict]:
-    d = sample_disorder(config["n"], config["p"], seed=config["seed"])
     cfg = LangevinConfig(beta=config["beta"], step=config["step"],
                          n_steps=config["n_steps"],
                          record_every=config["record_every"])
+    if config["n_traj"] < 1:
+        raise ValueError(f"config key 'n_traj' must be >= 1, "
+                         f"got {config['n_traj']}")
+    d = sample_disorder(config["n"], config["p"], seed=config["seed"])
     curve = correlation_curve(d, cfg, config["n_traj"], seed=config["seed"],
                               threads=config["threads"])
     return [{"t": t, "corr": c, "stderr": s} for t, c, s in curve]

@@ -125,13 +125,10 @@ def find_window(p: int, beta: float, q_grid: np.ndarray,
     points: list[FpPoint] = []
     failures: list[tuple[float, str]] = []
     for q in q_grid:
-        try:
-            pt = fp_value(p, beta, q, grid_spec)
-            if not pt.converged:
-                failures.append((float(q), "band solver did not converge"))
-            points.append(pt)
-        except FloatingPointError as exc:  # pragma: no cover
-            failures.append((float(q), str(exc)))
+        pt = fp_value(p, beta, q, grid_spec)
+        if not pt.converged:
+            failures.append((float(q), "band solver did not converge"))
+        points.append(pt)
     if failures:
         raise ScanError(f"{len(failures)} window grid points failed",
                         failures=failures, partial=points)

@@ -11,10 +11,9 @@ during burn-in only, so the post-burn-in chain satisfies detailed balance.
 
 All rungs move together: the configurations are one (K, n) array, the
 proposals of a sweep are projected and scored by one batched energy call,
-and the swap chain ends in one row permutation. The random stream is read
-in the order of rung-by-rung updates (per rung: proposal normals, then the
-acceptance uniform; then one uniform per neighbor swap), so the chain is
-the one a per-rung loop would run.
+and the swap chain ends in one row permutation. A sweep reads the random
+stream in three calls: the (K, n) proposal normals, then K acceptance
+uniforms, then K - 1 swap uniforms.
 """
 
 from __future__ import annotations
@@ -58,32 +57,25 @@ class ReplicaExchange:
             self.rng.standard_normal((N_RUNGS, d.n)))
         self.energies = hamiltonian(d, self.configs)
         self.steps = np.full(N_RUNGS, INITIAL_STEP)
+        self.n_sweeps = 0  # each sweep proposes on every rung and pair
         self._accepts = np.zeros(N_RUNGS)
-        self._proposals = np.zeros(N_RUNGS)
         self._swap_accepts = np.zeros(N_RUNGS - 1)
-        self._swap_attempts = np.zeros(N_RUNGS - 1)
         self.energy_trace: list[float] = []
 
     def sweep(self, adapt: bool = False) -> None:
         """One Metropolis proposal on every rung at once, scored by one
         energy call, then neighbor swap attempts from hot to cold."""
-        n_rungs, n = self.configs.shape
-        noise = np.empty((n_rungs, n))
-        u_accept = np.empty(n_rungs)
-        # each rung draws its proposal noise and then its acceptance uniform,
-        # in rung order, so the random stream is consumed as one rung at a
-        # time would consume it
-        for k in range(n_rungs):
-            self.rng.standard_normal(out=noise[k])
-            u_accept[k] = self.rng.random()
+        n_rungs = len(self.configs)
+        noise = self.rng.standard_normal(self.configs.shape)
+        log_u_accept = np.log(self.rng.random(n_rungs))
         log_u_swap = np.log(self.rng.random(n_rungs - 1)).tolist()
 
         prop = sphere_project(self.configs + self.steps[:, None] * noise)
         e_prop = hamiltonian(self.d, prop)
-        accepted = np.log(u_accept) < self.betas * (e_prop - self.energies)
+        accepted = log_u_accept < self.betas * (e_prop - self.energies)
         self.configs = np.where(accepted[:, None], prop, self.configs)
         self.energies = np.where(accepted, e_prop, self.energies)
-        self._proposals += 1
+        self.n_sweeps += 1
         self._accepts += accepted
         if adapt:
             self.steps *= np.where(accepted, _GROW, _SHRINK)
@@ -98,42 +90,34 @@ class ReplicaExchange:
                 energies[k], energies[k + 1] = energies[k + 1], energies[k]
                 order[k], order[k + 1] = order[k + 1], order[k]
                 swapped[k] = True
-        self._swap_attempts += 1
         self._swap_accepts += swapped
         self.configs = self.configs[order]
         self.energies = np.array(energies)
         self.energy_trace.append(energies[-1])
 
-    def run(self, burn_in: int = 500) -> None:
-        if burn_in < 0:
-            raise ValueError(f"burn_in must be >= 0, got {burn_in}")
-        for _ in range(burn_in):
-            self.sweep(adapt=True)
-
-    def draw(self, n_samples: int, thin: int = 20) -> list[Configuration]:
-        """Thinned samples at the target inverse temperature."""
-        if n_samples < 1 or thin < 1:
-            raise ValueError(f"need n_samples >= 1 and thin >= 1, got "
-                             f"n_samples={n_samples}, thin={thin}")
-        out = []
-        for _ in range(n_samples):
-            for _ in range(thin):
-                self.sweep(adapt=False)
-            out.append(self.configs[-1].copy())
-        return out
-
     def sample(self, n_samples: int, burn_in: int,
                thin: int) -> list[Configuration]:
-        """Adaptive burn-in, then ``draw``, then the mixing check: every
-        equilibrium draw of the lab goes through here."""
-        self.run(burn_in=burn_in)
-        draws = self.draw(n_samples, thin=thin)
+        """``burn_in`` adaptive sweeps, then one draw at the target inverse
+        temperature every ``thin`` plain sweeps, then the mixing check:
+        every equilibrium draw of the lab goes through here."""
+        if burn_in < 0 or n_samples < 1 or thin < 1:
+            raise ValueError(f"need burn_in >= 0, n_samples >= 1 and "
+                             f"thin >= 1, got burn_in={burn_in}, "
+                             f"n_samples={n_samples}, thin={thin}")
+        for _ in range(burn_in):
+            self.sweep(adapt=True)
+        draws = []
+        for _ in range(n_samples):
+            for _ in range(thin):
+                self.sweep()
+            draws.append(self.configs[-1].copy())
         self.check_mixing()
         return draws
 
     def diagnostics(self) -> dict:
-        acc = self._accepts / np.maximum(self._proposals, 1)
-        swap = self._swap_accepts / np.maximum(self._swap_attempts, 1)
+        sweeps = max(self.n_sweeps, 1)
+        acc = self._accepts / sweeps
+        swap = self._swap_accepts / sweeps
         return {
             "betas": self.betas.tolist(),
             "acceptance": acc.tolist(),
@@ -145,7 +129,7 @@ class ReplicaExchange:
     def check_mixing(self) -> None:
         diag = self.diagnostics()
         swaps = np.asarray(diag["swap_acceptance"])
-        if self._swap_attempts.min() >= 50 and np.any(swaps < 0.01):
+        if self.n_sweeps >= 50 and np.any(swaps < 0.01):
             warnings.warn(f"swap acceptance below 1% on some rung: {swaps}",
                           MixingWarning, stacklevel=3)
 

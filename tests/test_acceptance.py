@@ -342,8 +342,7 @@ def test_criterion_08_dynamics():
     re_means = []
     for i in range(8):
         sampler = ReplicaExchange(d12, 0.5, seed=2000 + i)
-        sampler.run(burn_in=300)
-        draws = sampler.draw(40, thin=10)
+        draws = sampler.sample(40, burn_in=300, thin=10)
         re_means.append(np.mean([lab.hamiltonian(d12, s) / 12.0
                                  for s in draws]))
     m1, s1 = np.mean(lg_means), np.std(lg_means, ddof=1) / math.sqrt(8)

@@ -123,13 +123,24 @@ def test_fp_command_rows(tmp_path):
         assert float(row["value"]) <= float(row["rs_bound"]) + 1e-8
 
 
-def test_fp_row_error_sets_exit_code(tmp_path):
+def test_fp_row_error_sets_exit_code(tmp_path, monkeypatch):
+    # every config value is checked before work starts, so the failing row
+    # comes from a solve that raises at one overlap
+    fp_value = cli.franz_parisi.fp_value
+
+    def fails_at_top(p, beta, q, grid_spec):
+        if q > 0.8:
+            raise RuntimeError("solve failed")
+        return fp_value(p, beta, q, grid_spec)
+
+    monkeypatch.setattr(cli.franz_parisi, "fp_value", fails_at_top)
     out = tmp_path / "fp.csv"
-    assert run_cli(["fp", "--p", "3", "--q-min", "0.5", "--q-max", "1.0",
+    assert run_cli(["fp", "--p", "3", "--q-min", "0.5", "--q-max", "0.9",
                     "--n-q", "3", "--m", "128", "--out", str(out)]) == 1
     _, _, rows = read_csv(out)
-    assert rows[-1]["error"] != ""  # q = 1.0 is out of domain
-    assert rows[0]["error"] == ""  # run continued despite the bad point
+    assert rows[-1]["error"] == "solve failed"
+    for row in rows[:-1]:  # run continued despite the bad point
+        assert row["error"] == "" and row["value"] != ""
 
 
 def test_parisi_command(tmp_path):
@@ -322,6 +333,9 @@ def test_empty_inputs_rejected(tmp_path, capsys, args, key):
     (["shatter-scan", "--p-list", "128", "--beta-fracs", "0"], "beta_fracs"),
     (["shatter-scan", "--p-list", "128", "--beta-fracs", "0.9,-0.5"],
      "beta_fracs"),
+    (["fp", "--q-max", "1.0"], "q_max"),
+    (["fp", "--q-min", "-1.5"], "q_min"),
+    (["fp", "--p", "1"], "p"),
 ])
 def test_bad_solver_keys_rejected_before_work(tmp_path, capsys, monkeypatch,
                                               args, key):
@@ -337,6 +351,32 @@ def test_bad_solver_keys_rejected_before_work(tmp_path, capsys, monkeypatch,
     out = tmp_path / "o.csv"
     assert run_cli(args + ["--out", str(out)]) == 2
     assert f"config key {key!r}" in capsys.readouterr().err
+    assert calls == []
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flag, value, key", [
+    ("--step", "0", "step"),
+    ("--beta", "-1", "beta"),
+    ("--record-every", "0", "record_every"),
+    ("--n-traj", "0", "n_traj"),
+])
+def test_bad_simulate_keys_rejected_before_disorder(tmp_path, capsys,
+                                                    monkeypatch, flag, value,
+                                                    key):
+    # the disorder tensor holds up to 2^31 entries: a bad key must not
+    # wait for it to be drawn
+    calls = []
+
+    def record(*a, **k):
+        calls.append(a)
+        raise RuntimeError("work started")
+
+    monkeypatch.setattr(cli, "sample_disorder", record)
+    out = tmp_path / "o.csv"
+    assert run_cli(["simulate", "--n", "6", flag, value,
+                    "--out", str(out)]) == 2
+    assert key in capsys.readouterr().err
     assert calls == []
     assert not out.exists()
 

@@ -90,14 +90,20 @@ def test_equilibrium_sample_interface():
 def test_sample_is_run_draw_then_mixing_check():
     d = lab.sample_disorder(6, 3, seed=2)
     ref = ReplicaExchange(d, 1.0, seed=5)
-    ref.run(burn_in=30)
-    want = ref.draw(4, thin=3)
+    for _ in range(30):
+        ref.sweep(adapt=True)
+    want = []
+    for _ in range(4):
+        for _ in range(3):
+            ref.sweep()
+        want.append(ref.configs[-1].copy())
     sampler = ReplicaExchange(d, 1.0, seed=5)
     got = sampler.sample(4, burn_in=30, thin=3)
     np.testing.assert_array_equal(np.array(got), np.array(want))
-    assert sampler._proposals[0] == 30 + 4 * 3
+    np.testing.assert_array_equal(sampler.steps, ref.steps)
+    assert sampler.n_sweeps == 30 + 4 * 3
     sampler._swap_accepts[:] = 0.0  # dead swaps: the check must fire
-    sampler._swap_attempts[:] = 100.0
+    sampler.n_sweeps = 100
     with pytest.warns(MixingWarning):
         sampler.sample(1, burn_in=0, thin=1)
 
@@ -115,8 +121,7 @@ def test_nan_sampler_settings_rejected(make):
 def test_equilibrium_beta_zero_is_uniform():
     d = lab.sample_disorder(8, 3, seed=30)
     sampler = ReplicaExchange(d, 0.0, seed=4)
-    sampler.run(burn_in=50)
-    draws = sampler.draw(800, thin=2)
+    draws = sampler.sample(800, burn_in=50, thin=2)
     coord = np.array([s[0] for s in draws])
     # coordinates have unit variance on the sphere
     assert abs(coord.mean()) < 4.0 / np.sqrt(len(draws))
@@ -125,7 +130,7 @@ def test_equilibrium_beta_zero_is_uniform():
 def test_mixing_warning_on_dead_swaps():
     d = lab.sample_disorder(6, 3, seed=2)
     sampler = ReplicaExchange(d, 1.0, seed=0)
-    sampler._swap_attempts[:] = 100.0
+    sampler.n_sweeps = 100
     sampler._swap_accepts[:] = 0.0
     with pytest.warns(MixingWarning):
         sampler.check_mixing()
@@ -133,7 +138,9 @@ def test_mixing_warning_on_dead_swaps():
 
 class _PerRungReplicaExchange:
     """Replica exchange updating one rung at a time, kept as the reference
-    that the batched ``ReplicaExchange.sweep`` must reproduce."""
+    that the batched ``ReplicaExchange.sweep`` must reproduce. A sweep reads
+    the random stream as the batched one does: all proposal normals, then
+    the acceptance uniforms, then the swap uniforms."""
 
     def __init__(self, d, beta, n_rungs=8, seed=0, target_accept=0.4,
                  initial_step=0.5):
@@ -153,13 +160,15 @@ class _PerRungReplicaExchange:
         self.energy_trace = []
 
     def sweep(self, adapt=False):
-        n = self.d.n
+        n_rungs = len(self.betas)
+        noise = self.rng.standard_normal((n_rungs, self.d.n))
+        u_accept = self.rng.random(n_rungs)
+        u_swap = self.rng.random(n_rungs - 1)
         for k, bk in enumerate(self.betas):
-            prop = sphere_project(self.configs[k]
-                                  + self.steps[k] * self.rng.standard_normal(n))
+            prop = sphere_project(self.configs[k] + self.steps[k] * noise[k])
             e_prop = hamiltonian(self.d, prop)
             self._proposals[k] += 1
-            accepted = np.log(self.rng.random()) < bk * (e_prop - self.energies[k])
+            accepted = np.log(u_accept[k]) < bk * (e_prop - self.energies[k])
             if accepted:
                 self.configs[k] = prop
                 self.energies[k] = e_prop
@@ -169,11 +178,11 @@ class _PerRungReplicaExchange:
                 move = (1.0 - self.target_accept) if accepted \
                     else -self.target_accept
                 self.steps[k] *= math.exp(0.1 * move)
-        for k in range(len(self.betas) - 1):
+        for k in range(n_rungs - 1):
             self._swap_attempts[k] += 1
             log_r = (self.betas[k + 1] - self.betas[k]) \
                 * (self.energies[k] - self.energies[k + 1])
-            if np.log(self.rng.random()) < log_r:
+            if np.log(u_swap[k]) < log_r:
                 self.configs[k], self.configs[k + 1] = \
                     self.configs[k + 1], self.configs[k]
                 self.energies[k], self.energies[k + 1] = \
@@ -197,9 +206,11 @@ def test_batched_sweep_matches_per_rung_reference(n, p):
                                rtol=0, atol=1e-12)
     np.testing.assert_allclose(batched.energy_trace, ref.energy_trace,
                                rtol=0, atol=1e-12)
-    for name in ("_accepts", "_proposals", "_swap_accepts",
-                 "_swap_attempts"):
+    for name in ("_accepts", "_swap_accepts"):
         assert np.array_equal(getattr(batched, name), getattr(ref, name))
+    # every rung proposes and every pair tries a swap once per sweep
+    assert batched.n_sweeps == 300
+    assert np.all(ref._proposals == 300) and np.all(ref._swap_attempts == 300)
     np.testing.assert_allclose(batched.steps, ref.steps, rtol=1e-15, atol=0)
     # the comparison only means something if both kinds of move were mixed:
     # some proposals rejected, some swaps accepted
@@ -207,14 +218,16 @@ def test_batched_sweep_matches_per_rung_reference(n, p):
     assert 0 < ref._swap_accepts.sum() < ref._swap_attempts.sum()
 
 
-@pytest.mark.parametrize("call", [lambda s: s.run(burn_in=-1),
-                                  lambda s: s.draw(0),
-                                  lambda s: s.draw(2, thin=0)])
+# each bad length comes with a burn-in that would sweep if it ran first
+@pytest.mark.parametrize("call", [
+    lambda s: s.sample(1, burn_in=-1, thin=1),
+    lambda s: s.sample(0, burn_in=5, thin=1),
+    lambda s: s.sample(2, burn_in=5, thin=0)])
 def test_sampler_rejects_bad_run_lengths(call):
     sampler = ReplicaExchange(lab.sample_disorder(6, 3, seed=2), 1.0)
     with pytest.raises(ValueError):
         call(sampler)
-    assert sampler._proposals.sum() == 0
+    assert sampler.n_sweeps == 0
 
 
 def test_correlation_curve_shape():
@@ -304,10 +317,10 @@ def test_overlap_chaos_eps_zero_is_two_replica_statistic():
 
 def test_equilibrium_energy_matches_annealed_slope():
     # <H>/N at (n=20, p=3, beta=0.5) should track beta * xi(1) = 0.5
-    # up to finite-size corrections (10%)
+    # up to finite-size corrections (10%); 400 draws put the sampling sd
+    # near 0.015, so the check does not hang on one lucky stream
     d = lab.sample_disorder(20, 3, seed=45)
     sampler = ReplicaExchange(d, 0.5, seed=9)
-    sampler.run(burn_in=300)
-    draws = sampler.draw(40, thin=10)
+    draws = sampler.sample(400, burn_in=300, thin=10)
     mean_e = np.mean([lab.hamiltonian(d, s) / 20.0 for s in draws])
     assert abs(mean_e - 0.5) < 0.05
