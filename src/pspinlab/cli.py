@@ -345,9 +345,14 @@ def _shatter_row(item) -> dict:
 
 
 def _run_simulate(config: dict) -> list[dict]:
-    cfg = LangevinConfig(beta=config["beta"], step=config["step"],
-                         n_steps=config["n_steps"],
-                         record_every=config["record_every"])
+    valid = {"beta": 0.0, "step": 1.0, "n_steps": 1, "record_every": 1}
+    given = {key: config[key] for key in valid}
+    for key in valid:  # the first key that fails among valid values is named
+        try:
+            LangevinConfig(**{**valid, key: given[key]})
+        except ValueError:
+            _check_key(key, lambda: LangevinConfig(**given))
+    cfg = LangevinConfig(**given)
     if config["n_traj"] < 1:
         raise ValueError(f"config key 'n_traj' must be >= 1, "
                          f"got {config['n_traj']}")

@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import math
 import warnings
+from collections import deque
 from dataclasses import dataclass
 from typing import Callable
 
@@ -42,6 +43,9 @@ DEFAULT_GRID = (512, 1.0 - 1e-4)
 MAX_ITER = 20000  # iteration budget of minimize_cs
 TOL_REL = 1e-10  # relative objective stagnation that minimize_cs requires
 TOL_KKT = 1e-7  # max KKT violation that minimize_cs requires
+SPG_MEMORY = 10  # accepted values the nonmonotone line search looks back on
+SPG_SIGMA = 1e-4  # sufficient-decrease fraction of the line search
+SPG_ALPHA = (1e-10, 1e10)  # clamp of the Barzilai-Borwein step
 
 
 @dataclass(frozen=True)
@@ -190,13 +194,16 @@ def minimize_cs(xi: MixtureFn, beta: float,
                 grid_spec: tuple[int, float] = DEFAULT_GRID) -> MinimizeResult:
     """Minimize the discretized functional over monotone CDF vectors.
 
-    Accelerated projected gradient (backtracking line search, adaptive
-    restart) with projection onto {0 <= x_0 <= ... <= x_{m-1} <= 1} given by
-    clipped isotonic regression. Line-search trials compute only the
-    objective value; the gradient is taken only at the extrapolated points
-    and in the KKT check. Convergence requires both objective stagnation
-    below ``TOL_REL`` and max KKT violation below ``TOL_KKT``; on budget
-    exhaustion the best iterate is returned with converged=False.
+    Spectral projected gradient (Birgin, Martinez & Raydan 2000) with
+    projection onto {0 <= x_0 <= ... <= x_{m-1} <= 1} given by clipped
+    isotonic regression. The step is the Barzilai-Borwein ratio s.s / s.y of
+    the last two iterates and gradients; the line search is nonmonotone
+    (Armijo against the largest of the last ``SPG_MEMORY`` accepted values)
+    and halves the step with value-only trials, so an accepted first trial
+    costs one gradient and one projection. Convergence requires both
+    objective stagnation below ``TOL_REL`` and max KKT violation below
+    ``TOL_KKT``; on budget exhaustion the best iterate is returned with
+    converged=False.
     """
     _check_beta(beta)
     m, q_max = int(grid_spec[0]), float(grid_spec[1])
@@ -204,38 +211,41 @@ def minimize_cs(xi: MixtureFn, beta: float,
     prob = _CsProblem(xi, beta, grid)
 
     x = np.ones(len(grid) - 1)  # delta_0 start: exact in the RS phase
-    fx = prob.value(x)
-    y, t_acc, step = x.copy(), 1.0, 1.0
+    fx, gx = prob.value_grad(x)
+    best_x, best_f = x, fx
+    recent = deque([fx], maxlen=SPG_MEMORY)
+    alpha = 1.0
     converged = False
     it = 0
     for it in range(1, MAX_ITER + 1):
-        fy, gy = prob.value_grad(y)
-        while True:
-            xn = prob.project(y - step * gy)
-            fxn = prob.value(xn)
-            d = xn - y
-            if fxn <= fy + gy @ d + (d @ d) / (2.0 * step) + 1e-18:
-                break
-            step *= 0.5
-            if step < 1e-18:
-                break
-        t_next = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t_acc * t_acc))
-        y_next = xn + ((t_acc - 1.0) / t_next) * (xn - x)
-        if fxn > fx:  # restart momentum from the best iterate
-            y, t_acc = x.copy(), 1.0
-            continue
+        d = prob.project(x - alpha * gx) - x
+        slope, f_ref, lam = SPG_SIGMA * (gx @ d), max(recent), 1.0
+        xn = x + d
+        fxn, gxn = prob.value_grad(xn)
+        if fxn > f_ref + slope:
+            while fxn > f_ref + lam * slope and lam > 1e-18:
+                lam *= 0.5
+                xn = x + lam * d
+                fxn = prob.value(xn)
+            gxn = prob.value_grad(xn)[1]
+        s, y = xn - x, gxn - gx
         rel = abs(fx - fxn) / max(abs(fxn), 1.0)
-        x, fx = xn, fxn
-        y, t_acc = y_next, t_next
-        step *= 1.3
+        x, fx, gx = xn, fxn, gxn
+        recent.append(fx)
+        if fx < best_f:
+            best_x, best_f = x, fx
+        sy = s @ y
+        alpha = (min(max((s @ s) / sy, SPG_ALPHA[0]), SPG_ALPHA[1])
+                 if sy > 0 else SPG_ALPHA[1])
         if rel < TOL_REL and it > 5:
-            kkt = _kkt_residual(prob, x)
+            kkt = _kkt_residual(prob, x, gx)
             if kkt < TOL_KKT:
                 converged = True
                 break
 
     if not converged:
-        kkt = _kkt_residual(prob, x)
+        x, fx = best_x, best_f
+        kkt = _kkt_residual(prob, x, prob.value_grad(x)[1])
     cdf = CdfOnGrid(grid, np.concatenate([x, [1.0]]))
     boundary_mass = 1.0 - x[-1]
     if boundary_mass > 1e-6:
@@ -333,6 +343,5 @@ def _logratio(u: np.ndarray, slope: bool = False):
     return f, df
 
 
-def _kkt_residual(prob: _CsProblem, x: np.ndarray) -> float:
-    _, grad = prob.value_grad(x)
+def _kkt_residual(prob: _CsProblem, x: np.ndarray, grad: np.ndarray) -> float:
     return float(np.max(np.abs(x - prob.project(x - grad))))

@@ -357,6 +357,7 @@ def test_bad_solver_keys_rejected_before_work(tmp_path, capsys, monkeypatch,
 
 @pytest.mark.parametrize("flag, value, key", [
     ("--step", "0", "step"),
+    ("--n-steps", "0", "n_steps"),
     ("--beta", "-1", "beta"),
     ("--record-every", "0", "record_every"),
     ("--n-traj", "0", "n_traj"),
@@ -376,7 +377,7 @@ def test_bad_simulate_keys_rejected_before_disorder(tmp_path, capsys,
     out = tmp_path / "o.csv"
     assert run_cli(["simulate", "--n", "6", flag, value,
                     "--out", str(out)]) == 2
-    assert key in capsys.readouterr().err
+    assert f"config key {key!r}" in capsys.readouterr().err
     assert calls == []
     assert not out.exists()
 

@@ -3,9 +3,11 @@ import pytest
 
 from pspinlab import parisi
 from pspinlab.errors import TruncationWarning
+from pspinlab.franz_parisi import half_band_grid, window_grid
 from pspinlab.mixtures import band_mixture, evaluate, pure
 from pspinlab.parisi import (CdfOnGrid, ParisiMeasure, cs_functional,
                              make_grid, minimize_cs, rs_value)
+from pspinlab.phase import beta_c
 
 
 def random_measure(rng, n_atoms=None, q_top=0.95):
@@ -167,12 +169,85 @@ def test_value_equals_value_grad_value_exactly():
 def test_minimize_slow_window_point_reproduces_reference_iterates():
     # a 1RSB-like window-grid point (p = 128, beta = 0.95 beta_c, the first
     # point of window_grid(128)); the reference iteration count and value
-    # come from the masked two-helper kernel, so any drift in the iterates
-    # shows up here
+    # come from the spectral projected gradient loop, so any drift in the
+    # iterates shows up here. The accelerated projected gradient it replaced
+    # took 193 iterations to 2.1403499758487587.
     res = minimize_cs(band_mixture(128, 0.9901), 2.4529900038181776)
     assert res.converged
-    assert res.iterations == 193
-    assert res.value == 2.1403499758487587
+    assert res.iterations == 130
+    assert res.value == 2.140349975763338
+    assert abs(res.value - 2.1403499758487587) <= 1e-9
+    assert res.iterations < 193
+
+
+# (label, mixture, beta, value of the accelerated projected gradient solver
+# that minimize_cs used before the spectral projected gradient, at m = 512)
+APG_PANEL = [
+    ("slow p=128", lambda: band_mixture(128, 0.9901), 2.4529900038181776,
+     2.1403499758487587),
+    ("p=1024 1RSB-like", lambda: band_mixture(1024, window_grid(1024, 48)[10]),
+     2.8622855123888167, 3.102055785055767),
+    ("p=1024 RS-like", lambda: band_mixture(1024, window_grid(1024, 48)[30]),
+     2.8622855123888167, 1.0723172482097896),
+    ("p=2048 half band", lambda: band_mixture(2048, half_band_grid(2048, 32)[16]),
+     2.9828216675239876, 0.5512922592487417),
+    ("pure p=3", lambda: pure(3), 1.5, 1.0973230045906819),
+]
+
+
+@pytest.mark.parametrize("label, make_xi, beta, reference", APG_PANEL,
+                         ids=[row[0] for row in APG_PANEL])
+def test_minimize_matches_previous_solver_values(label, make_xi, beta,
+                                                 reference):
+    # window points at beta = 0.95 beta_c; a faster solver must reach the
+    # same minimum: the measured spread is below 2e-10
+    res = minimize_cs(make_xi(), beta)
+    assert res.converged
+    assert res.kkt_residual < parisi.TOL_KKT
+    assert abs(res.value - reference) <= 5e-8
+
+
+def test_minimize_budget_exhaustion_returns_best_iterate(monkeypatch):
+    # at pure(3), beta = 5 the nonmonotone line search accepts a third
+    # iterate worse than the second, so returning the last iterate fails
+    seen = []
+    value_grad = parisi._CsProblem.value_grad
+
+    def spy(self, x):
+        f, g = value_grad(self, x)
+        seen.append(f)
+        return f, g
+
+    monkeypatch.setattr(parisi, "MAX_ITER", 3)
+    monkeypatch.setattr(parisi._CsProblem, "value_grad", spy)
+    res = minimize_cs(pure(3), 5.0)
+    assert not res.converged
+    assert res.iterations == 3
+    assert res.value == min(seen)
+    assert min(seen) < seen[-2]  # the last iterate is not the best
+
+
+def test_minimize_window_scan_iteration_budget(monkeypatch):
+    # counts, not time. Over window_grid(128, 48) at beta = 0.95 beta_c the
+    # accelerated projected gradient took 3140 iterations and 7072 objective
+    # evaluations (value + value_grad calls); the spectral projected
+    # gradient takes 2841 and 4524. Its 1RSB-like points need as many
+    # iterations as before or more, so the iteration bound is loose; a
+    # solver back on slow steps fails both bounds.
+    evaluations = []
+    for name in ("value", "value_grad"):
+        method = getattr(parisi._CsProblem, name)
+
+        def counted(self, x, _method=method):
+            evaluations.append(1)
+            return _method(self, x)
+
+        monkeypatch.setattr(parisi._CsProblem, name, counted)
+    beta = 0.95 * beta_c(128)[0]
+    iterations = sum(minimize_cs(band_mixture(128, q), beta).iterations
+                     for q in window_grid(128, 48))
+    assert iterations <= 0.95 * 3140
+    assert len(evaluations) <= 0.75 * 7072
 
 
 def test_minimize_rs_phase():
