@@ -232,6 +232,15 @@ def _check_solver_grid(config: dict) -> None:
     _check_key("m", parisi.make_grid, config["m"], q_max)
 
 
+def _check_band(config: dict, *q_keys: str) -> None:
+    """``mixtures.band_mixture`` owns the rules on ``p`` and the band
+    overlaps; ``p`` is checked first, so a bad ``p`` is not reported
+    against an overlap key."""
+    _check_key("p", mixtures.band_mixture, config["p"], 0.0)
+    for key in q_keys:
+        _check_key(key, mixtures.band_mixture, config["p"], config[key])
+
+
 def _run_command(config: dict) -> tuple[list[dict], int]:
     runner = {
         "phase": _run_phase,
@@ -247,8 +256,10 @@ def _run_command(config: dict) -> tuple[list[dict], int]:
 
 
 def _run_phase(config: dict) -> list[dict]:
-    if config["p_min"] < 3 or config["p_min"] > config["p_max"]:
-        raise ValueError("need 3 <= p_min <= p_max")
+    _check_key("p_min", phase._check_p, config["p_min"])
+    if config["p_max"] < config["p_min"]:
+        raise ValueError(f"config key 'p_max' must be >= p_min "
+                         f"{config['p_min']}, got {config['p_max']}")
     _check_key("tol", phase._check_tol, config["tol"])
     items = [(p, config["tol"]) for p in
              range(config["p_min"], config["p_max"] + 1)]
@@ -268,6 +279,7 @@ def _phase_row(item) -> dict:
 def _run_parisi(config: dict) -> list[dict]:
     _check_key("beta", parisi._check_beta, config["beta"])
     _check_solver_grid(config)
+    _check_band(config, "band_q")
     xi = mixtures.band_mixture(config["p"], config["band_q"])
     res = parisi.minimize_cs(xi, config["beta"],
                              (config["m"], config["solver_q_max"]))
@@ -281,10 +293,7 @@ def _run_fp(config: dict) -> list[dict]:
         raise ValueError(f"config key 'n_q' must be >= 1, got {config['n_q']}")
     _check_key("beta", parisi._check_beta, config["beta"])
     _check_solver_grid(config)
-    # p first, so that a bad p is not reported against q_min
-    _check_key("p", franz_parisi._check_pq, config["p"], 0.0)
-    for key in ("q_min", "q_max"):
-        _check_key(key, franz_parisi._check_pq, config["p"], config[key])
+    _check_band(config, "q_min", "q_max")
     qs = np.linspace(config["q_min"], config["q_max"], config["n_q"])
     items = [(config["p"], config["beta"], float(q),
               config["m"], config["solver_q_max"]) for q in qs]
@@ -313,8 +322,11 @@ def _run_shatter(config: dict) -> list[dict]:
     fracs = _comma_list(config, "beta_fracs", float)
     for frac in fracs:  # beta = frac * beta_c has the sign of frac
         _check_key("beta_fracs", parisi._check_beta, frac)
+    p_list = _comma_list(config, "p_list", int)
+    for p in p_list:
+        _check_key("p_list", phase._check_p, p)
     items = []
-    for p in _comma_list(config, "p_list", int):
+    for p in p_list:
         bc, _ = phase.beta_c(p)
         for frac in fracs:
             items.append((p, frac * bc, bc, config["n_q"],

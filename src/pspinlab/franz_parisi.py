@@ -4,14 +4,15 @@ The potential at overlap q is computed through the variational route
 
     V(q) = F(xi_q) + beta^2 q^p + log(1 - q^2) / 2,
 
-where F(xi_q) is the minimized band free energy from :mod:`parisi`. The
+where F(xi_q) is the minimized band free energy from :mod:`parisi` and
+xi_q = band_mixture(p, q), which also owns the rules on p and q. The
 replica-symmetric upper bound (single atom at t = q/(1+q)) has closed form
 
     V_RS(q) = (beta^2 / 2)(1 + q^p) + q/2 + log(1 - q)/2.
 
 Derivatives use the envelope identity at the numerical minimizer zeta_q:
 
-    dV/dq = -beta^2 p q E_{x~zeta_q}[(1 - x)(q^2 + (1-q^2) x)^{p-1}]
+    dV/dq = -beta^2 q E_{x~zeta_q}[(1 - x) xi_q'(x)] / (1 - q^2)
             + beta^2 p q^{p-1} - q / (1 - q^2),
     dF/dbeta = beta E_{x~zeta_q}[xi_q(1) - xi_q(x)].
 
@@ -29,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ScanError
-from .mixtures import band_mixture, evaluate
+from .mixtures import MixtureFn, band_mixture, evaluate
 from .parisi import DEFAULT_GRID, MinimizeResult, minimize_cs
 
 __all__ = ["FpPoint", "FpWindow", "fp_value", "fp_rs_bound", "fp_dbeta",
@@ -72,14 +73,15 @@ def fp_value(p: int, beta: float, q: float,
              grid_spec: tuple[int, float] = DEFAULT_GRID) -> FpPoint:
     """Potential at overlap q via the band free energy, plus all per-point
     fields (RS bound, envelope derivative, solver diagnostics)."""
-    p, q = _check_pq(p, q)
-    res = minimize_cs(band_mixture(p, q), beta, grid_spec)
+    xi_q = band_mixture(p, q)
+    p, q = xi_q.p, float(q)
+    res = minimize_cs(xi_q, beta, grid_spec)
     value = res.value + beta * beta * q ** p + 0.5 * math.log1p(-q * q)
     return FpPoint(
         q=q,
         value=value,
         rs_bound=fp_rs_bound(p, beta, abs(q)),
-        derivative=_envelope_derivative(p, beta, q, res),
+        derivative=_envelope_derivative(xi_q, beta, q, res),
         band_free_energy=res.value,
         kkt_residual=res.kkt_residual,
         converged=res.converged,
@@ -97,7 +99,6 @@ def fp_dbeta(p: int, beta: float, q: float,
              grid_spec: tuple[int, float] = DEFAULT_GRID) -> float:
     """Temperature derivative of the band free energy,
     beta * E[xi_q(1) - xi_q(x)] under the minimizing measure."""
-    p, q = _check_pq(p, q)
     xi_q = band_mixture(p, q)
     solution = minimize_cs(xi_q, beta, grid_spec)
     top = evaluate(xi_q, 1.0)
@@ -170,22 +171,14 @@ def half_band_grid(p: int, n: int = MIN_GRID_POINTS) -> np.ndarray:
 # internals
 # --------------------------
 
-def _envelope_derivative(p: int, beta: float, q: float,
+def _envelope_derivative(xi_q: MixtureFn, beta: float, q: float,
                          res: MinimizeResult) -> float:
-    if q == 0.0:
-        return 0.0
+    # (1-x)(q^2 + (1-q^2)x)^{p-1} = (1-x) xi_q'(x) / (p (1-q^2))
     b2 = beta * beta
     q2 = q * q
-
-    def integrand(x: np.ndarray) -> np.ndarray:
-        base = q2 + (1.0 - q2) * x
-        with np.errstate(divide="ignore"):
-            powed = np.exp((p - 1) * np.log(base, where=base > 0,
-                                            out=np.full_like(base, -np.inf)))
-        return (1.0 - x) * powed
-
-    expect = res.cdf.expectation(integrand)
-    return (-b2 * p * q * expect + b2 * p * q ** (p - 1) - q / (1.0 - q2))
+    expect = res.cdf.expectation(lambda x: (1.0 - x) * evaluate(xi_q, x, 1))
+    return (-b2 * q * expect / (1.0 - q2) + b2 * xi_q.p * q ** (xi_q.p - 1)
+            - q / (1.0 - q2))
 
 
 def _longest_increasing_run(values: np.ndarray, noise: float) -> tuple[int, int]:
@@ -201,11 +194,3 @@ def _longest_increasing_run(values: np.ndarray, noise: float) -> tuple[int, int]
             best_start, best_len = start, length
     return best_start, best_len
 
-
-def _check_pq(p, q) -> tuple[int, float]:
-    if int(p) != p or int(p) < 2:
-        raise ValueError(f"p must be an integer >= 2, got {p!r}")
-    q = float(q)
-    if not abs(q) < 1.0:
-        raise ValueError(f"overlap must satisfy |q| < 1, got {q}")
-    return int(p), q

@@ -162,11 +162,10 @@ def reconstruct(lineage: Lineage) -> Disorder:
     return sample_disorder(lineage.n, lineage.p, lineage.seed)
 
 
-def random_configuration(n: int, seed_or_rng) -> Configuration:
-    """Uniform point on the sphere of radius sqrt(n)."""
-    rng = seed_or_rng if isinstance(seed_or_rng, np.random.Generator) \
-        else derived_rng(seed_or_rng)
-    return sphere_project(rng.standard_normal(n))
+def random_configuration(n: int, seed) -> Configuration:
+    """Uniform point on the sphere of radius sqrt(n), drawn from the stream
+    of ``seed``."""
+    return sphere_project(derived_rng(seed).standard_normal(n))
 
 
 def sphere_project(x: np.ndarray) -> Configuration:

@@ -282,7 +282,7 @@ class _CsProblem:
         self._isotonic = isotonic_regression
         self.L = np.diff(grid)
         self.neg_L = -self.L
-        xg = evaluate(xi, np.append(grid, 1.0))  # one Horner pass for xi(1)
+        xg = evaluate(xi, np.append(grid, 1.0))  # one call gives xi(1) too
         self.dxi = np.diff(xg[:-1])
         self.b2 = beta * beta
         self.b2_dxi = self.b2 * self.dxi

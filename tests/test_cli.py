@@ -336,6 +336,12 @@ def test_empty_inputs_rejected(tmp_path, capsys, args, key):
     (["fp", "--q-max", "1.0"], "q_max"),
     (["fp", "--q-min", "-1.5"], "q_min"),
     (["fp", "--p", "1"], "p"),
+    (["parisi", "--p", "1"], "p"),
+    (["parisi", "--band-q", "1.0"], "band_q"),
+    (["phase", "--p-min", "2"], "p_min"),
+    (["phase", "--p-min", "5", "--p-max", "4"], "p_max"),
+    (["shatter-scan", "--p-list", "2"], "p_list"),
+    (["shatter-scan", "--p-list", "128,2"], "p_list"),
 ])
 def test_bad_solver_keys_rejected_before_work(tmp_path, capsys, monkeypatch,
                                               args, key):
@@ -390,9 +396,11 @@ import json, sys
 def scipy_modules():
     return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
 
-from pspinlab import cli
+from pspinlab import cli, mixtures
 out = sys.argv[1]
 steps = [("import", None, scipy_modules())]
+mixtures.evaluate(mixtures.band_mixture(1024, 0.999), [0.0, 0.5, 1.0])
+steps.append(("band mixture", None, scipy_modules()))
 runs = [
     ("phase", ["phase", "--p-max", "3"]),
     ("simulate", ["simulate", "--n", "6", "--n-steps", "20",
@@ -424,7 +432,8 @@ def test_startup_does_not_load_scipy(tmp_path):
     assert proc.returncode == 0, proc.stderr
     steps = {name: (status, loaded) for name, status, loaded
              in json.loads(proc.stdout.splitlines()[-1])}
-    for name in ("import", "phase", "simulate", "help", "config error"):
+    for name in ("import", "band mixture", "phase", "simulate", "help",
+                 "config error"):
         assert steps[name][1] == [], f"{name} loaded scipy"
     assert [steps[name][0] for name in ("phase", "simulate", "help",
                                         "config error")] == [0, 0, 0, 2]

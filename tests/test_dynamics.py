@@ -7,8 +7,7 @@ import pytest
 from pspinlab import lab
 from pspinlab.errors import DivergenceError, MixingWarning, StabilityWarning
 from pspinlab.lab import LangevinConfig
-from pspinlab.lab.disorder import (derived_rng, random_configuration,
-                                   sphere_project)
+from pspinlab.lab.disorder import derived_rng, sphere_project
 from pspinlab.lab.energy import hamiltonian
 from pspinlab.lab.samplers import ReplicaExchange
 
@@ -148,7 +147,7 @@ class _PerRungReplicaExchange:
         ratio = (1.0 / 8.0) ** (1.0 / (n_rungs - 1))
         self.betas = beta * ratio ** np.arange(n_rungs - 1, -1, -1)
         self.rng = derived_rng(seed, "replica-exchange")
-        self.configs = [random_configuration(d.n, self.rng)
+        self.configs = [sphere_project(self.rng.standard_normal(d.n))
                         for _ in range(n_rungs)]
         self.energies = [hamiltonian(d, s) for s in self.configs]
         self.steps = np.full(n_rungs, float(initial_step))
