@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import math
@@ -22,7 +23,7 @@ import sys
 import numpy as np
 
 from . import __version__, franz_parisi, mixtures, parisi, phase
-from .lab import LangevinConfig
+from .lab import LangevinConfig, disorder
 from .lab.observables import chaos_scan, correlation_curve, map_parallel
 from .lab.disorder import sample_disorder
 
@@ -206,9 +207,12 @@ def _fmt(value) -> str:
 # --------------------------
 
 def _comma_list(config: dict, key: str, cast) -> list:
-    """The comma-separated values of ``config[key]``; an empty list, or a
-    non-finite value, is an error that names the key."""
-    values = [cast(s) for s in str(config[key]).split(",") if s]
+    """The comma-separated values of ``config[key]``; none, or one that
+    ``cast`` rejects or that is not finite, is an error naming the key."""
+    try:
+        values = [cast(s) for s in str(config[key]).split(",") if s]
+    except ValueError:
+        values = []
     if not values or not all(math.isfinite(v) for v in values):
         raise ValueError(f"config key {key!r} needs one or more finite "
                          f"comma-separated values, got {config[key]!r}")
@@ -241,6 +245,30 @@ def _check_band(config: dict, *q_keys: str) -> None:
         _check_key(key, mixtures.band_mixture, config["p"], config[key])
 
 
+def _check_tensor(config: dict) -> None:
+    """``disorder._check_budget`` owns the shape rules; ``n`` is checked
+    first, with p = 2, so a bad ``n`` is not reported against ``p``."""
+    _check_key("n", disorder._check_budget, config["n"], 2)
+    _check_key("p", disorder._check_budget, config["n"], config["p"])
+
+
+def _point_rows(fn, config: dict, points: list[dict]) -> list[dict]:
+    """Each point dict as ``fn(config, row)`` fills it in, in order, on
+    ``config["threads"]`` workers; a point that raises keeps the fields
+    filled so far and gets the message in its ``error`` column."""
+    return map_parallel(functools.partial(_point_row, fn, config), points,
+                        config["threads"])
+
+
+def _point_row(fn, config: dict, row: dict) -> dict:
+    row["error"] = ""
+    try:
+        fn(config, row)
+    except Exception as exc:
+        row["error"] = str(exc)
+    return row
+
+
 def _run_command(config: dict) -> tuple[list[dict], int]:
     runner = {
         "phase": _run_phase,
@@ -261,19 +289,14 @@ def _run_phase(config: dict) -> list[dict]:
         raise ValueError(f"config key 'p_max' must be >= p_min "
                          f"{config['p_min']}, got {config['p_max']}")
     _check_key("tol", phase._check_tol, config["tol"])
-    items = [(p, config["tol"]) for p in
-             range(config["p_min"], config["p_max"] + 1)]
-    return map_parallel(_phase_row, items, config["threads"])
+    points = [{"p": p} for p in range(config["p_min"], config["p_max"] + 1)]
+    return _point_rows(_phase_row, config, points)
 
 
-def _phase_row(item) -> dict:
-    p, tol = item
-    try:
-        bc, q = phase.beta_c(p, tol)
-        return {"p": p, "beta_d": phase.beta_d_pure(p), "beta_c": bc,
-                "argmin_q_c": q, "error": ""}
-    except Exception as exc:
-        return {"p": p, "error": str(exc)}
+def _phase_row(config: dict, row: dict) -> None:
+    bc, q = phase.beta_c(row["p"], config["tol"])
+    row.update({"beta_d": phase.beta_d_pure(row["p"]), "beta_c": bc,
+                "argmin_q_c": q})
 
 
 def _run_parisi(config: dict) -> list[dict]:
@@ -295,21 +318,16 @@ def _run_fp(config: dict) -> list[dict]:
     _check_solver_grid(config)
     _check_band(config, "q_min", "q_max")
     qs = np.linspace(config["q_min"], config["q_max"], config["n_q"])
-    items = [(config["p"], config["beta"], float(q),
-              config["m"], config["solver_q_max"]) for q in qs]
-    return map_parallel(_fp_row, items, config["threads"])
+    return _point_rows(_fp_row, config, [{"q": q} for q in qs.tolist()])
 
 
-def _fp_row(item) -> dict:
-    p, beta, q, m, q_max = item
-    try:
-        pt = franz_parisi.fp_value(p, beta, q, (m, q_max))
-        return {"q": q, "value": pt.value, "rs_bound": pt.rs_bound,
+def _fp_row(config: dict, row: dict) -> None:
+    pt = franz_parisi.fp_value(config["p"], config["beta"], row["q"],
+                               (config["m"], config["solver_q_max"]))
+    row.update({"value": pt.value, "rs_bound": pt.rs_bound,
                 "derivative": pt.derivative,
                 "band_free_energy": pt.band_free_energy,
-                "error": "" if pt.converged else "solver did not converge"}
-    except Exception as exc:
-        return {"q": q, "error": str(exc)}
+                "error": "" if pt.converged else "solver did not converge"})
 
 
 def _run_shatter(config: dict) -> list[dict]:
@@ -325,38 +343,31 @@ def _run_shatter(config: dict) -> list[dict]:
     p_list = _comma_list(config, "p_list", int)
     for p in p_list:
         _check_key("p_list", phase._check_p, p)
-    items = []
-    for p in p_list:
-        bc, _ = phase.beta_c(p)
-        for frac in fracs:
-            items.append((p, frac * bc, bc, config["n_q"],
-                          config["n_q_half"], config["m"],
-                          config["solver_q_max"]))
-    return map_parallel(_shatter_row, items, config["threads"])
+    bcs = [phase.beta_c(p)[0] for p in p_list]
+    points = [{"p": p, "beta": frac * bc, "beta_c": bc}
+              for p, bc in zip(p_list, bcs) for frac in fracs]
+    return _point_rows(_shatter_row, config, points)
 
 
-def _shatter_row(item) -> dict:
-    p, beta, bc, n_q, n_q_half, m, q_max = item
-    row = {"p": p, "beta": beta, "beta_c": bc, "error": ""}
-    try:
-        spec = (m, q_max)
-        win = franz_parisi.find_window(
-            p, beta, franz_parisi.window_grid(p, n=n_q), spec)
-        row.update({"q_under": win.q_under, "q_bar": win.q_bar,
-                    "passes_fp": win.passes_fp, "n_points": win.n_points})
-        if p >= franz_parisi.HALF_BAND_MIN_P:
-            hb = franz_parisi.find_window(
-                p, beta, franz_parisi.half_band_grid(p, n=n_q_half), spec)
-            row.update({"hb_q_under": hb.q_under, "hb_q_bar": hb.q_bar,
-                        "hb_window": hb.exists, "hb_n_points": hb.n_points})
-        else:
-            row.update({"hb_window": False, "hb_n_points": 0})
-    except Exception as exc:
-        row["error"] = str(exc)
-    return row
+def _shatter_row(config: dict, row: dict) -> None:
+    p, beta = row["p"], row["beta"]
+    spec = (config["m"], config["solver_q_max"])
+    win = franz_parisi.find_window(
+        p, beta, franz_parisi.window_grid(p, n=config["n_q"]), spec)
+    row.update({"q_under": win.q_under, "q_bar": win.q_bar,
+                "passes_fp": win.passes_fp, "n_points": win.n_points})
+    if p >= franz_parisi.HALF_BAND_MIN_P:
+        hb = franz_parisi.find_window(
+            p, beta, franz_parisi.half_band_grid(p, n=config["n_q_half"]),
+            spec)
+        row.update({"hb_q_under": hb.q_under, "hb_q_bar": hb.q_bar,
+                    "hb_window": hb.exists, "hb_n_points": hb.n_points})
+    else:
+        row.update({"hb_window": False, "hb_n_points": 0})
 
 
 def _run_simulate(config: dict) -> list[dict]:
+    _check_tensor(config)
     valid = {"beta": 0.0, "step": 1.0, "n_steps": 1, "record_every": 1}
     given = {key: config[key] for key in valid}
     for key in valid:  # the first key that fails among valid values is named
@@ -375,6 +386,7 @@ def _run_simulate(config: dict) -> list[dict]:
 
 
 def _run_chaos(config: dict) -> list[dict]:
+    _check_tensor(config)
     eps = _comma_list(config, "epsilons", float)
     return chaos_scan(config["n"], config["p"], config["beta"], eps,
                       config["n_samples"], config["n_disorders"],

@@ -3,8 +3,9 @@
 A disorder is an order-p tensor of i.i.d. standard normals (not
 symmetrized), optionally carrying a rank-one spike beta s^{(x)p}/N^{(p-1)/2}
 or an entrywise correlation (1-eps) G + sqrt(2 eps - eps^2) W with a parent
-disorder. Every constructor records its lineage (seed, spike, correlation
-parent) so that the exact entries can be regenerated bit for bit.
+disorder. Every constructor records its ``Lineage``, one flat record of JSON
+values (seed; spike beta and direction; parent and epsilon), so that the
+exact entries can be regenerated bit for bit, also from its JSON form.
 
 Configurations are plain numpy vectors on the sphere of radius sqrt(N).
 """
@@ -12,18 +13,17 @@ Configurations are plain numpy vectors on the sphere of radius sqrt(N).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from functools import cached_property, reduce
-from typing import Optional
 
 import numpy as np
 
 from ..errors import SizeError
 
-__all__ = ["Configuration", "Disorder", "Lineage", "Spike", "Correlation",
-           "sample_disorder", "plant", "correlate_disorder", "reconstruct",
-           "random_configuration", "sphere_project", "sphere_check",
-           "derived_rng", "derived_seed", "MAX_ENTRIES"]
+__all__ = ["Configuration", "Disorder", "Lineage", "sample_disorder", "plant",
+           "correlate_disorder", "reconstruct", "random_configuration",
+           "sphere_project", "sphere_check", "derived_rng", "derived_seed",
+           "MAX_ENTRIES"]
 
 Configuration = np.ndarray  # coords on S_N = {sigma : sum sigma_i^2 = N}
 
@@ -31,60 +31,29 @@ MAX_ENTRIES = 2 ** 31
 
 
 @dataclass(frozen=True)
-class Spike:
-    beta: float
-    direction: np.ndarray
-
-    def to_json(self) -> dict:
-        return {"beta": self.beta, "direction": list(map(float, self.direction))}
-
-    @classmethod
-    def from_json(cls, d: dict) -> "Spike":
-        return cls(beta=float(d["beta"]),
-                   direction=np.asarray(d["direction"], dtype=float))
-
-
-@dataclass(frozen=True)
-class Correlation:
-    parent: "Lineage"
-    epsilon: float
-    seed: int
-
-    def to_json(self) -> dict:
-        return {"parent": self.parent.to_json(), "epsilon": self.epsilon,
-                "seed": self.seed}
-
-    @classmethod
-    def from_json(cls, d: dict) -> "Correlation":
-        return cls(parent=Lineage.from_json(d["parent"]),
-                   epsilon=float(d["epsilon"]), seed=int(d["seed"]))
-
-
-@dataclass(frozen=True)
 class Lineage:
-    """Everything needed to regenerate a disorder deterministically."""
+    """Everything needed to regenerate a disorder deterministically, as JSON
+    values that compare by value. A spiked disorder sets ``spike_beta`` and
+    ``direction``; a correlated copy sets ``parent`` and ``epsilon``, and
+    its ``seed`` keys the fresh noise W."""
 
     n: int
     p: int
     seed: int
-    spike: Optional[Spike] = None
-    correlation: Optional[Correlation] = None
+    spike_beta: float | None = None
+    direction: tuple[float, ...] | None = None
+    parent: Lineage | None = None
+    epsilon: float | None = None
 
     def to_json(self) -> dict:
-        return {
-            "n": self.n, "p": self.p, "seed": self.seed,
-            "spike": self.spike.to_json() if self.spike else None,
-            "correlation": self.correlation.to_json() if self.correlation else None,
-        }
+        return asdict(self)
 
     @classmethod
-    def from_json(cls, d: dict) -> "Lineage":
-        return cls(
-            n=int(d["n"]), p=int(d["p"]), seed=int(d["seed"]),
-            spike=Spike.from_json(d["spike"]) if d.get("spike") else None,
-            correlation=(Correlation.from_json(d["correlation"])
-                         if d.get("correlation") else None),
-        )
+    def from_json(cls, d: dict) -> Lineage:
+        """The inverse of ``to_json``; an unknown key raises TypeError."""
+        parent, direction = d.get("parent"), d.get("direction")
+        return cls(**{**d, "parent": parent and cls.from_json(parent),
+                      "direction": direction and tuple(direction)})
 
 
 @dataclass(frozen=True)
@@ -131,8 +100,8 @@ def plant(n: int, p: int, beta: float, direction: Configuration,
     sphere_check(direction)
     base = sample_disorder(n, p, seed)
     spike = _rank_one(direction, p) * (beta * float(n) ** (-(p - 1) / 2.0))
-    lineage = Lineage(n=n, p=p, seed=seed,
-                      spike=Spike(beta=float(beta), direction=direction.copy()))
+    lineage = Lineage(n=n, p=p, seed=seed, spike_beta=float(beta),
+                      direction=tuple(direction.tolist()))
     return Disorder(n=n, p=p, entries=spike + base.entries, lineage=lineage)
 
 
@@ -143,22 +112,19 @@ def correlate_disorder(d: Disorder, epsilon: float, seed: int) -> Disorder:
     w = derived_rng(seed).standard_normal(d.entries.shape)
     eta = np.sqrt(2.0 * epsilon - epsilon * epsilon)
     entries = (1.0 - epsilon) * d.entries + eta * w
-    lineage = Lineage(n=d.n, p=d.p, seed=seed,
-                      correlation=Correlation(parent=d.lineage,
-                                              epsilon=float(epsilon),
-                                              seed=int(seed)))
+    lineage = Lineage(n=d.n, p=d.p, seed=int(seed), parent=d.lineage,
+                      epsilon=float(epsilon))
     return Disorder(n=d.n, p=d.p, entries=entries, lineage=lineage)
 
 
 def reconstruct(lineage: Lineage) -> Disorder:
     """Replay a lineage; the entries match the original bit for bit."""
-    if lineage.correlation is not None:
-        parent = reconstruct(lineage.correlation.parent)
-        return correlate_disorder(parent, lineage.correlation.epsilon,
-                                  lineage.correlation.seed)
-    if lineage.spike is not None:
-        return plant(lineage.n, lineage.p, lineage.spike.beta,
-                     lineage.spike.direction, lineage.seed)
+    if lineage.parent is not None:
+        return correlate_disorder(reconstruct(lineage.parent),
+                                  lineage.epsilon, lineage.seed)
+    if lineage.spike_beta is not None:
+        return plant(lineage.n, lineage.p, lineage.spike_beta,
+                     np.array(lineage.direction), lineage.seed)
     return sample_disorder(lineage.n, lineage.p, lineage.seed)
 
 

@@ -309,6 +309,10 @@ def test_non_finite_json_values_rejected(tmp_path, capsys, text, key):
       "--n-q-half", "5"], "n_q_half"),
     (["phase", "--p-max", "3", "--threads", "0"], "threads"),
     (["phase", "--p-max", "3", "--threads", "-2"], "threads"),
+    (["shatter-scan", "--p-list", "2.5", "--beta-fracs", "0.5"], "p_list"),
+    (["shatter-scan", "--p-list", "3", "--beta-fracs", "0.9,x"],
+     "beta_fracs"),
+    (["chaos", "--n", "4", "--epsilons", "a"], "epsilons"),
 ])
 def test_empty_inputs_rejected(tmp_path, capsys, args, key):
     out = tmp_path / "o.csv"
@@ -383,6 +387,32 @@ def test_bad_simulate_keys_rejected_before_disorder(tmp_path, capsys,
     out = tmp_path / "o.csv"
     assert run_cli(["simulate", "--n", "6", flag, value,
                     "--out", str(out)]) == 2
+    assert f"config key {key!r}" in capsys.readouterr().err
+    assert calls == []
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("args, key", [
+    (["simulate", "--n", "0"], "n"),
+    (["simulate", "--p", "1"], "p"),
+    (["simulate", "--n", "64", "--p", "6"], "p"),
+    (["chaos", "--n", "0"], "n"),
+    (["chaos", "--p", "1", "--n", "4"], "p"),
+])
+def test_bad_tensor_keys_rejected_before_work(tmp_path, capsys, monkeypatch,
+                                              args, key):
+    calls = []
+
+    def record(*a, **k):
+        calls.append(a)
+        raise RuntimeError("work started")
+
+    for owner, name in [(cli, "sample_disorder"),
+                        (observables, "sample_disorder"),
+                        (cli.phase, "beta_c")]:
+        monkeypatch.setattr(owner, name, record)
+    out = tmp_path / "o.csv"
+    assert run_cli(args + ["--out", str(out)]) == 2
     assert f"config key {key!r}" in capsys.readouterr().err
     assert calls == []
     assert not out.exists()

@@ -1,4 +1,5 @@
 import itertools
+import json
 import math
 
 import numpy as np
@@ -282,6 +283,25 @@ def test_lineage_json_round_trip():
     blob = chained.lineage.to_json()
     rebuilt = lab.reconstruct(lab.Lineage.from_json(blob))
     np.testing.assert_array_equal(rebuilt.entries, chained.entries)
+
+
+@pytest.mark.parametrize("kind", ["sampled", "planted", "correlated"])
+def test_lineage_json_round_trip_compares_equal(kind):
+    d = lab.sample_disorder(6, 3, seed=3)
+    if kind != "sampled":
+        d = lab.plant(6, 3, 0.8, lab.random_configuration(6, 5), seed=3)
+    if kind == "correlated":
+        d = lab.correlate_disorder(d, 0.25, seed=4)
+    text = json.dumps(d.lineage.to_json())
+    lineage = lab.Lineage.from_json(json.loads(text))
+    assert lineage == d.lineage
+    np.testing.assert_array_equal(lab.reconstruct(lineage).entries, d.entries)
+
+
+def test_lineage_from_json_rejects_unknown_key():
+    blob = lab.sample_disorder(4, 3, seed=0).lineage.to_json()
+    with pytest.raises(TypeError):
+        lab.Lineage.from_json({**blob, "sede": 1})
 
 
 def test_covariance_law_quick():
