@@ -102,7 +102,7 @@ def fp_dbeta(p: int, beta: float, q: float,
     xi_q = band_mixture(p, q)
     solution = minimize_cs(xi_q, beta, grid_spec)
     top = evaluate(xi_q, 1.0)
-    exp_xi = solution.cdf.expectation(lambda t: evaluate(xi_q, t))
+    exp_xi = solution.measure.expectation(lambda t: evaluate(xi_q, t))
     return beta * (top - exp_xi)
 
 
@@ -112,8 +112,9 @@ def find_window(p: int, beta: float, q_grid: np.ndarray,
     strictly increasing run of at least MIN_WINDOW_POINTS consecutive
     points.
 
-    passes_fp is set when the run starts at or above 0.9999. Any per-point
-    solver failure aborts with a ScanError listing the failed points.
+    passes_fp is set when the run starts at or above 0.9999. Every point
+    is solved; if any solve did not converge, a ScanError then lists the
+    failed points and carries all points solved.
     """
     q_grid = np.asarray(q_grid, dtype=float)
     if len(q_grid) < MIN_GRID_POINTS:
@@ -176,7 +177,8 @@ def _envelope_derivative(xi_q: MixtureFn, beta: float, q: float,
     # (1-x)(q^2 + (1-q^2)x)^{p-1} = (1-x) xi_q'(x) / (p (1-q^2))
     b2 = beta * beta
     q2 = q * q
-    expect = res.cdf.expectation(lambda x: (1.0 - x) * evaluate(xi_q, x, 1))
+    expect = res.measure.expectation(
+        lambda x: (1.0 - x) * evaluate(xi_q, x, 1))
     return (-b2 * q * expect / (1.0 - q2) + b2 * xi_q.p * q ** (xi_q.p - 1)
             - q / (1.0 - q2))
 

@@ -8,7 +8,7 @@ The target diffusion is
 reversible for the Gibbs measure ~ exp(beta H). Each Euler step is followed
 by renormalization back to the sphere of radius sqrt(N). The O(h) bias of
 this retraction is accepted and not estimated: no step-halving check exists
-yet (ROADMAP item 7), so compare runs at h and h/2 by hand where it matters.
+yet (ROADMAP item 8), so compare runs at h and h/2 by hand where it matters.
 """
 
 from __future__ import annotations

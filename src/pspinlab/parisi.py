@@ -36,8 +36,8 @@ import numpy as np
 from .errors import FeasibilityError, TruncationWarning
 from .mixtures import MixtureFn, evaluate
 
-__all__ = ["ParisiMeasure", "CdfOnGrid", "MinimizeResult", "cs_functional",
-           "rs_value", "minimize_cs", "make_grid", "DEFAULT_GRID"]
+__all__ = ["ParisiMeasure", "MinimizeResult", "cs_functional", "rs_value",
+           "minimize_cs", "make_grid", "DEFAULT_GRID"]
 
 DEFAULT_GRID = (512, 1.0 - 1e-4)
 MAX_ITER = 20000  # iteration budget of minimize_cs
@@ -79,38 +79,21 @@ class ParisiMeasure:
     def q_hat(self) -> float:
         return float(self.locations[-1])
 
-
-@dataclass(frozen=True)
-class CdfOnGrid:
-    """Nondecreasing CDF values on a grid 0 = g_0 < ... < g_m = q_max < 1."""
-
-    grid: np.ndarray
-    cdf: np.ndarray
-
-    def __post_init__(self):
-        g = np.asarray(self.grid, dtype=float)
-        x = np.asarray(self.cdf, dtype=float)
-        if g.shape != x.shape or g.ndim != 1 or g.size < 2:
-            raise ValueError("grid and cdf must be matching 1-d vectors")
-        if g[0] != 0.0 or not np.all(np.diff(g) > 0) or g[-1] >= 1.0:
-            raise ValueError("grid must be strictly increasing from 0 to q_max < 1")
-        if np.any(np.diff(x) < -1e-12) or x[0] < -1e-12 or x[-1] != 1.0:
-            raise ValueError("cdf must be a monotone chain ending at 1")
-        object.__setattr__(self, "grid", g.copy())
-        object.__setattr__(self, "cdf", np.clip(x, 0.0, 1.0))
-
     def expectation(self, g: Callable) -> float:
-        """Expectation of g under the atomic measure implied by the CDF:
-        the mass at each grid point is the jump of the CDF there."""
-        vals = np.broadcast_to(np.asarray(g(self.grid), dtype=float),
-                               self.grid.shape)
-        return float(np.diff(self.cdf, prepend=0.0) @ vals)
+        """Sum of weight times g(location); a g that returns a scalar
+        broadcasts over the atoms."""
+        vals = np.broadcast_to(np.asarray(g(self.locations), dtype=float),
+                               self.locations.shape)
+        return float(self.weights @ vals)
 
 
 @dataclass(frozen=True)
 class MinimizeResult:
+    """``measure`` has an atom at each grid node where the solved CDF
+    jumps, so an atom's location is resolved only to the solver grid."""
+
     value: float
-    cdf: CdfOnGrid
+    measure: ParisiMeasure
     kkt_residual: float
     converged: bool
     iterations: int
@@ -246,13 +229,15 @@ def minimize_cs(xi: MixtureFn, beta: float,
     if not converged:
         x, fx = best_x, best_f
         kkt = _kkt_residual(prob, x, prob.value_grad(x)[1])
-    cdf = CdfOnGrid(grid, np.concatenate([x, [1.0]]))
-    boundary_mass = 1.0 - x[-1]
+    jumps = np.diff(np.clip(x, 0.0, 1.0), prepend=0.0, append=1.0)
+    atoms = jumps > 0
+    measure = ParisiMeasure(grid[atoms], jumps[atoms])
+    boundary_mass = jumps[-1]  # weight of the atom at q_max, if any
     if boundary_mass > 1e-6:
         warnings.warn("minimizer support reached q_max "
                       f"(boundary mass {boundary_mass:.2e}); increase q_max",
                       TruncationWarning, stacklevel=2)
-    return MinimizeResult(value=float(fx), cdf=cdf, kkt_residual=kkt,
+    return MinimizeResult(value=float(fx), measure=measure, kkt_residual=kkt,
                           converged=converged, iterations=it)
 
 

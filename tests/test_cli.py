@@ -144,14 +144,25 @@ def test_fp_row_error_sets_exit_code(tmp_path, monkeypatch):
 
 
 def test_parisi_command(tmp_path):
-    out = tmp_path / "parisi.csv"
-    assert run_cli(["parisi", "--p", "3", "--beta", "0.8", "--m", "64",
-                    "--out", str(out)]) == 0
-    _, cols, rows = read_csv(out)
-    assert cols == ["t", "cdf", "value", "kkt_residual", "converged"]
+    # one row per atom of the minimizing measure: delta_0 in the replica
+    # symmetric phase, two atoms (1RSB) at beta = 1.5
+    for beta, locations, weights in [("0.8", [0.0], [1.0]),
+                                     ("1.5", [0.0, 0.734], [0.6675, 0.3325])]:
+        out = tmp_path / f"parisi_{beta}.csv"
+        assert run_cli(["parisi", "--p", "3", "--beta", beta, "--m", "64",
+                        "--out", str(out)]) == 0
+        _, cols, rows = read_csv(out)
+        assert cols == ["location", "weight", "value", "kkt_residual",
+                        "converged"]
+        got_loc = [float(r["location"]) for r in rows]
+        got_w = [float(r["weight"]) for r in rows]
+        assert got_loc == pytest.approx(locations, abs=1e-3)
+        assert got_w == pytest.approx(weights, abs=1e-4)
+        assert sum(got_w) == pytest.approx(1.0, abs=1e-12)
+        assert all(r["converged"] == "true" for r in rows)
+    _, _, rows = read_csv(tmp_path / "parisi_0.8.csv")
+    assert [(r["location"], r["weight"]) for r in rows] == [("0.0", "1.0")]
     assert float(rows[0]["value"]) == pytest.approx(0.32, abs=1e-5)
-    assert rows[0]["converged"] == "true"
-    assert all(float(r["cdf"]) == pytest.approx(1.0, abs=1e-8) for r in rows)
 
 
 def test_chaos_command(tmp_path):
@@ -479,6 +490,28 @@ def test_out_in_missing_directory_rejected(tmp_path, capsys):
     assert run_cli(["fp", "--n-q", "2", "--m", "64", "--out", str(out)]) == 2
     assert "'out'" in capsys.readouterr().err
     assert not out.parent.exists()
+
+
+@pytest.mark.parametrize("use_config", [False, True])
+def test_empty_out_rejected_before_work(tmp_path, capsys, monkeypatch,
+                                        use_config):
+    calls = []
+
+    def record(*a, **k):
+        calls.append(a)
+        raise RuntimeError("work started")
+
+    monkeypatch.setattr(cli, "map_parallel", record)
+    args = ["phase", "--p-max", "3"]
+    if use_config:
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"out": ""}))
+        args += ["--config", str(cfg)]
+    else:
+        args += ["--out", ""]
+    assert run_cli(args) == 2
+    assert "config key 'out'" in capsys.readouterr().err
+    assert calls == []
 
 
 def test_export_lists_resolve():

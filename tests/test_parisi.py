@@ -5,7 +5,7 @@ from pspinlab import parisi
 from pspinlab.errors import TruncationWarning
 from pspinlab.franz_parisi import half_band_grid, window_grid
 from pspinlab.mixtures import band_mixture, evaluate, pure
-from pspinlab.parisi import (CdfOnGrid, ParisiMeasure, cs_functional,
+from pspinlab.parisi import (DEFAULT_GRID, ParisiMeasure, cs_functional,
                              make_grid, minimize_cs, rs_value)
 from pspinlab.phase import beta_c
 
@@ -254,7 +254,9 @@ def test_minimize_rs_phase():
     res = minimize_cs(pure(3), 0.8, (512, 0.995))
     assert res.converged
     assert res.value == pytest.approx(0.32, abs=1e-6)
-    assert np.all(res.cdf.cdf > 1.0 - 1e-8)  # minimizer is delta_0
+    # minimizer is delta_0
+    assert res.measure.locations[0] == 0.0
+    assert res.measure.weights[0] > 1.0 - 1e-8
 
 
 def test_minimize_dominated_by_single_atoms():
@@ -305,25 +307,41 @@ def test_minimize_grid_refinement():
 
 
 def test_minimizer_expectation_cases():
-    grid = make_grid(64, 0.99)
-    ones = CdfOnGrid(grid, np.ones_like(grid))
-    assert ones.expectation(lambda t: np.ones_like(t)) \
+    delta0 = ParisiMeasure.dirac(0.0)
+    assert delta0.expectation(lambda t: np.ones_like(t)) \
         == pytest.approx(1.0, abs=1e-15)
-    assert ones.expectation(lambda t: 1.0) \
+    assert delta0.expectation(lambda t: 1.0) \
         == pytest.approx(1.0, abs=1e-15)  # scalar-returning g
-    assert ones.expectation(lambda t: t * 7.0 + 2.0) \
+    assert delta0.expectation(lambda t: t * 7.0 + 2.0) \
         == pytest.approx(2.0, abs=1e-15)  # delta_0: g(0)
-    # single atom at a grid point
-    j = 40
-    x = np.where(np.arange(len(grid)) >= j, 1.0, 0.0)
-    atom = CdfOnGrid(grid, x)
-    assert atom.expectation(lambda t: t) \
-        == pytest.approx(grid[j], abs=1e-15)
+    # single atom at a grid node
+    node = float(make_grid(64, 0.99)[40])
+    assert ParisiMeasure.dirac(node).expectation(lambda t: t) \
+        == pytest.approx(node, abs=1e-15)
+    two = ParisiMeasure([0.2, 0.6], [0.25, 0.75])
+    assert two.expectation(lambda t: t) == pytest.approx(0.5, abs=1e-15)
+
+
+@pytest.mark.parametrize("xi, beta", [
+    (pure(3), 0.8),
+    (pure(3), 1.5),
+    (band_mixture(128, 0.9901), 2.45299),  # 1RSB-like window point
+])
+def test_minimizer_measure_reproduces_value(xi, beta):
+    # the returned atoms, fed back through the closed form, give the
+    # solver's value: nothing of the grid solution is lost in the measure
+    q_max = DEFAULT_GRID[1]
+    res = minimize_cs(xi, beta)
+    assert res.converged
+    assert res.measure.weights.sum() == pytest.approx(1.0, abs=1e-12)
+    assert cs_functional(res.measure, xi, beta, q_top=q_max) \
+        == pytest.approx(res.value, abs=1e-12)
 
 
 def test_truncation_warning_when_q_max_too_small():
     with pytest.warns(TruncationWarning):
-        minimize_cs(pure(3), 1.5, (64, 0.5))
+        res = minimize_cs(pure(3), 1.5, (64, 0.5))
+    assert res.measure.q_hat == 0.5  # the warned-of atom at q_max
 
 
 def test_corrupted_measure_trips_feasibility_guard():
@@ -344,18 +362,6 @@ def test_measure_validation():
         ParisiMeasure([0.5], [0.9])  # mass != 1
     with pytest.raises(ValueError):
         ParisiMeasure([0.2, 0.5], [1.2, -0.2])  # negative weight
-
-
-def test_cdf_validation():
-    grid = make_grid(16, 0.9)
-    with pytest.raises(ValueError):
-        CdfOnGrid(grid, np.linspace(1.0, 0.0, len(grid)))  # decreasing
-    with pytest.raises(ValueError):
-        CdfOnGrid(grid, np.full(len(grid), 0.5))  # does not end at 1
-    bad_grid = grid.copy()
-    bad_grid[0] = 0.1
-    with pytest.raises(ValueError):
-        CdfOnGrid(bad_grid, np.ones(len(grid)))  # grid must start at 0
 
 
 def test_make_grid_shape():
