@@ -430,7 +430,8 @@ def test_bad_tensor_keys_rejected_before_work(tmp_path, capsys, monkeypatch,
 
 
 # runs in a fresh interpreter, since this test process has scipy loaded;
-# prints one [step, exit status, scipy modules loaded] triple per step
+# prints one [step, exit status, scipy modules loaded so far] triple per
+# step
 STARTUP_SCRIPT = r"""
 import json, sys
 
@@ -448,10 +449,16 @@ runs = [
                   "--record-every", "10", "--n-traj", "2"]),
     ("help", ["--help"]),
     ("config error", ["fp", "--m", "8"]),
-    ("parisi", ["parisi", "--m", "64"]),
     ("chaos", ["chaos", "--n", "4", "--beta", "1.5", "--epsilons", "0,1",
                "--n-samples", "2", "--n-disorders", "2", "--burn-in", "10",
                "--thin", "1"]),
+    # inside (beta_d, beta_c) at p = 3, so the run computes beta_c
+    ("chaos in the window", ["chaos", "--n", "4", "--p", "3", "--beta",
+                             "1.18", "--epsilons", "0,1", "--n-samples", "8",
+                             "--n-disorders", "1", "--burn-in", "10",
+                             "--thin", "1"]),
+    # last, since each step lists every scipy module loaded before it ends
+    ("parisi", ["parisi", "--m", "64"]),
 ]
 for name, argv in runs:
     try:
@@ -474,15 +481,14 @@ def test_startup_does_not_load_scipy(tmp_path):
     steps = {name: (status, loaded) for name, status, loaded
              in json.loads(proc.stdout.splitlines()[-1])}
     for name in ("import", "band mixture", "phase", "simulate", "help",
-                 "config error"):
+                 "config error", "chaos", "chaos in the window"):
         assert steps[name][1] == [], f"{name} loaded scipy"
-    assert [steps[name][0] for name in ("phase", "simulate", "help",
-                                        "config error")] == [0, 0, 0, 2]
-    # the commands that need scipy load it on first use
+    assert [steps[name][0] for name in (
+        "phase", "simulate", "help", "config error", "chaos",
+        "chaos in the window")] == [0, 0, 0, 2, 0, 0]
+    # the solver commands load scipy on first use
     status, loaded = steps["parisi"]
     assert status == 0 and "scipy.optimize" in loaded
-    status, loaded = steps["chaos"]
-    assert status == 0 and "scipy.spatial.distance" in loaded
 
 
 def test_out_in_missing_directory_rejected(tmp_path, capsys):

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from pspinlab import lab
+from pspinlab.lab import observables
 from pspinlab.errors import SizeError
 
 
@@ -324,15 +325,65 @@ def test_covariance_law_quick():
 def test_w2_basics():
     a = [lab.random_configuration(8, i) for i in range(12)]
     assert lab.w2_empirical(a, list(a)) == 0.0
+    assert lab.w2_empirical(a, a[::-1]) == 0.0
     assert lab.w2_empirical([a[0]], [-a[0]]) == pytest.approx(2.0, abs=1e-12)
     b = [lab.random_configuration(8, 100 + i) for i in range(12)]
     assert lab.w2_empirical(a, b) == pytest.approx(lab.w2_empirical(b, a),
                                                    abs=1e-12)
     with pytest.raises(ValueError):
         lab.w2_empirical(a, b[:-1])
+    with pytest.raises(ValueError):
+        lab.w2_empirical(np.empty((0, 8)), np.empty((0, 8)))
     big = [np.ones(4)] * 1025
     with pytest.raises(ValueError):
         lab.w2_empirical(big, big)
+
+
+def brute_force_min_cost(cost):
+    m = len(cost)
+    perms = np.array(list(itertools.permutations(range(m))))
+    return cost[np.arange(m), perms].sum(axis=1).min()
+
+
+@pytest.mark.parametrize("kind", ["random", "integer ties", "constant"])
+def test_assignment_matches_brute_force(kind):
+    rng = np.random.default_rng(17)
+    for m in range(1, 7):
+        for _ in range(20):
+            cost = {"random": rng.random((m, m)),
+                    "integer ties": rng.integers(0, 3, (m, m)).astype(float),
+                    "constant": np.full((m, m), 2.5)}[kind]
+            cols = observables._assignment(cost)
+            assert sorted(cols.tolist()) == list(range(m))
+            got = cost[np.arange(m), cols].sum()
+            assert got == pytest.approx(brute_force_min_cost(cost), rel=1e-12)
+
+
+@pytest.mark.parametrize("m", [1, 2, 16, 64, 257])
+def test_w2_matches_scipy_reference(m):
+    # scipy's cdist and linear_sum_assignment, the path the numpy solver
+    # replaced, kept here as the reference
+    from scipy.optimize import linear_sum_assignment
+    from scipy.spatial.distance import cdist
+    n = 16
+    a = np.array([lab.random_configuration(n, i) for i in range(m)])
+    b = np.array([lab.random_configuration(n, 10_000 + i) for i in range(m)])
+    cost = cdist(a, b, "sqeuclidean") / n
+    rows, want = linear_sum_assignment(cost)
+    # random sphere points have a unique optimal matching
+    np.testing.assert_array_equal(observables._assignment(cost), want)
+    assert lab.w2_empirical(a, b) == pytest.approx(
+        math.sqrt(cost[rows, want].mean()), rel=1e-12)
+
+
+@pytest.mark.parametrize("side", [0, 1])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 1e200])
+def test_w2_rejects_non_finite_costs(bad, side):
+    pair = [[lab.random_configuration(8, 10 * s + i) for i in range(4)]
+            for s in range(2)]
+    pair[side][2][3] = bad
+    with pytest.raises(ValueError):
+        lab.w2_empirical(*pair)
 
 
 def test_configuration_helpers():
