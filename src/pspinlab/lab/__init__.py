@@ -6,7 +6,7 @@ from .disorder import (Configuration, Disorder, Lineage, correlate_disorder,
 from .energy import gradient, hamiltonian, spherical_gradient
 from .langevin import LangevinConfig, langevin_run
 from .samplers import ReplicaExchange, equilibrium_sample
-from .observables import chaos_one_disorder, correlation_curve, w2_empirical
+from .observables import correlation_curve, w2_empirical
 
 __all__ = [
     "Configuration", "Disorder", "Lineage",
@@ -15,5 +15,5 @@ __all__ = [
     "hamiltonian", "gradient", "spherical_gradient",
     "LangevinConfig", "langevin_run",
     "ReplicaExchange", "equilibrium_sample",
-    "chaos_one_disorder", "correlation_curve", "w2_empirical",
+    "correlation_curve", "w2_empirical",
 ]

@@ -1,7 +1,9 @@
-"""Correlation functions, the overlap/transport chaos estimator, W2 distance."""
+"""Correlation functions, W2 distance, and ``chaos_scan``, the one
+overlap/transport chaos estimator."""
 
 from __future__ import annotations
 
+import functools
 import warnings
 from dataclasses import replace
 
@@ -11,10 +13,9 @@ from .. import phase
 from .disorder import (Configuration, Disorder, correlate_disorder,
                        derived_seed, sample_disorder)
 from .langevin import LangevinConfig, langevin_run
-from .samplers import ReplicaExchange, equilibrium_sample
+from .samplers import ReplicaExchange, _check_beta, equilibrium_sample
 
-__all__ = ["correlation_curve", "chaos_one_disorder", "w2_empirical",
-           "chaos_scan"]
+__all__ = ["correlation_curve", "w2_empirical", "chaos_scan"]
 
 W2_MAX_POINTS = 1024  # one W2 call at this size takes about 0.33 s at N = 16
 
@@ -28,16 +29,15 @@ def correlation_curve(d: Disorder, cfg: LangevinConfig,
     dynamics. Trajectories are independent and run on ``threads`` workers."""
     if n_trajectories < 1:
         raise ValueError("need at least one trajectory")
-    items = [(d, cfg, seed, i) for i in range(n_trajectories)]
-    results = map_parallel(_one_trajectory, items, threads)
+    results = map_parallel(functools.partial(_one_trajectory, d, cfg, seed),
+                           range(n_trajectories), threads)
     times = results[0][0]
     mean, stderr = _mean_stderr(
         np.asarray([overlaps for _, overlaps in results]))
     return list(zip(times, mean.tolist(), stderr.tolist()))
 
 
-def _one_trajectory(item):
-    d, cfg, seed, i = item
+def _one_trajectory(d: Disorder, cfg: LangevinConfig, seed: int, i: int):
     sigma0, _ = equilibrium_sample(d, cfg.beta, seed=derived_seed(seed, i, 0))
     traj = langevin_run(d, sigma0, replace(cfg, seed=derived_seed(seed, i, 1)))
     times = [t for t, _ in traj]
@@ -140,16 +140,25 @@ def _assignment(cost: np.ndarray) -> np.ndarray:
 def chaos_scan(n: int, p: int, beta: float, epsilons, n_samples: int,
                n_disorders: int, seed: int = 0, burn_in: int = 300,
                thin: int = 15, threads: int = 1) -> list[dict]:
-    """``chaos_one_disorder`` per epsilon, averaged over fresh disorders
-    with standard errors. Disorder j is drawn from the key (seed, j, "d")
-    and estimated under the key (seed, j). Disorders run on ``threads``
-    workers; the inputs are checked, and the static-boundary warning
-    given, once for the whole scan."""
+    """Overlap and transport chaos at each epsilon, ascending, as means
+    over fresh disorders with standard errors. Per disorder, ``overlap_sq``
+    is the mean of (<sigma, sigma'>/N)^2 over paired draws sigma ~
+    Gibbs(G), sigma' ~ Gibbs(G^eps), and ``w2`` the W2 distance between
+    the two draw sets. The draws of G are shared across epsilons, so the
+    epsilon = 0 ``w2`` is the sampling floor of the estimate, the distance
+    between two independent draw sets of one measure (1.07 +- 0.07 at the
+    ``chaos`` defaults); W2 chaos is the rise above it.
+
+    Disorder j is drawn from the key (seed, j, "d") and its chains run
+    under keys derived from (seed, j), on ``threads`` workers. Every input
+    is checked before the first draw, an error naming the ``chaos`` config
+    key (the argument of the same name) at fault, and the static-boundary
+    warning is given once per scan."""
     eps = sorted(_check_chaos(p, beta, epsilons, n_samples, burn_in, thin,
                               n_disorders))
-    items = [(n, p, beta, eps, n_samples, seed, j, burn_in, thin)
-             for j in range(n_disorders)]
-    per_disorder = map_parallel(_one_disorder, items, threads)
+    per_disorder = map_parallel(
+        functools.partial(_one_disorder, n, p, beta, eps, n_samples, seed,
+                          burn_in, thin), range(n_disorders), threads)
     rows = []
     for i, e in enumerate(eps):
         ovl, ovl_err = _mean_stderr(np.asarray([r[i][0] for r in per_disorder]))
@@ -170,46 +179,23 @@ def _mean_stderr(arr: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return mean, stderr
 
 
-def chaos_one_disorder(d: Disorder, beta: float, epsilons, n_samples: int,
-                       key: tuple, burn_in: int = 300,
-                       thin: int = 15) -> list[tuple[float, float]]:
-    """(overlap_sq, w2) for each epsilon, in the given order: the mean of
-    (<sigma, sigma'>/N)^2 over paired draws sigma ~ Gibbs(G), sigma' ~
-    Gibbs(G^eps), and the W2 distance between the two draw sets. The
-    unperturbed draws are shared across epsilons, so epsilon = 0 gives the
-    independent-samples baseline of the same measure. Its w2 is the
-    sampling floor of the empirical estimate, the distance between two
-    independent draw sets of one measure (1.07 +- 0.07 at the ``chaos``
-    defaults), so W2 chaos is the rise above it, not the value itself.
-    Every random stream is derived from the tuple ``key``; inputs are
-    checked before any sampling."""
-    eps = _check_chaos(d.p, beta, epsilons, n_samples, burn_in, thin)
-    return _chaos_estimates(d, beta, eps, n_samples, key, burn_in, thin)
-
-
-def _chaos_estimates(d: Disorder, beta: float, eps: list[float],
-                     n_samples: int, key: tuple, burn_in: int,
-                     thin: int) -> list[tuple[float, float]]:
-    """``chaos_one_disorder`` on inputs that ``_check_chaos`` has passed."""
-    base = ReplicaExchange(d, beta, seed=derived_seed(*key, 0)).sample(
+def _one_disorder(n: int, p: int, beta: float, eps: list[float],
+                  n_samples: int, seed: int, burn_in: int, thin: int,
+                  j: int) -> list[tuple[float, float]]:
+    """(overlap_sq, w2) of disorder j for each epsilon in ``eps``."""
+    d = sample_disorder(n, p, seed=derived_seed(seed, j, "d"))
+    base = ReplicaExchange(d, beta, seed=derived_seed(seed, j, 0)).sample(
         n_samples, burn_in=burn_in, thin=thin)
     out = []
     for e in eps:
-        d_eps = correlate_disorder(d, e,
-                                   seed=derived_seed(*key, "eps", _eps_key(e)))
+        d_eps = correlate_disorder(
+            d, e, seed=derived_seed(seed, j, "eps", _eps_key(e)))
         other = ReplicaExchange(
-            d_eps, beta, seed=derived_seed(*key, 1, _eps_key(e))).sample(
+            d_eps, beta, seed=derived_seed(seed, j, 1, _eps_key(e))).sample(
             n_samples, burn_in=burn_in, thin=thin)
-        sq = [(float(x @ y) / d.n) ** 2 for x, y in zip(base, other)]
+        sq = [(float(x @ y) / n) ** 2 for x, y in zip(base, other)]
         out.append((float(np.mean(sq)), w2_empirical(base, other)))
     return out
-
-
-def _one_disorder(item):
-    n, p, beta, eps, n_samples, seed, j, burn_in, thin = item
-    d = sample_disorder(n, p, seed=derived_seed(seed, j, "d"))
-    return _chaos_estimates(d, beta, eps, n_samples, (seed, j), burn_in,
-                            thin)
 
 
 def _eps_key(e: float) -> int:
@@ -218,22 +204,28 @@ def _eps_key(e: float) -> int:
 
 
 def _check_chaos(p: int, beta: float, epsilons, n_samples: int,
-                 burn_in: int, thin: int, n_disorders: int = 1) -> list[float]:
+                 burn_in: int, thin: int, n_disorders: int) -> list[float]:
     """The epsilons as floats, once every chaos input is valid; warns when
     beta is at or beyond the static boundary."""
-    if (n_disorders < 1 or not 1 <= n_samples <= W2_MAX_POINTS or thin < 1
-            or burn_in < 0):
-        raise ValueError(
-            f"need n_disorders >= 1, 1 <= n_samples <= {W2_MAX_POINTS}, "
-            f"thin >= 1 and burn_in >= 0, got n_disorders={n_disorders}, "
-            f"n_samples={n_samples}, thin={thin}, burn_in={burn_in}")
+    try:
+        _check_beta(beta)
+    except ValueError as exc:
+        raise ValueError(f"config key 'beta': {exc}") from None
+    if not 1 <= n_samples <= W2_MAX_POINTS:
+        raise ValueError(f"config key 'n_samples' must be in "
+                         f"[1, {W2_MAX_POINTS}], got {n_samples}")
+    for key, value, low in (("n_disorders", n_disorders, 1),
+                            ("thin", thin, 1), ("burn_in", burn_in, 0)):
+        if value < low:
+            raise ValueError(f"config key {key!r} must be >= {low}, "
+                             f"got {value}")
     eps = [float(e) for e in epsilons]
     if not eps or not all(0.0 <= e <= 1.0 for e in eps):
-        raise ValueError(f"need at least one epsilon, each in [0, 1], "
-                         f"got epsilons={eps}")
+        raise ValueError(f"config key 'epsilons' needs at least one "
+                         f"epsilon, each in [0, 1], got {eps}")
     if len({_eps_key(e) for e in eps}) < len(eps):
-        raise ValueError(f"each epsilon needs its own seed key "
-                         f"int(epsilon * 1e9), got epsilons={eps}")
+        raise ValueError(f"config key 'epsilons' needs a seed key "
+                         f"int(epsilon * 1e9) for each epsilon, got {eps}")
     _warn_if_low_temperature(p, beta)
     return eps
 

@@ -38,6 +38,11 @@ _GROW = math.exp(0.1 * (1.0 - TARGET_ACCEPT))
 _SHRINK = math.exp(-0.1 * TARGET_ACCEPT)
 
 
+def _check_beta(beta: float) -> None:
+    if not beta >= 0:  # NaN fails this test too
+        raise ValueError(f"beta must be >= 0, got {beta}")
+
+
 class ReplicaExchange:
     """Parallel tempering on the sphere with a geometric temperature ladder.
 
@@ -45,8 +50,7 @@ class ReplicaExchange:
     matching H values."""
 
     def __init__(self, d: Disorder, beta: float, seed: int = 0):
-        if not beta >= 0:  # NaN fails this test too
-            raise ValueError(f"beta must be >= 0, got {beta}")
+        _check_beta(beta)
         self.d = d
         self.beta = float(beta)
         ratio = (1.0 / 8.0) ** (1.0 / (N_RUNGS - 1))

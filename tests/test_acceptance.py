@@ -378,14 +378,9 @@ def test_criterion_09_chaos_trends():
     # overlap chaos shrinks with n at fixed (p, beta, eps)
     means = {}
     for n in (8, 16, 24):
-        vals = []
-        for j in range(32):
-            d = lab.sample_disorder(n, 3, seed=7000 + j)
-            [(m, _)] = lab.chaos_one_disorder(
-                d, 0.5, [0.5], n_samples=12, key=(7100 + j,),
-                burn_in=250, thin=20)
-            vals.append(m)
-        means[n] = float(np.mean(vals))
+        [row] = chaos_scan(n, 3, 0.5, [0.5], n_samples=12, n_disorders=32,
+                           seed=7000, burn_in=250, thin=20)
+        means[n] = row["overlap_sq"]
     assert means[8] > means[16] > means[24]
 
     # transport distance is non-decreasing in eps (3 SE slack per step,

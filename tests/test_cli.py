@@ -4,6 +4,7 @@ import os
 import pkgutil
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -189,7 +190,27 @@ def test_chaos_rejects_bad_run_lengths(tmp_path, capsys, flag, value):
                     "--n-samples", "3", "--n-disorders", "2",
                     "--burn-in", "40", "--thin", "3", flag, value,
                     "--out", str(out)]) == 2
-    assert flag.lstrip("-").replace("-", "_") in capsys.readouterr().err
+    key = flag.lstrip("-").replace("-", "_")
+    assert f"config key {key!r}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_chaos_rejects_negative_beta_before_drawing(tmp_path, capsys,
+                                                    monkeypatch):
+    drawn = []
+
+    def no_draw(*args, **kwargs):
+        drawn.append(args)
+        raise RuntimeError("drew a disorder")
+
+    monkeypatch.setattr(observables, "sample_disorder", no_draw)
+    out = tmp_path / "chaos.csv"
+    assert run_cli(["chaos", "--n", "6", "--beta", "-1", "--epsilons", "0,1",
+                    "--n-samples", "3", "--n-disorders", "2",
+                    "--burn-in", "40", "--thin", "3",
+                    "--out", str(out)]) == 2
+    assert "config key 'beta'" in capsys.readouterr().err
+    assert not drawn
     assert not out.exists()
 
 
@@ -198,8 +219,8 @@ def test_chaos_rejects_bad_run_lengths(tmp_path, capsys, flag, value):
 def test_chaos_rejects_bad_epsilons(tmp_path, capsys, monkeypatch, epsilons):
     sampled = []
 
-    def no_sampling(item):
-        sampled.append(item)
+    def no_sampling(*args):
+        sampled.append(args)
         raise RuntimeError("stop")
 
     monkeypatch.setattr(observables, "_one_disorder", no_sampling)
@@ -208,7 +229,7 @@ def test_chaos_rejects_bad_epsilons(tmp_path, capsys, monkeypatch, epsilons):
                     "--n-samples", "3", "--n-disorders", "2",
                     "--burn-in", "40", "--thin", "3",
                     "--out", str(out)]) == 2
-    assert "epsilon" in capsys.readouterr().err
+    assert "config key 'epsilons'" in capsys.readouterr().err
     assert not sampled
     assert not out.exists()
 
@@ -271,6 +292,27 @@ def test_warnings_do_not_change_exit_status(tmp_path, recwarn, args, text):
     out = tmp_path / "o.csv"
     assert run_cli(args + ["--out", str(out)]) == 0
     assert any(text in str(w.message) for w in recwarn.list)
+
+
+def test_chaos_command_checks_and_warns_once(tmp_path, monkeypatch):
+    # one static-boundary check, so one beta_c minimization and one
+    # warning, however many disorders the run draws
+    calls = []
+    beta_c = cli.phase.beta_c
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return beta_c(*args, **kwargs)
+
+    monkeypatch.setattr(cli.phase, "beta_c", counted)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert run_cli(["chaos", "--n", "4", "--beta", "1.5",
+                        "--epsilons", "0,1", "--n-samples", "2",
+                        "--n-disorders", "3", "--burn-in", "10",
+                        "--thin", "1", "--out", str(tmp_path / "o.csv")]) == 0
+    assert len(calls) == 1
+    assert sum("static boundary" in str(w.message) for w in caught) == 1
 
 
 def test_stdout_output(capsys):

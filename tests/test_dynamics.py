@@ -9,6 +9,7 @@ from pspinlab.errors import DivergenceError, MixingWarning, StabilityWarning
 from pspinlab.lab import LangevinConfig
 from pspinlab.lab.disorder import derived_rng, sphere_project
 from pspinlab.lab.energy import hamiltonian
+from pspinlab.lab.observables import chaos_scan
 from pspinlab.lab.samplers import ReplicaExchange
 
 
@@ -242,9 +243,9 @@ def test_correlation_curve_shape():
 
 
 def test_chaos_config_invariants():
+    chaos_scan(6, 3, 0.5, [0.3], n_samples=4, n_disorders=1, seed=1,
+               burn_in=20, thin=2)
     d = lab.sample_disorder(6, 3, seed=1)
-    lab.chaos_one_disorder(d, 0.5, [0.3], n_samples=4, key=(0,),
-                           burn_in=20, thin=2)
     # the eta = sqrt(2 eps - eps^2) mixing weight lives in correlate_disorder
     eps = 0.3
     mixed = lab.correlate_disorder(d, eps, seed=2)
@@ -252,26 +253,18 @@ def test_chaos_config_invariants():
     np.testing.assert_array_equal(
         mixed.entries,
         (1.0 - eps) * d.entries + np.sqrt(2.0 * eps - eps * eps) * w)
-    with pytest.raises(ValueError):
-        lab.chaos_one_disorder(d, 0.5, [1.5], n_samples=4, key=(0,),
-                               burn_in=20, thin=2)
-    with pytest.raises(ValueError):
-        lab.chaos_one_disorder(d, 0.5, [0.5], n_samples=0, key=(0,),
-                               burn_in=20, thin=2)
-
-
-def test_overlap_chaos_warns_beyond_static_boundary():
-    d = lab.sample_disorder(6, 3, seed=50)
-    with pytest.warns(UserWarning, match="static boundary"):
-        lab.chaos_one_disorder(d, 1.5, [0.5], n_samples=2, key=(0,),
-                               burn_in=20, thin=2)
+    with pytest.raises(ValueError, match="'epsilons'"):
+        chaos_scan(6, 3, 0.5, [1.5], n_samples=4, n_disorders=1, seed=1,
+                   burn_in=20, thin=2)
+    with pytest.raises(ValueError, match="'n_samples'"):
+        chaos_scan(6, 3, 0.5, [0.5], n_samples=0, n_disorders=1, seed=1,
+                   burn_in=20, thin=2)
 
 
 def test_chaos_scan_checks_and_warns_once(monkeypatch):
     # the static-boundary check needs beta_c(p), a minimization: one per
     # scan, not one more per disorder
     from pspinlab import phase
-    from pspinlab.lab.observables import chaos_scan
 
     calls = []
     beta_c = phase.beta_c
@@ -291,11 +284,10 @@ def test_chaos_scan_checks_and_warns_once(monkeypatch):
 
 
 def test_overlap_chaos_bounds():
-    d = lab.sample_disorder(8, 3, seed=33)
-    [(val, w2)] = lab.chaos_one_disorder(d, 0.5, [0.5], n_samples=6,
-                                         key=(0,), burn_in=60, thin=5)
-    assert 0.0 <= val <= 1.0
-    assert w2 >= 0.0
+    [row] = chaos_scan(8, 3, 0.5, [0.5], n_samples=6, n_disorders=1,
+                       seed=33, burn_in=60, thin=5)
+    assert 0.0 <= row["overlap_sq"] <= 1.0
+    assert row["w2"] >= 0.0
 
 
 def test_overlap_chaos_eps_zero_is_two_replica_statistic():
@@ -303,14 +295,9 @@ def test_overlap_chaos_eps_zero_is_two_replica_statistic():
     # plain two-replica overlap of one Gibbs measure, which shrinks with n
     means = {}
     for n in (8, 16):
-        vals = []
-        for j in range(12):
-            d = lab.sample_disorder(n, 3, seed=600 + j)
-            [(m, _)] = lab.chaos_one_disorder(
-                d, 0.5, [0.0], n_samples=8, key=(660 + j,),
-                burn_in=150, thin=15)
-            vals.append(m)
-        means[n] = float(np.mean(vals))
+        [row] = chaos_scan(n, 3, 0.5, [0.0], n_samples=8, n_disorders=12,
+                           seed=600, burn_in=150, thin=15)
+        means[n] = row["overlap_sq"]
     assert means[8] > means[16]
 
 
