@@ -31,7 +31,7 @@ from .lab.disorder import sample_disorder
 COMMON = {"seed": 0, "out": None, "threads": 1}
 
 DEFAULTS = {
-    "phase": {"p_min": 3, "p_max": 10, "tol": 1e-10},
+    "phase": {"p_min": 3, "p_max": 10},
     "parisi": {"p": 3, "band_q": 0.0, "beta": 1.0,
                "m": parisi.DEFAULT_GRID[0],
                "solver_q_max": parisi.DEFAULT_GRID[1]},
@@ -290,13 +290,12 @@ def _run_phase(config: dict) -> list[dict]:
     if config["p_max"] < config["p_min"]:
         raise ValueError(f"config key 'p_max' must be >= p_min "
                          f"{config['p_min']}, got {config['p_max']}")
-    _check_key("tol", phase._check_tol, config["tol"])
     points = [{"p": p} for p in range(config["p_min"], config["p_max"] + 1)]
     return _point_rows(_phase_row, config, points)
 
 
 def _phase_row(config: dict, row: dict) -> None:
-    bc, q = phase.beta_c(row["p"], config["tol"])
+    bc, q = phase.beta_c(row["p"])
     row.update({"beta_d": phase.beta_d_pure(row["p"]), "beta_c": bc,
                 "argmin_q_c": q})
 
@@ -376,14 +375,8 @@ def _shatter_row(config: dict, row: dict) -> None:
 
 def _run_simulate(config: dict) -> list[dict]:
     _check_tensor(config)
-    valid = {"beta": 0.0, "step": 1.0, "n_steps": 1, "record_every": 1}
-    given = {key: config[key] for key in valid}
-    for key in valid:  # the first key that fails among valid values is named
-        try:
-            LangevinConfig(**{**valid, key: given[key]})
-        except ValueError:
-            _check_key(key, lambda: LangevinConfig(**given))
-    cfg = LangevinConfig(**given)
+    cfg = LangevinConfig(config["beta"], config["step"], config["n_steps"],
+                         config["record_every"])
     if config["n_traj"] < 1:
         raise ValueError(f"config key 'n_traj' must be >= 1, "
                          f"got {config['n_traj']}")

@@ -15,13 +15,6 @@ class SolverError(RuntimeError):
         self.best = best
 
 
-class FeasibilityError(ValueError):
-    """A functional evaluation hit an infeasible intermediate (phi <= 0).
-
-    Cannot occur for valid probability measures; guards corrupted input.
-    """
-
-
 class SizeError(ValueError):
     """Requested tensor exceeds the entry budget."""
 

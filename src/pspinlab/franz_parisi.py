@@ -1,4 +1,4 @@
-"""Franz-Parisi potential, its bounds and derivatives, window scans.
+"""Franz-Parisi potential, its bound and q-derivative, window scans.
 
 The potential at overlap q is computed through the variational route
 
@@ -10,11 +10,11 @@ replica-symmetric upper bound (single atom at t = q/(1+q)) has closed form
 
     V_RS(q) = (beta^2 / 2)(1 + q^p) + q/2 + log(1 - q)/2.
 
-Derivatives use the envelope identity at the numerical minimizer zeta_q:
+The derivative in q uses the envelope identity at the numerical
+minimizer zeta_q:
 
     dV/dq = -beta^2 q E_{x~zeta_q}[(1 - x) xi_q'(x)] / (1 - q^2)
-            + beta^2 p q^{p-1} - q / (1 - q^2),
-    dF/dbeta = beta E_{x~zeta_q}[xi_q(1) - xi_q(x)].
+            + beta^2 p q^{p-1} - q / (1 - q^2).
 
 An increasing window of V on a grid accumulating at 1 is the numerical
 signature of shattering; detection requires strict increase over at least
@@ -32,9 +32,10 @@ import numpy as np
 from .errors import ScanError
 from .mixtures import MixtureFn, band_mixture, evaluate
 from .parisi import DEFAULT_GRID, MinimizeResult, minimize_cs
+from .phase import _check_p
 
-__all__ = ["FpPoint", "FpWindow", "fp_value", "fp_rs_bound", "fp_dbeta",
-           "find_window", "window_grid", "half_band_grid"]
+__all__ = ["FpPoint", "FpWindow", "fp_value", "fp_rs_bound", "find_window",
+           "window_grid", "half_band_grid"]
 
 FP_THRESHOLD = 0.9999  # window start needed for the clustering condition
 MIN_WINDOW_POINTS = 3  # shortest increasing run that counts as a window
@@ -95,17 +96,6 @@ def fp_rs_bound(p: int, beta: float, q: float) -> float:
     return 0.5 * (beta * beta * (1.0 + q ** p) + q + math.log1p(-q))
 
 
-def fp_dbeta(p: int, beta: float, q: float,
-             grid_spec: tuple[int, float] = DEFAULT_GRID) -> float:
-    """Temperature derivative of the band free energy,
-    beta * E[xi_q(1) - xi_q(x)] under the minimizing measure."""
-    xi_q = band_mixture(p, q)
-    solution = minimize_cs(xi_q, beta, grid_spec)
-    top = evaluate(xi_q, 1.0)
-    exp_xi = solution.measure.expectation(lambda t: evaluate(xi_q, t))
-    return beta * (top - exp_xi)
-
-
 def find_window(p: int, beta: float, q_grid: np.ndarray,
                 grid_spec: tuple[int, float] = DEFAULT_GRID) -> FpWindow:
     """Scan the potential on a grid in (0.99, 1) and report the maximal
@@ -152,8 +142,7 @@ def window_grid(p: int, n: int = 48, v_max: float = 5.0,
     """Geometric grid toward 1 parametrized by v = p(1 - q), clipped to
     stay inside (0.99, 1); for small p this degrades to a generic geometric
     grid on (0.99, 1)."""
-    if p < 3:
-        raise ValueError("p must be >= 3")
+    p = _check_p(p)
     hi = min(v_max / p, 0.0099)
     lo = min(v_min / p, hi / 4.0)
     one_minus_q = np.exp(np.linspace(math.log(hi), math.log(lo), n))

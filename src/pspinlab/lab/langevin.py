@@ -22,31 +22,32 @@ import numpy as np
 from ..errors import DivergenceError, StabilityWarning
 from .disorder import Configuration, Disorder, derived_rng, sphere_check
 from .energy import gradient, spherical_gradient
+from .samplers import _check_at_least, _check_beta
 
 __all__ = ["LangevinConfig", "langevin_run"]
 
 
 @dataclass(frozen=True)
 class LangevinConfig:
+    """Run settings; each field is the ``simulate`` key its error names."""
+
     beta: float
     step: float
     n_steps: int
     record_every: int = 1
-    seed: int = 0
 
     def __post_init__(self):
-        if not self.beta >= 0:  # NaN fails this test too
-            raise ValueError(f"beta must be >= 0, got {self.beta}")
-        if not (self.step > 0 and self.n_steps >= 1 and self.record_every >= 1):
-            raise ValueError(f"step, n_steps and record_every must be "
-                             f"positive, got step={self.step}, n_steps="
-                             f"{self.n_steps}, record_every={self.record_every}")
+        _check_beta(self.beta)
+        if not self.step > 0:  # NaN fails this test too
+            raise ValueError(f"config key 'step' must be > 0, got {self.step}")
+        _check_at_least("n_steps", self.n_steps, 1)
+        _check_at_least("record_every", self.record_every, 1)
 
 
-def langevin_run(d: Disorder, start: Configuration,
-                 cfg: LangevinConfig) -> list[tuple[float, Configuration]]:
+def langevin_run(d: Disorder, start: Configuration, cfg: LangevinConfig,
+                 seed: int = 0) -> list[tuple[float, Configuration]]:
     """Trajectory [(time, configuration)] at record_every strides,
-    deterministic in cfg.seed. Raises DivergenceError with the offending
+    deterministic in ``seed``. Raises DivergenceError with the offending
     step index if an iterate leaves the representable range."""
     start = np.asarray(start, dtype=float)
     sphere_check(start)
@@ -54,7 +55,7 @@ def langevin_run(d: Disorder, start: Configuration,
     h = cfg.step
     _stability_guard(d, start, cfg)
 
-    rng = derived_rng(cfg.seed)
+    rng = derived_rng(seed)
     sqrt_n = math.sqrt(n)
     sqrt_2h = np.sqrt(2.0 * h)
     drift_coef = (n - 1) / n

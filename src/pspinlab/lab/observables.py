@@ -5,7 +5,6 @@ from __future__ import annotations
 
 import functools
 import warnings
-from dataclasses import replace
 
 import numpy as np
 
@@ -13,7 +12,8 @@ from .. import phase
 from .disorder import (Configuration, Disorder, correlate_disorder,
                        derived_seed, sample_disorder)
 from .langevin import LangevinConfig, langevin_run
-from .samplers import ReplicaExchange, _check_beta, equilibrium_sample
+from .samplers import (ReplicaExchange, _check_at_least, _check_beta,
+                       _check_run, equilibrium_sample)
 
 __all__ = ["correlation_curve", "w2_empirical", "chaos_scan"]
 
@@ -39,7 +39,7 @@ def correlation_curve(d: Disorder, cfg: LangevinConfig,
 
 def _one_trajectory(d: Disorder, cfg: LangevinConfig, seed: int, i: int):
     sigma0, _ = equilibrium_sample(d, cfg.beta, seed=derived_seed(seed, i, 0))
-    traj = langevin_run(d, sigma0, replace(cfg, seed=derived_seed(seed, i, 1)))
+    traj = langevin_run(d, sigma0, cfg, seed=derived_seed(seed, i, 1))
     times = [t for t, _ in traj]
     return times, [float(sigma0 @ s) / d.n for _, s in traj]
 
@@ -207,18 +207,12 @@ def _check_chaos(p: int, beta: float, epsilons, n_samples: int,
                  burn_in: int, thin: int, n_disorders: int) -> list[float]:
     """The epsilons as floats, once every chaos input is valid; warns when
     beta is at or beyond the static boundary."""
-    try:
-        _check_beta(beta)
-    except ValueError as exc:
-        raise ValueError(f"config key 'beta': {exc}") from None
-    if not 1 <= n_samples <= W2_MAX_POINTS:
-        raise ValueError(f"config key 'n_samples' must be in "
-                         f"[1, {W2_MAX_POINTS}], got {n_samples}")
-    for key, value, low in (("n_disorders", n_disorders, 1),
-                            ("thin", thin, 1), ("burn_in", burn_in, 0)):
-        if value < low:
-            raise ValueError(f"config key {key!r} must be >= {low}, "
-                             f"got {value}")
+    _check_beta(beta)
+    _check_run(n_samples, burn_in, thin)
+    if n_samples > W2_MAX_POINTS:
+        raise ValueError(f"config key 'n_samples' must be <= "
+                         f"{W2_MAX_POINTS}, got {n_samples}")
+    _check_at_least("n_disorders", n_disorders, 1)
     eps = [float(e) for e in epsilons]
     if not eps or not all(0.0 <= e <= 1.0 for e in eps):
         raise ValueError(f"config key 'epsilons' needs at least one "

@@ -39,8 +39,22 @@ _SHRINK = math.exp(-0.1 * TARGET_ACCEPT)
 
 
 def _check_beta(beta: float) -> None:
-    if not beta >= 0:  # NaN fails this test too
-        raise ValueError(f"beta must be >= 0, got {beta}")
+    """The lab's one beta rule; ``beta`` is a simulate and chaos key."""
+    if not 0 <= beta < math.inf:  # NaN fails this test too
+        raise ValueError(f"config key 'beta' must be finite and >= 0, "
+                         f"got {beta}")
+
+
+def _check_at_least(key: str, value: int, low: int) -> None:
+    if value < low:
+        raise ValueError(f"config key {key!r} must be >= {low}, got {value}")
+
+
+def _check_run(n_samples: int, burn_in: int, thin: int) -> None:
+    """The run-length rule of ``ReplicaExchange.sample``, key by key."""
+    _check_at_least("n_samples", n_samples, 1)
+    _check_at_least("burn_in", burn_in, 0)
+    _check_at_least("thin", thin, 1)
 
 
 class ReplicaExchange:
@@ -104,10 +118,7 @@ class ReplicaExchange:
         """``burn_in`` adaptive sweeps, then one draw at the target inverse
         temperature every ``thin`` plain sweeps, then the mixing check:
         every equilibrium draw of the lab goes through here."""
-        if burn_in < 0 or n_samples < 1 or thin < 1:
-            raise ValueError(f"need burn_in >= 0, n_samples >= 1 and "
-                             f"thin >= 1, got burn_in={burn_in}, "
-                             f"n_samples={n_samples}, thin={thin}")
+        _check_run(n_samples, burn_in, thin)
         for _ in range(burn_in):
             self.sweep(adapt=True)
         draws = []

@@ -33,7 +33,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import FeasibilityError, TruncationWarning
+from .errors import TruncationWarning
 from .mixtures import MixtureFn, evaluate
 
 __all__ = ["ParisiMeasure", "MinimizeResult", "cs_functional", "rs_value",
@@ -132,14 +132,12 @@ def cs_functional(zeta: ParisiMeasure, xi: MixtureFn, beta: float,
     xi_edges = evaluate(xi, edges)
     first = beta * beta * float(cum @ np.diff(xi_edges))
 
-    # phi at the atom points, from the top down; phi(q_hat) = 1 - q_hat
+    # phi at the atoms, top down: 1 - q_hat > 0 at q_hat, growing below
     n = len(loc)
     phi = np.empty(n)
     phi[-1] = 1.0 - q_hat
     for i in range(n - 2, -1, -1):
         phi[i] = phi[i + 1] + cum[i] * (loc[i + 1] - loc[i])
-    if np.any(phi <= 0):
-        raise FeasibilityError("phi must stay positive on [0, q_hat]")
 
     integral = 0.0
     if loc[0] > 0.0:  # zero-CDF segment [0, loc_0]: phi constant there
@@ -169,8 +167,8 @@ def make_grid(m: int, q_max: float = DEFAULT_GRID[1]) -> np.ndarray:
 
 
 def _check_beta(beta) -> None:
-    if beta <= 0:
-        raise ValueError(f"beta must be positive, got {beta!r}")
+    if not 0 < beta < math.inf:  # NaN fails this test too
+        raise ValueError(f"beta must be positive and finite, got {beta!r}")
 
 
 def minimize_cs(xi: MixtureFn, beta: float,

@@ -23,19 +23,19 @@ from .errors import SolverError
 __all__ = ["beta_c", "beta_d_pure"]
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+TOL = 1e-10  # absolute objective tolerance of the golden-section refinement
 
 
-def beta_c(p: int, tol: float = 1e-10) -> tuple[float, float]:
+def beta_c(p: int) -> tuple[float, float]:
     """Static boundary for the pure p-spin model and the minimizing q.
 
     Brackets the objective minimum on a log-spaced grid accumulating near
     q = 1 (the minimizer approaches 1 as p grows), then refines by
-    golden-section to absolute objective tolerance ``tol``.
+    golden-section to absolute objective tolerance ``TOL``.
     """
     p = _check_p(p)
-    _check_tol(tol)
     obj = lambda q: _beta_c_objective(q, p)
-    q, val = _bracketed_min(obj, _q_grid(), tol)
+    q, val = _bracketed_min(obj, _q_grid(), TOL)
     return math.sqrt(val), q
 
 
@@ -107,8 +107,3 @@ def _check_p(p) -> int:
     if int(p) != p or int(p) < 3:
         raise ValueError(f"p must be an integer >= 3, got {p!r}")
     return int(p)
-
-
-def _check_tol(tol) -> None:
-    if tol <= 0:
-        raise ValueError(f"tol must be positive, got {tol!r}")

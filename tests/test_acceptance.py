@@ -52,7 +52,7 @@ def test_criterion_02_static_boundary():
                                                  2_000_000))])
     vals = np.power(q, -3.0) * (-np.log1p(-q)) - np.power(q, -2.0)
     oracle = math.sqrt(float(vals.min()))
-    bc3, _ = phase.beta_c(3, tol=1e-10)
+    bc3, _ = phase.beta_c(3)
     assert bc3 == pytest.approx(oracle, abs=1e-6)
 
     for p in range(3, 51):
@@ -312,7 +312,7 @@ def test_criterion_08_dynamics():
     d16 = lab.sample_disorder(16, 3, seed=11)
     traj = lab.langevin_run(d16, lab.random_configuration(16, 0),
                             LangevinConfig(beta=0.8, step=0.005, n_steps=100,
-                                           record_every=10, seed=1))
+                                           record_every=10), seed=1)
     for _, s in traj:
         assert abs(float(s @ s) - 16.0) <= 1e-12 * 16.0
 
@@ -322,8 +322,8 @@ def test_criterion_08_dynamics():
         start = lab.random_configuration(16, 5000 + i)
         tr = lab.langevin_run(d16, start,
                               LangevinConfig(beta=0.0, step=0.01,
-                                             n_steps=500, record_every=500,
-                                             seed=i))
+                                             n_steps=500, record_every=500),
+                              seed=i)
         finals.append(float(start @ tr[-1][1]) / 16.0)
     assert abs(np.mean(finals)) < 0.1
 
@@ -335,8 +335,8 @@ def test_criterion_08_dynamics():
                                           burn_in=200)
         tr = lab.langevin_run(d12, start,
                               LangevinConfig(beta=0.5, step=0.01,
-                                             n_steps=3000, record_every=50,
-                                             seed=1000 + i))
+                                             n_steps=3000, record_every=50),
+                              seed=1000 + i)
         es = [lab.hamiltonian(d12, s) / 12.0 for t, s in tr if t > 5.0]
         lg_means.append(np.mean(es))
     re_means = []
@@ -359,8 +359,8 @@ def test_criterion_08_dynamics():
             tr = lab.langevin_run(d16, start,
                                   LangevinConfig(beta=beta, step=0.01,
                                                  n_steps=3000,
-                                                 record_every=10,
-                                                 seed=4000 + i))
+                                                 record_every=10),
+                                  seed=4000 + i)
             curve = [(t, float(start @ s) / 16.0) for t, s in tr]
             times.append(_time_below(curve, 0.5))
         t_half[beta] = float(np.mean(times))

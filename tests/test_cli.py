@@ -98,8 +98,8 @@ def test_config_value_types_checked(tmp_path, capsys, command, cfg, key,
 
 def test_int_accepted_for_float_config_value(tmp_path):
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"p_max": 3, "tol": 1}))
-    assert run_cli(["phase", "--config", str(cfg)]) == 0
+    cfg.write_text(json.dumps({"q_max": 0, "n_q": 2, "m": 64}))
+    assert run_cli(["fp", "--config", str(cfg)]) == 0
 
 
 def test_flags_override_config(tmp_path):
@@ -326,7 +326,7 @@ def test_stdout_output(capsys):
     (["chaos", "--n", "4", "--beta", "nan", "--epsilons", "0,1",
       "--n-samples", "2", "--n-disorders", "2", "--burn-in", "10",
       "--thin", "1"], "beta"),
-    (["phase", "--p-max", "3", "--tol", "inf"], "tol"),
+    (["fp", "--q-max", "inf", "--n-q", "2", "--m", "64"], "q_max"),
     (["fp", "--beta", "nan", "--n-q", "2", "--m", "64"], "beta"),
     (["simulate", "--n", "4", "--beta", "nan", "--n-steps", "10",
       "--n-traj", "2"], "beta"),
@@ -382,8 +382,8 @@ def test_empty_inputs_rejected(tmp_path, capsys, args, key):
     (["parisi", "--m", "8"], "m"),
     (["shatter-scan", "--p-list", "128", "--beta-fracs", "0.9",
       "--solver-q-max", "1.5"], "solver_q_max"),
-    (["phase", "--p-max", "3", "--tol", "0"], "tol"),
-    (["phase", "--p-max", "3", "--tol", "-1"], "tol"),
+    (["parisi", "--beta", "-1"], "beta"),
+    (["fp", "--q-min", "1.0"], "q_min"),
     (["fp", "--beta", "0"], "beta"),
     (["fp", "--beta", "-1"], "beta"),
     (["parisi", "--beta", "0"], "beta"),
@@ -589,6 +589,14 @@ def test_simulate_header_with_method_key_rejected(tmp_path, capsys):
                                "method": "replica-exchange"}))
     assert run_cli(["simulate", "--config", str(cfg)]) == 2
     assert "method" in capsys.readouterr().err
+
+
+def test_phase_header_with_tol_key_rejected(tmp_path, capsys):
+    # beta_c's golden-section tolerance is the constant phase.TOL
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"command": "phase", "tol": 1e-10}))
+    assert run_cli(["phase", "--config", str(cfg)]) == 2
+    assert "'tol'" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("config, status", [(None, 0), ({"p_mn": 4}, 2)])

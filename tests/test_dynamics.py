@@ -16,9 +16,8 @@ from pspinlab.lab.samplers import ReplicaExchange
 def test_retraction_keeps_sphere():
     d = lab.sample_disorder(12, 3, seed=0)
     start = lab.random_configuration(12, 1)
-    cfg = LangevinConfig(beta=0.8, step=0.005, n_steps=200, record_every=20,
-                         seed=2)
-    traj = lab.langevin_run(d, start, cfg)
+    cfg = LangevinConfig(beta=0.8, step=0.005, n_steps=200, record_every=20)
+    traj = lab.langevin_run(d, start, cfg, seed=2)
     assert len(traj) == 11
     for _, s in traj:
         assert abs(float(s @ s) - 12.0) < 1e-12 * 12.0
@@ -27,13 +26,15 @@ def test_retraction_keeps_sphere():
 def test_langevin_determinism():
     d = lab.sample_disorder(10, 3, seed=3)
     start = lab.random_configuration(10, 4)
-    cfg = LangevinConfig(beta=0.5, step=0.01, n_steps=100, record_every=10,
-                         seed=77)
-    t1 = lab.langevin_run(d, start, cfg)
-    t2 = lab.langevin_run(d, start, cfg)
+    cfg = LangevinConfig(beta=0.5, step=0.01, n_steps=100, record_every=10)
+    t1 = lab.langevin_run(d, start, cfg, seed=77)
+    t2 = lab.langevin_run(d, start, cfg, seed=77)
     for (ta, sa), (tb, sb) in zip(t1, t2):
         assert ta == tb
         np.testing.assert_array_equal(sa, sb)
+    # the seed keys the noise stream
+    t3 = lab.langevin_run(d, start, cfg, seed=78)
+    assert not np.array_equal(t1[-1][1], t3[-1][1])
 
 
 def test_langevin_divergence_reports_step():
@@ -41,10 +42,10 @@ def test_langevin_divergence_reports_step():
     # overflow guard only trips when step*beta reaches float range
     d = lab.sample_disorder(8, 4, seed=5)
     start = lab.random_configuration(8, 6)
-    cfg = LangevinConfig(beta=1e160, step=1e160, n_steps=5, seed=0)
+    cfg = LangevinConfig(beta=1e160, step=1e160, n_steps=5)
     with pytest.warns(StabilityWarning):
         with pytest.raises(DivergenceError) as err:
-            lab.langevin_run(d, start, cfg)
+            lab.langevin_run(d, start, cfg, seed=0)
     assert err.value.step == 1
 
 
@@ -53,10 +54,10 @@ def test_langevin_norm_overflow_is_divergence():
     # not rescale by sqrt(n)/inf to the zero vector and carry on
     d = lab.sample_disorder(32, 3, seed=5)
     start = lab.random_configuration(32, 6)
-    cfg = LangevinConfig(beta=1.0, step=1e160, n_steps=4, seed=0)
+    cfg = LangevinConfig(beta=1.0, step=1e160, n_steps=4)
     with pytest.warns(StabilityWarning):
         with pytest.raises(DivergenceError) as err:
-            lab.langevin_run(d, start, cfg)
+            lab.langevin_run(d, start, cfg, seed=0)
     assert err.value.step == 1
 
 
@@ -65,7 +66,7 @@ def test_stability_warning():
     start = lab.random_configuration(8, 2)
     with pytest.warns(StabilityWarning):
         lab.langevin_run(d, start,
-                         LangevinConfig(beta=5.0, step=0.5, n_steps=1, seed=0))
+                         LangevinConfig(beta=5.0, step=0.5, n_steps=1), seed=0)
 
 
 def test_free_diffusion_decorrelates():
@@ -74,8 +75,8 @@ def test_free_diffusion_decorrelates():
     for i in range(20):
         start = lab.random_configuration(16, 1000 + i)
         cfg = LangevinConfig(beta=0.0, step=0.01, n_steps=200,
-                             record_every=200, seed=i)
-        traj = lab.langevin_run(d, start, cfg)
+                             record_every=200)
+        traj = lab.langevin_run(d, start, cfg, seed=i)
         overlaps.append(float(start @ traj[-1][1]) / 16.0)
     assert abs(np.mean(overlaps)) < 0.3  # E C(2) ~ e^-2 ~ 0.14
 
@@ -112,6 +113,8 @@ def test_sample_is_run_draw_then_mixing_check():
     lambda: ReplicaExchange(lab.sample_disorder(6, 3, seed=2), math.nan),
     lambda: LangevinConfig(beta=math.nan, step=0.01, n_steps=1),
     lambda: LangevinConfig(beta=1.0, step=math.nan, n_steps=1),
+    lambda: ReplicaExchange(lab.sample_disorder(6, 3, seed=2), math.inf),
+    lambda: LangevinConfig(beta=math.inf, step=0.01, n_steps=1),
 ])
 def test_nan_sampler_settings_rejected(make):
     with pytest.raises(ValueError):
@@ -232,8 +235,7 @@ def test_sampler_rejects_bad_run_lengths(call):
 
 def test_correlation_curve_shape():
     d = lab.sample_disorder(10, 3, seed=8)
-    cfg = LangevinConfig(beta=0.5, step=0.01, n_steps=100, record_every=25,
-                         seed=0)
+    cfg = LangevinConfig(beta=0.5, step=0.01, n_steps=100, record_every=25)
     curve = lab.correlation_curve(d, cfg, n_trajectories=3, seed=5)
     times = [t for t, _, _ in curve]
     assert times == sorted(times)

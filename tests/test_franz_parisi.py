@@ -62,8 +62,9 @@ def test_envelope_matches_closed_form_at_delta_zero():
     b2 = beta * beta
     closed = -b2 * p * q ** (2 * p - 1) + b2 * p * q ** (p - 1) - q / (1 - q * q)
     assert got == pytest.approx(closed, abs=1e-12)
-    assert fp.fp_dbeta(p, beta, q) == pytest.approx(
-        beta * (1.0 - q ** (2 * p)), abs=1e-12)
+    # the band free energy is the RS value at delta_0
+    assert fp.fp_value(p, beta, q).band_free_energy == pytest.approx(
+        0.5 * beta * beta * (1.0 - q ** (2 * p)), abs=1e-12)
 
 
 def test_derivative_matches_finite_differences():
@@ -75,21 +76,15 @@ def test_derivative_matches_finite_differences():
         assert abs(d - d_fd) / max(abs(d_fd), 1e-12) < tol
 
 
-def test_dbeta_matches_finite_differences():
-    p, beta, q = 3, 1.0, 0.5
-    h = 1e-5
-    vp = minimize_cs(band_mixture(p, q), beta + h).value
-    vm = minimize_cs(band_mixture(p, q), beta - h).value
-    fd = (vp - vm) / (2 * h)
-    assert fp.fp_dbeta(p, beta, q) == pytest.approx(fd, rel=1e-3)
-
-
 def test_dbeta_uniformly_bounded_in_half_band():
-    # temperature derivative of the band free energy stays O(1) on
-    # [1 - 1/(2p), 1) even as p grows
+    # temperature derivative of the band free energy, by central
+    # differences, stays O(1) on [1 - 1/(2p), 1) even as p grows
+    beta, h = 2.0, 1e-4
     for p in (16, 64):
         qs = 1.0 - np.exp(np.linspace(math.log(0.5 / p), math.log(0.02 / p), 10))
-        vals = [fp.fp_dbeta(p, 2.0, float(q)) for q in qs]
+        vals = [(minimize_cs(band_mixture(p, float(q)), beta + h).value
+                 - minimize_cs(band_mixture(p, float(q)), beta - h).value)
+                / (2 * h) for q in qs]
         assert max(vals) < 1.0
 
 
@@ -126,6 +121,15 @@ def test_window_grids():
     assert np.all(hb >= 1.0 - 1.0 / (2 * 512))
     with pytest.raises(ValueError):
         fp.half_band_grid(10)
+
+
+@pytest.mark.parametrize("make", [lambda: fp.window_grid(3.5),
+                                  lambda: fp.half_band_grid(60.5)],
+                         ids=["window_grid", "half_band_grid"])
+def test_window_grids_take_the_phase_p_rule(make):
+    # beta_c, beta_d_pure and band_mixture all reject a non-integer p
+    with pytest.raises(ValueError, match="integer"):
+        make()
 
 
 def test_find_window_validates_grid():

@@ -1,9 +1,11 @@
+import math
+
 import numpy as np
 import pytest
 
 from pspinlab import parisi
 from pspinlab.errors import TruncationWarning
-from pspinlab.franz_parisi import half_band_grid, window_grid
+from pspinlab.franz_parisi import fp_value, half_band_grid, window_grid
 from pspinlab.mixtures import band_mixture, evaluate, pure
 from pspinlab.parisi import (DEFAULT_GRID, ParisiMeasure, cs_functional,
                              make_grid, minimize_cs, rs_value)
@@ -344,13 +346,18 @@ def test_truncation_warning_when_q_max_too_small():
     assert res.measure.q_hat == 0.5  # the warned-of atom at q_max
 
 
-def test_corrupted_measure_trips_feasibility_guard():
-    from pspinlab.errors import FeasibilityError
+@pytest.mark.parametrize("beta", [math.nan, math.inf, -math.inf, 0.0])
+def test_beta_rule_rejects_before_any_solve(monkeypatch, beta):
+    def no_solve(*args, **kwargs):
+        raise RuntimeError("solve started")
 
-    zeta = ParisiMeasure(np.array([0.2, 0.5]), np.array([0.5, 0.5]))
-    object.__setattr__(zeta, "weights", np.array([-2.0, 3.0]))  # bypass checks
-    with pytest.raises(FeasibilityError):
-        cs_functional(zeta, pure(3), 1.0)
+    monkeypatch.setattr(parisi, "_CsProblem", no_solve)
+    for call in (lambda: minimize_cs(pure(3), beta),
+                 lambda: cs_functional(ParisiMeasure.dirac(0.0), pure(3),
+                                       beta),
+                 lambda: fp_value(3, beta, 0.5)):
+        with pytest.raises(ValueError, match="beta"):
+            call()
 
 
 def test_measure_validation():

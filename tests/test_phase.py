@@ -35,7 +35,7 @@ def test_beta_d_bounded_and_monotone_to_sqrt_e():
 
 
 def test_beta_c_against_brute_force():
-    bc, q = phase.beta_c(3, tol=1e-10)
+    bc, q = phase.beta_c(3)
     bc_oracle, q_oracle = brute_force_beta_c(3)
     assert bc == pytest.approx(bc_oracle, abs=1e-6)
     assert q == pytest.approx(0.645, abs=5e-3)
@@ -90,7 +90,5 @@ def test_bracketed_min_budget_error_carries_bracket():
 def test_input_validation():
     with pytest.raises(ValueError):
         phase.beta_c(2)
-    with pytest.raises(ValueError):
-        phase.beta_c(3, tol=-1.0)
     with pytest.raises(ValueError):
         phase.beta_d_pure(2)
