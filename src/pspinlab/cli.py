@@ -26,6 +26,7 @@ from . import __version__, franz_parisi, mixtures, parisi, phase
 from .lab import LangevinConfig, disorder
 from .lab.observables import chaos_scan, correlation_curve, map_parallel
 from .lab.disorder import sample_disorder
+from .lab.samplers import _check_at_least
 
 # keys of every command besides "command" and "version"; out=None is stdout
 COMMON = {"seed": 0, "out": None, "threads": 1}
@@ -363,23 +364,17 @@ def _shatter_row(config: dict, row: dict) -> None:
         p, beta, franz_parisi.window_grid(p, n=config["n_q"]), spec)
     row.update({"q_under": win.q_under, "q_bar": win.q_bar,
                 "passes_fp": win.passes_fp, "n_points": win.n_points})
-    if p >= franz_parisi.HALF_BAND_MIN_P:
-        hb = franz_parisi.find_window(
-            p, beta, franz_parisi.half_band_grid(p, n=config["n_q_half"]),
-            spec)
-        row.update({"hb_q_under": hb.q_under, "hb_q_bar": hb.q_bar,
-                    "hb_window": hb.exists, "hb_n_points": hb.n_points})
-    else:
-        row.update({"hb_window": False, "hb_n_points": 0})
+    hb = franz_parisi.find_window(
+        p, beta, franz_parisi.half_band_grid(p, n=config["n_q_half"]), spec)
+    row.update({"hb_q_under": hb.q_under, "hb_q_bar": hb.q_bar,
+                "hb_window": hb.exists, "hb_n_points": hb.n_points})
 
 
 def _run_simulate(config: dict) -> list[dict]:
     _check_tensor(config)
     cfg = LangevinConfig(config["beta"], config["step"], config["n_steps"],
                          config["record_every"])
-    if config["n_traj"] < 1:
-        raise ValueError(f"config key 'n_traj' must be >= 1, "
-                         f"got {config['n_traj']}")
+    _check_at_least("n_traj", config["n_traj"], 1)
     d = sample_disorder(config["n"], config["p"], seed=config["seed"])
     curve = correlation_curve(d, cfg, config["n_traj"], seed=config["seed"],
                               threads=config["threads"])

@@ -40,7 +40,6 @@ __all__ = ["FpPoint", "FpWindow", "fp_value", "fp_rs_bound", "find_window",
 FP_THRESHOLD = 0.9999  # window start needed for the clustering condition
 MIN_WINDOW_POINTS = 3  # shortest increasing run that counts as a window
 MIN_GRID_POINTS = 32  # fewest points a window scan accepts
-HALF_BAND_MIN_P = 51  # smallest p whose half-band grid lies in (0.99, 1)
 
 
 @dataclass(frozen=True)
@@ -98,9 +97,9 @@ def fp_rs_bound(p: int, beta: float, q: float) -> float:
 
 def find_window(p: int, beta: float, q_grid: np.ndarray,
                 grid_spec: tuple[int, float] = DEFAULT_GRID) -> FpWindow:
-    """Scan the potential on a grid in (0.99, 1) and report the maximal
-    strictly increasing run of at least MIN_WINDOW_POINTS consecutive
-    points.
+    """Scan the potential on a strictly increasing grid inside (0, 1) and
+    report the maximal strictly increasing run of at least
+    MIN_WINDOW_POINTS consecutive points.
 
     passes_fp is set when the run starts at or above 0.9999. Every point
     is solved; if any solve did not converge, a ScanError then lists the
@@ -111,8 +110,8 @@ def find_window(p: int, beta: float, q_grid: np.ndarray,
         raise ValueError(f"window grid needs at least {MIN_GRID_POINTS} points")
     if np.any(np.diff(q_grid) <= 0):
         raise ValueError("window grid must be strictly increasing")
-    if q_grid[0] <= 0.99 or q_grid[-1] >= 1.0:
-        raise ValueError("window grid must lie inside (0.99, 1)")
+    if q_grid[0] <= 0.0 or q_grid[-1] >= 1.0:
+        raise ValueError("window grid must lie inside (0, 1)")
 
     points: list[FpPoint] = []
     failures: list[tuple[float, str]] = []
@@ -139,21 +138,20 @@ def find_window(p: int, beta: float, q_grid: np.ndarray,
 
 def window_grid(p: int, n: int = 48, v_max: float = 5.0,
                 v_min: float = 0.05) -> np.ndarray:
-    """Geometric grid toward 1 parametrized by v = p(1 - q), clipped to
-    stay inside (0.99, 1); for small p this degrades to a generic geometric
-    grid on (0.99, 1)."""
+    """Grid toward 1, geometric in 1 - q from v = p(1 - q) = v_max down to
+    v_min, the same grid in v for every p. The one guard keeps q >= 1/2:
+    1 - q starts at min(v_max / p, 1/2), which binds only where
+    p < 2 v_max (p < 10 at the default v_max = 5)."""
     p = _check_p(p)
-    hi = min(v_max / p, 0.0099)
-    lo = min(v_min / p, hi / 4.0)
-    one_minus_q = np.exp(np.linspace(math.log(hi), math.log(lo), n))
+    one_minus_q = np.exp(np.linspace(math.log(min(v_max / p, 0.5)),
+                                     math.log(v_min / p), n))
     return 1.0 - one_minus_q
 
 
 def half_band_grid(p: int, n: int = MIN_GRID_POINTS) -> np.ndarray:
-    """Grid covering [1 - 1/(2p), 1): where the potential derivative is
-    provably positive for large p, beta near the static boundary."""
-    if p < HALF_BAND_MIN_P:
-        raise ValueError(f"half-band grid needs p >= {HALF_BAND_MIN_P}, got {p}")
+    """Grid covering [1 - 1/(2p), 1), v from 0.5 down to 0.02: where the
+    potential derivative is provably positive for large p, beta near the
+    static boundary. Defined for every p."""
     return window_grid(p, n=n, v_max=0.5, v_min=0.02)
 
 

@@ -27,8 +27,7 @@ def correlation_curve(d: Disorder, cfg: LangevinConfig,
     with standard errors, on the monotone time grid of recorded strides.
     Starts are equilibrium draws at ``cfg.beta``, the temperature of the
     dynamics. Trajectories are independent and run on ``threads`` workers."""
-    if n_trajectories < 1:
-        raise ValueError("need at least one trajectory")
+    _check_at_least("n_traj", n_trajectories, 1)
     results = map_parallel(functools.partial(_one_trajectory, d, cfg, seed),
                            range(n_trajectories), threads)
     times = results[0][0]
@@ -138,8 +137,8 @@ def _assignment(cost: np.ndarray) -> np.ndarray:
 
 
 def chaos_scan(n: int, p: int, beta: float, epsilons, n_samples: int,
-               n_disorders: int, seed: int = 0, burn_in: int = 300,
-               thin: int = 15, threads: int = 1) -> list[dict]:
+               n_disorders: int, burn_in: int, thin: int, seed: int = 0,
+               threads: int = 1) -> list[dict]:
     """Overlap and transport chaos at each epsilon, ascending, as means
     over fresh disorders with standard errors. Per disorder, ``overlap_sq``
     is the mean of (<sigma, sigma'>/N)^2 over paired draws sigma ~

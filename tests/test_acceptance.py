@@ -182,6 +182,11 @@ def test_criterion_06_shattering_window():
                    "threads": 1, "version": "test"})
     rows = cli._run_shatter(config)
     assert all(not r["error"] for r in rows)
+    # a window starts inside its grid, not at the grid's first point
+    for r in rows:
+        if r["n_points"]:
+            assert r["q_under"] > franz_parisi.window_grid(r["p"],
+                                                          config["n_q"])[0]
     witnesses = [r for r in rows if r["hb_window"]]
     assert witnesses, "no (p, beta) produced an increasing window inside " \
                       "[1 - 1/(2p), 1)"

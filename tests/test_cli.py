@@ -251,9 +251,22 @@ def test_shatter_scan_deep_rs_has_no_window(tmp_path):
     _, _, rows = read_csv(out)
     assert rows[0]["passes_fp"] == "false"
     assert rows[0]["n_points"] == "0"
-    # p = 3 cannot host a half-band grid inside (0.99, 1): no window, no error
+    # the half-band scan runs at every p; deep in the RS phase it finds none
     assert rows[0]["hb_window"] == "false"
     assert rows[0]["error"] == ""
+
+
+def test_shatter_scan_small_p_half_band_window(tmp_path):
+    # the half-band scan runs at every p: at p = 20, 0.9 beta_c it finds a
+    # window inside [1 - 1/40, 1)
+    out = tmp_path / "scan.csv"
+    assert run_cli(["shatter-scan", "--p-list", "20", "--beta-fracs", "0.9",
+                    "--n-q", "32", "--n-q-half", "32", "--m", "64",
+                    "--out", str(out)]) == 0
+    _, _, [row] = read_csv(out)
+    assert row["error"] == ""
+    assert row["hb_window"] == "true"
+    assert float(row["hb_q_under"]) >= 1.0 - 1.0 / 40
 
 
 def test_threads_do_not_change_output(tmp_path):

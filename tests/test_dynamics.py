@@ -233,6 +233,14 @@ def test_sampler_rejects_bad_run_lengths(call):
     assert sampler.n_sweeps == 0
 
 
+def test_correlation_curve_rejects_no_trajectories():
+    # the one trajectory-count rule, stated in samplers._check_at_least
+    d = lab.sample_disorder(6, 3, seed=8)
+    cfg = LangevinConfig(beta=0.5, step=0.01, n_steps=10, record_every=5)
+    with pytest.raises(ValueError, match="'n_traj'"):
+        lab.correlation_curve(d, cfg, 0)
+
+
 def test_correlation_curve_shape():
     d = lab.sample_disorder(10, 3, seed=8)
     cfg = LangevinConfig(beta=0.5, step=0.01, n_steps=100, record_every=25)

@@ -7,6 +7,7 @@ from pspinlab import franz_parisi as fp
 from pspinlab.errors import ScanError
 from pspinlab.mixtures import band_mixture
 from pspinlab.parisi import minimize_cs, rs_value
+from pspinlab.phase import beta_c
 
 
 def test_rs_bound_values():
@@ -111,6 +112,15 @@ def test_no_window_in_deep_rs():
     assert math.isnan(win.q_under) and math.isnan(win.q_bar)
 
 
+def test_small_p_window_on_the_v_grid():
+    # the grid reaches down to q = 1/2 at p = 6, where the window lies
+    # (about q in [0.66, 0.85] at m = 64)
+    beta = 0.9 * beta_c(6)[0]
+    win = fp.find_window(6, beta, fp.window_grid(6, n=32), (64, 1.0 - 1e-4))
+    assert win.exists
+    assert 0.5 < win.q_under < win.q_bar < 0.99
+
+
 def test_window_grids():
     g = fp.window_grid(512, n=48)
     assert len(g) == 48
@@ -119,8 +129,13 @@ def test_window_grids():
     hb = fp.half_band_grid(512, n=32)
     assert hb[0] == pytest.approx(1.0 - 0.5 / 512, abs=1e-12)
     assert np.all(hb >= 1.0 - 1.0 / (2 * 512))
-    with pytest.raises(ValueError):
-        fp.half_band_grid(10)
+    # one rule for every p: the half band at small p, and the q >= 1/2
+    # guard where v_max / p would reach below q = 1/2
+    hb = fp.half_band_grid(10)
+    assert np.all(hb >= 1.0 - 1.0 / 20) and np.all(hb < 1.0)
+    g = fp.window_grid(3)
+    assert g[0] == pytest.approx(0.5, abs=1e-15)
+    assert np.all(g >= 0.5) and np.all(g < 1.0)
 
 
 @pytest.mark.parametrize("make", [lambda: fp.window_grid(3.5),
@@ -136,7 +151,9 @@ def test_find_window_validates_grid():
     with pytest.raises(ValueError):
         fp.find_window(3, 0.5, np.linspace(0.991, 0.999, 8))  # too few
     with pytest.raises(ValueError):
-        fp.find_window(3, 0.5, np.linspace(0.5, 0.99, 40))  # outside range
+        fp.find_window(3, 0.5, np.linspace(0.5, 1.0, 40))  # reaches 1
+    with pytest.raises(ValueError):
+        fp.find_window(3, 0.5, np.linspace(0.0, 0.99, 40))  # reaches 0
 
 
 def test_find_window_collects_failed_points(monkeypatch):

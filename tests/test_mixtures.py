@@ -80,7 +80,7 @@ def test_eval_domain_guard():
 @pytest.mark.parametrize("p", [3, 7, 128, 1024, 2048])
 def test_closed_form_matches_coefficient_reference(p):
     t = make_grid(512)
-    qs = list(window_grid(p)) + (list(half_band_grid(p)) if p >= 51 else [])
+    qs = list(window_grid(p)) + list(half_band_grid(p))
     for q in [0.0] + qs:
         assert _max_rel_gap(p, q, t) < 1e-11, q
         # the band solver reads the grid differences of xi; subtracting the

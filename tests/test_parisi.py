@@ -230,12 +230,13 @@ def test_minimize_budget_exhaustion_returns_best_iterate(monkeypatch):
 
 
 def test_minimize_window_scan_iteration_budget(monkeypatch):
-    # counts, not time. Over window_grid(128, 48) at beta = 0.95 beta_c the
-    # accelerated projected gradient took 3140 iterations and 7072 objective
-    # evaluations (value + value_grad calls); the spectral projected
-    # gradient takes 2841 and 4524. Its 1RSB-like points need as many
-    # iterations as before or more, so the iteration bound is loose; a
-    # solver back on slow steps fails both bounds.
+    # counts, not time. The panel is 48 points with 1 - q geometric from
+    # 0.0099 down to 0.05/128, on which the reference counts were taken. At
+    # beta = 0.95 beta_c the accelerated projected gradient took 3140
+    # iterations and 7072 objective evaluations (value + value_grad calls);
+    # the spectral projected gradient takes 2841 and 4524. Its 1RSB-like
+    # points need as many iterations as before or more, so the iteration
+    # bound is loose; a solver back on slow steps fails both bounds.
     evaluations = []
     for name in ("value", "value_grad"):
         method = getattr(parisi._CsProblem, name)
@@ -246,8 +247,10 @@ def test_minimize_window_scan_iteration_budget(monkeypatch):
 
         monkeypatch.setattr(parisi._CsProblem, name, counted)
     beta = 0.95 * beta_c(128)[0]
+    panel = 1.0 - np.exp(np.linspace(math.log(0.0099), math.log(0.05 / 128),
+                                     48))
     iterations = sum(minimize_cs(band_mixture(128, q), beta).iterations
-                     for q in window_grid(128, 48))
+                     for q in panel)
     assert iterations <= 0.95 * 3140
     assert len(evaluations) <= 0.75 * 7072
 
