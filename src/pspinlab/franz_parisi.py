@@ -6,9 +6,11 @@ The potential at overlap q is computed through the variational route
 
 where F(xi_q) is the minimized band free energy from :mod:`parisi` and
 xi_q = band_mixture(p, q), which also owns the rules on p and q. The
-replica-symmetric upper bound (single atom at t = q/(1+q)) has closed form
+replica-symmetric upper bound (single atom at t = |q|/(1+|q|); xi_q depends
+on q^2 only, so only the tilt beta^2 q^p sees the sign of q) is
 
-    V_RS(q) = (beta^2 / 2)(1 + q^p) + q/2 + log(1 - q)/2.
+    V_RS(q) = (beta^2 / 2)(1 + |q|^p) + |q|/2 + log(1 - |q|)/2
+              + beta^2 (q^p - |q|^p).
 
 The derivative in q uses the envelope identity at the numerical
 minimizer zeta_q:
@@ -80,7 +82,7 @@ def fp_value(p: int, beta: float, q: float,
     return FpPoint(
         q=q,
         value=value,
-        rs_bound=fp_rs_bound(p, beta, abs(q)),
+        rs_bound=fp_rs_bound(p, beta, q),
         derivative=_envelope_derivative(xi_q, beta, q, res),
         band_free_energy=res.value,
         kkt_residual=res.kkt_residual,
@@ -89,10 +91,12 @@ def fp_value(p: int, beta: float, q: float,
 
 
 def fp_rs_bound(p: int, beta: float, q: float) -> float:
-    """(beta^2/2)(1 + q^p) + q/2 + log(1-q)/2 for q in [0, 1)."""
-    if not 0.0 <= q < 1.0:
-        raise ValueError(f"RS bound needs q in [0, 1), got {q}")
-    return 0.5 * (beta * beta * (1.0 + q ** p) + q + math.log1p(-q))
+    """V_RS at q in (-1, 1): the bound at |q| plus beta^2 (q^p - |q|^p)."""
+    if not -1.0 < q < 1.0:
+        raise ValueError(f"RS bound needs q in (-1, 1), got {q}")
+    a = abs(q)
+    return (0.5 * (beta * beta * (1.0 + a ** p) + a + math.log1p(-a))
+            + beta * beta * (q ** p - a ** p))
 
 
 def find_window(p: int, beta: float, q_grid: np.ndarray,

@@ -199,7 +199,8 @@ def minimize_cs(xi: MixtureFn, beta: float,
     converged = False
     it = 0
     for it in range(1, MAX_ITER + 1):
-        d = prob.project(x - alpha * gx) - x
+        d = prob.project(x - alpha * gx)
+        d -= x
         slope, f_ref, lam = SPG_SIGMA * (gx @ d), max(recent), 1.0
         xn = x + d
         fxn, gxn = prob.value_grad(xn)
@@ -257,6 +258,10 @@ class _CsProblem:
     -L_j / (phi_j phi_{j+1}) with no cancellation. ``value`` skips the
     gradient work and returns bit for bit the value of ``value_grad``.
     ``project`` maps a vector onto the feasible CDFs.
+
+    Scratch buffers for phi, ratio, u and the gradient prefix are allocated
+    once and overwritten by every call; none leaves a call, and
+    ``value_grad`` returns a fresh gradient, which the solver keeps.
     """
 
     def __init__(self, xi: MixtureFn, beta: float, grid: np.ndarray):
@@ -264,45 +269,57 @@ class _CsProblem:
         from scipy.optimize import isotonic_regression
         self._isotonic = isotonic_regression
         self.L = np.diff(grid)
-        self.neg_L = -self.L
+        self.neg_L_head = -self.L[:-1]
         xg = evaluate(xi, np.append(grid, 1.0))  # one call gives xi(1) too
         self.dxi = np.diff(xg[:-1])
         self.b2 = beta * beta
         self.b2_dxi = self.b2 * self.dxi
         self.const = self.b2 * (xg[-1] - xg[-2]) + math.log1p(-grid[-1])
         self.phi_end = 1.0 - grid[-1]
+        self._phi = np.full(len(grid), self.phi_end)  # phi_m stays phi_end
+        self._ratio, self._u, self._prefix = np.zeros((3, len(self.L)))
 
     def project(self, v: np.ndarray) -> np.ndarray:
         # euclidean projection onto the monotone chain intersected with
         # [0, 1]; clipping the unconstrained isotonic fit is exact for box
-        # bounds
-        return np.clip(self._isotonic(v).x, 0.0, 1.0)
+        # bounds, and the fit is a fresh array, so it is clipped in place
+        y = self._isotonic(v).x
+        return np.minimum(np.maximum(y, 0.0, out=y), 1.0, out=y)
 
     def value(self, x: np.ndarray) -> float:
-        _, ratio, u = self._segments(x)
+        ratio, u = self._segments(x)
         return self._total(x, ratio, _logratio(u))
 
     def value_grad(self, x: np.ndarray) -> tuple[float, np.ndarray]:
-        phi, ratio, u = self._segments(x)
+        ratio, u = self._segments(x)
         f, df = _logratio(u, slope=True)
-        dseg = ratio * ratio * df
-        # prefix_k = sum_{j < k} shift_j, shift_j = -L_j / (phi_j phi_{j+1})
-        prefix = np.zeros(len(x))
-        np.cumsum(self.neg_L[:-1] / (phi[:-2] * phi[1:-1]), out=prefix[1:])
-        grad = 0.5 * (self.b2_dxi + dseg + self.L * prefix)
+        grad = ratio * ratio
+        grad *= df  # dseg
+        grad += self.b2_dxi
+        # prefix_k = sum_{j < k} shift_j, shift_j = -L_j / (phi_j phi_{j+1});
+        # prefix_0 stays 0
+        phi, prefix, shift = self._phi, self._prefix, self._prefix[1:]
+        np.multiply(phi[:-2], phi[1:-1], out=shift)
+        np.divide(self.neg_L_head, shift, out=shift)
+        np.add.accumulate(shift, out=shift)
+        prefix *= self.L
+        grad += prefix
+        grad *= 0.5
         return self._total(x, ratio, f), grad
 
     def _segments(self, x: np.ndarray):
         """phi on the grid, ratio_j = L_j / phi_{j+1} and u_j = x_j ratio_j."""
-        phi = np.empty(len(x) + 1)
-        phi[-1] = self.phi_end
-        phi[:-1] = self.phi_end + np.cumsum((x * self.L)[::-1])[::-1]
-        ratio = self.L / phi[1:]
-        return phi, ratio, x * ratio
+        phi = self._phi
+        np.multiply(x, self.L, out=phi[:-1])
+        tail = phi[-2::-1]  # phi[:-1] reversed: partial sums from the top
+        np.add.accumulate(tail, out=tail)
+        phi[:-1] += self.phi_end
+        ratio = np.divide(self.L, phi[1:], out=self._ratio)
+        return ratio, np.multiply(x, ratio, out=self._u)
 
     def _total(self, x: np.ndarray, ratio: np.ndarray, f: np.ndarray) -> float:
-        return float(0.5 * (self.b2 * (x @ self.dxi) + (ratio * f).sum()
-                            + self.const))
+        f *= ratio  # f is the caller's fresh array
+        return float(0.5 * (self.b2 * (x @ self.dxi) + f.sum() + self.const))
 
 
 def _logratio(u: np.ndarray, slope: bool = False):
@@ -310,21 +327,30 @@ def _logratio(u: np.ndarray, slope: bool = False):
 
     Series replace the closed forms where those fail: f below 1e-6 (0/0 at
     u = 0) and f' below 1e-4 (cancellation). The closed forms divide by a
-    safe denominator, equal to u (or u^2) wherever they are kept.
+    safe denominator, equal to u (or u^2) wherever they are kept. The
+    series run only over the span u[z:j]: j is one past the last u < 1e-4,
+    and the z leading exact zeros take the series' exact values at 0
+    (f = 1, f' = -1/2) by a slice fill. The bits equal those of the series
+    masked over every entry; in the solver the small entries are a prefix.
     """
     lg = np.log1p(u)
     f = lg / np.maximum(u, 1e-6)
-    small = u < 1e-4
-    any_small = small.any()
-    if any_small:
-        np.copyto(f, 1.0 - 0.5 * u + u * u / 3.0, where=u < 1e-6)
+    (small,) = (u < 1e-4).nonzero()
+    j = int(small[-1]) + 1 if small.size else 0
+    (nonzero,) = u[:j].nonzero()
+    z = int(nonzero[0]) if nonzero.size else j
+    f[:z], s = 1.0, u[z:j]
+    if z < j:
+        np.copyto(f[z:j], 1.0 - 0.5 * s + s * s / 3.0, where=s < 1e-6)
     if not slope:
         return f
     df = (u / (1.0 + u) - lg) / np.maximum(u * u, 1e-8)
-    if any_small:
-        np.copyto(df, -0.5 + 2.0 * u / 3.0 - 0.75 * u * u, where=small)
+    df[:z] = -0.5
+    if z < j:
+        np.copyto(df[z:j], -0.5 + 2.0 * s / 3.0 - 0.75 * s * s,
+                  where=s < 1e-4)
     return f, df
 
 
 def _kkt_residual(prob: _CsProblem, x: np.ndarray, grad: np.ndarray) -> float:
-    return float(np.max(np.abs(x - prob.project(x - grad))))
+    return float(abs(x - prob.project(x - grad)).max())

@@ -15,22 +15,35 @@ def test_rs_bound_values():
     hand = 0.5 * 1.125 + 0.25 + 0.5 * math.log(0.5)
     assert fp.fp_rs_bound(3, 1.0, 0.5) == pytest.approx(hand, abs=1e-12)
     assert fp.fp_rs_bound(3, 1.0, 0.5) == pytest.approx(0.4659, abs=1e-4)
-    with pytest.raises(ValueError):
-        fp.fp_rs_bound(3, 1.0, 1.0)
+    for q in (1.0, -1.0):
+        with pytest.raises(ValueError):
+            fp.fp_rs_bound(3, 1.0, q)
 
 
 def test_rs_bound_substitution_identity():
-    # the bound is the single-atom value at t = q/(1+q) plus the tilt terms
+    # the bound is the single-atom value at t = |q|/(1+|q|) plus the tilt
+    # terms; xi_q depends on q^2 only, so the same atom serves q < 0
     rng = np.random.default_rng(2)
-    for _ in range(25):
+    for _ in range(50):
         p = int(rng.integers(2, 12))
         beta = float(rng.uniform(0.2, 2.5))
-        q = float(rng.uniform(0.0, 0.95))
+        q = float(rng.uniform(-0.95, 0.95))
         lhs = fp.fp_rs_bound(p, beta, q)
-        rhs = (rs_value(q / (1 + q), band_mixture(p, q) if q else
-                        band_mixture(p, 0.0), beta)
+        rhs = (rs_value(abs(q) / (1 + abs(q)), band_mixture(p, q), beta)
                + beta * beta * q ** p + 0.5 * math.log1p(-q * q))
         assert lhs == pytest.approx(rhs, abs=1e-10)
+
+
+def test_rs_bound_keeps_the_sign_of_the_tilt_at_negative_q():
+    # at odd p the tilt beta^2 q^p is negative for q < 0; a bound taken at
+    # |q| lay 0.254 above the potential at q = -0.5
+    pt = fp.fp_value(3, 1.0, -0.5)
+    assert pt.value <= pt.rs_bound < pt.value + 0.01
+    assert pt.rs_bound == pytest.approx(0.2159, abs=1e-4)
+    assert fp.fp_rs_bound(3, 1.0, -0.9) == pytest.approx(-1.2948, abs=1e-4)
+    for p in (2, 4, 6):  # even p: the bound is even in q
+        for q in (0.3, 0.7, 0.9):
+            assert fp.fp_rs_bound(p, 1.3, -q) == fp.fp_rs_bound(p, 1.3, q)
 
 
 def test_value_at_zero_is_annealed():

@@ -143,13 +143,26 @@ def _df_logratio_reference(u):
     return out
 
 
+_SERIES_SWEEP = np.concatenate([[0.0, 1e-7],
+                                 np.nextafter(1e-6, [0.0, 1.0]), [1e-6],
+                                 np.nextafter(1e-4, [0.0, 1.0]), [1e-4],
+                                 np.logspace(-3, 1, 60)])
+
+
+# _logratio runs its series only over the span of small entries and fills
+# leading exact zeros; every input must still give the masked reference's bits
 @pytest.mark.parametrize("u", [
-    np.concatenate([[0.0, 1e-7],
-                    np.nextafter(1e-6, [0.0, 1.0]), [1e-6],
-                    np.nextafter(1e-4, [0.0, 1.0]), [1e-4],
-                    np.logspace(-3, 1, 60)]),
+    _SERIES_SWEEP,
     np.logspace(-3, 1, 40),  # no series branch taken
-], ids=["across-series-cuts", "closed-form-only"])
+    np.concatenate([np.zeros(7), np.geomspace(1e-12, 9e-7, 5),
+                    np.geomspace(1e-6, 9e-5, 5), np.logspace(-3, 1, 20)]),
+    np.zeros(16),
+    np.concatenate([np.zeros(5), [1e-4], np.logspace(-3, 1, 20)]),
+    _SERIES_SWEEP[::-1].copy(),  # small entries last, not a prefix
+    np.concatenate([np.zeros(3), [1e-3, 0.0, 5e-7, 2.0, 0.0, 3e-5, 0.5]]),
+], ids=["across-series-cuts", "closed-form-only", "zeros-then-both-series",
+        "all-zeros", "zeros-then-closed-form", "series-cuts-reversed",
+        "small-entries-scattered"])
 def test_logratio_matches_masked_reference_bit_for_bit(u):
     f, df = parisi._logratio(u, slope=True)
     np.testing.assert_array_equal(f, _f_logratio_reference(u))
@@ -168,6 +181,87 @@ def test_value_equals_value_grad_value_exactly():
         assert prob.value(x) == prob.value_grad(x)[0]
 
 
+class _AllocatingCsProblem:
+    """``value`` and ``value_grad`` in the form that allocated every
+    temporary and ran the series over every entry, kept verbatim as the
+    reference for the buffered kernel; it reads the constants of a
+    ``parisi._CsProblem``."""
+
+    def __init__(self, prob):
+        self.L, self.neg_L, self.phi_end = prob.L, -prob.L, prob.phi_end
+        self.dxi, self.b2, self.b2_dxi = prob.dxi, prob.b2, prob.b2_dxi
+        self.const = prob.const
+
+    def value(self, x):
+        _, ratio, u = self._segments(x)
+        return self._total(x, ratio, _allocating_logratio(u))
+
+    def value_grad(self, x):
+        phi, ratio, u = self._segments(x)
+        f, df = _allocating_logratio(u, slope=True)
+        dseg = ratio * ratio * df
+        # prefix_k = sum_{j < k} shift_j, shift_j = -L_j / (phi_j phi_{j+1})
+        prefix = np.zeros(len(x))
+        np.cumsum(self.neg_L[:-1] / (phi[:-2] * phi[1:-1]), out=prefix[1:])
+        grad = 0.5 * (self.b2_dxi + dseg + self.L * prefix)
+        return self._total(x, ratio, f), grad
+
+    def _segments(self, x):
+        phi = np.empty(len(x) + 1)
+        phi[-1] = self.phi_end
+        phi[:-1] = self.phi_end + np.cumsum((x * self.L)[::-1])[::-1]
+        ratio = self.L / phi[1:]
+        return phi, ratio, x * ratio
+
+    def _total(self, x, ratio, f):
+        return float(0.5 * (self.b2 * (x @ self.dxi) + (ratio * f).sum()
+                            + self.const))
+
+
+def _allocating_logratio(u, slope=False):
+    lg = np.log1p(u)
+    f = lg / np.maximum(u, 1e-6)
+    small = u < 1e-4
+    any_small = small.any()
+    if any_small:
+        np.copyto(f, 1.0 - 0.5 * u + u * u / 3.0, where=u < 1e-6)
+    if not slope:
+        return f
+    df = (u / (1.0 + u) - lg) / np.maximum(u * u, 1e-8)
+    if any_small:
+        np.copyto(df, -0.5 + 2.0 * u / 3.0 - 0.75 * u * u, where=small)
+    return f, df
+
+
+@pytest.mark.parametrize("n_zero", [0, 1, 40, 511])
+@pytest.mark.parametrize("tiny", [False, True], ids=["sorted", "tiny-after-zeros"])
+def test_buffered_objective_matches_allocating_reference_bit_for_bit(
+        n_zero, tiny):
+    # a window point at the default grid; with ``tiny`` the entries after
+    # the zeros run from 1e-9 up, so u crosses both series cuts there
+    grid = make_grid(*DEFAULT_GRID)
+    m = len(grid) - 1
+    prob = parisi._CsProblem(band_mixture(1024, window_grid(1024, 48)[10]),
+                             2.8622855123888167, grid)
+    reference = _AllocatingCsProblem(prob)
+    rng = np.random.default_rng(n_zero)
+    grads = []
+    for _ in range(3):  # repeated calls reuse the scratch buffers
+        x = np.sort(rng.uniform(0.0, 1.0, m))
+        x[:n_zero] = 0.0
+        if tiny:
+            k = min(12, m - n_zero)
+            x[n_zero:n_zero + k] = np.geomspace(1e-9, 1e-2, 12)[:k]
+        f, g = prob.value_grad(x)
+        f_ref, g_ref = reference.value_grad(x)
+        assert f == f_ref
+        np.testing.assert_array_equal(g, g_ref)
+        assert prob.value(x) == reference.value(x) == f
+        grads.append((g, g.copy()))
+    for g, kept in grads:  # no call wrote into a gradient returned earlier
+        np.testing.assert_array_equal(g, kept)
+
+
 def test_minimize_slow_window_point_reproduces_reference_iterates():
     # a 1RSB-like window-grid point (p = 128, beta = 0.95 beta_c, the first
     # point of window_grid(128)); the reference iteration count and value
@@ -183,30 +277,36 @@ def test_minimize_slow_window_point_reproduces_reference_iterates():
 
 
 # (label, mixture, beta, value of the accelerated projected gradient solver
-# that minimize_cs used before the spectral projected gradient, at m = 512)
+# that minimize_cs used before the spectral projected gradient, at m = 512,
+# and the spectral projected gradient's iteration count and value)
 APG_PANEL = [
     ("slow p=128", lambda: band_mixture(128, 0.9901), 2.4529900038181776,
-     2.1403499758487587),
+     2.1403499758487587, 144, 2.1403499756977853),
     ("p=1024 1RSB-like", lambda: band_mixture(1024, window_grid(1024, 48)[10]),
-     2.8622855123888167, 3.102055785055767),
+     2.8622855123888167, 3.102055785055767, 83, 3.102055784866465),
     ("p=1024 RS-like", lambda: band_mixture(1024, window_grid(1024, 48)[30]),
-     2.8622855123888167, 1.0723172482097896),
+     2.8622855123888167, 1.0723172482097896, 15, 1.0723172482090977),
     ("p=2048 half band", lambda: band_mixture(2048, half_band_grid(2048, 32)[16]),
-     2.9828216675239876, 0.5512922592487417),
-    ("pure p=3", lambda: pure(3), 1.5, 1.0973230045906819),
+     2.9828216675239876, 0.5512922592487417, 12, 0.5512922592478571),
+    ("pure p=3", lambda: pure(3), 1.5, 1.0973230045906819,
+     24, 1.0973230044509794),
 ]
 
 
-@pytest.mark.parametrize("label, make_xi, beta, reference", APG_PANEL,
-                         ids=[row[0] for row in APG_PANEL])
+@pytest.mark.parametrize("label, make_xi, beta, reference, iterations, value",
+                         APG_PANEL, ids=[row[0] for row in APG_PANEL])
 def test_minimize_matches_previous_solver_values(label, make_xi, beta,
-                                                 reference):
+                                                 reference, iterations, value):
     # window points at beta = 0.95 beta_c; a faster solver must reach the
-    # same minimum: the measured spread is below 2e-10
+    # same minimum: the measured spread is below 2e-10. A kernel change that
+    # keeps every floating-point operation must also keep the iterates, so
+    # the iteration count and the value are exact
     res = minimize_cs(make_xi(), beta)
     assert res.converged
     assert res.kkt_residual < parisi.TOL_KKT
     assert abs(res.value - reference) <= 5e-8
+    assert res.iterations == iterations
+    assert res.value == value
 
 
 def test_minimize_budget_exhaustion_returns_best_iterate(monkeypatch):
