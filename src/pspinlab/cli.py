@@ -33,17 +33,13 @@ COMMON = {"seed": 0, "out": None, "threads": 1}
 
 DEFAULTS = {
     "phase": {"p_min": 3, "p_max": 10},
-    "parisi": {"p": 3, "band_q": 0.0, "beta": 1.0,
-               "m": parisi.DEFAULT_GRID[0],
-               "solver_q_max": parisi.DEFAULT_GRID[1]},
+    "parisi": {"p": 3, "band_q": 0.0, "beta": 1.0, "m": parisi.DEFAULT_M},
     "fp": {"p": 3, "beta": 1.0, "q_min": 0.0, "q_max": 0.99, "n_q": 50,
-           "m": parisi.DEFAULT_GRID[0],
-           "solver_q_max": parisi.DEFAULT_GRID[1]},
+           "m": parisi.DEFAULT_M},
     "shatter-scan": {"p_list": "128,256,512,1024,2048",
                      "beta_fracs": "0.85,0.9,0.95", "n_q": 48,
                      "n_q_half": franz_parisi.MIN_GRID_POINTS,
-                     "m": parisi.DEFAULT_GRID[0],
-                     "solver_q_max": parisi.DEFAULT_GRID[1]},
+                     "m": parisi.DEFAULT_M},
     "simulate": {"n": 16, "p": 3, "beta": 1.0, "step": 0.01, "n_steps": 1000,
                  "record_every": 10, "n_traj": 8},
     "chaos": {"n": 16, "p": 3, "beta": 1.0, "epsilons": "0,0.25,0.5,1",
@@ -231,14 +227,6 @@ def _check_key(key: str, check, *args) -> None:
         raise ValueError(f"config key {key!r}: {exc}") from None
 
 
-def _check_solver_grid(config: dict) -> None:
-    """``parisi.make_grid`` owns the grid rules. ``m`` is checked on a
-    valid ``solver_q_max``, so each error names the key at fault."""
-    q_max = config["solver_q_max"]
-    _check_key("solver_q_max", parisi.make_grid, parisi.DEFAULT_GRID[0], q_max)
-    _check_key("m", parisi.make_grid, config["m"], q_max)
-
-
 def _check_band(config: dict, *q_keys: str) -> None:
     """``mixtures.band_mixture`` owns the rules on ``p`` and the band
     overlaps; ``p`` is checked first, so a bad ``p`` is not reported
@@ -308,11 +296,10 @@ def _run_parisi(config: dict) -> list[dict]:
     ``pure(3)`` at beta = 1.5 has atoms at 0.72997 and 0.7329, with
     weights 0.024 and 0.310)."""
     _check_key("beta", parisi._check_beta, config["beta"])
-    _check_solver_grid(config)
+    _check_key("m", parisi.make_grid, config["m"])
     _check_band(config, "band_q")
     xi = mixtures.band_mixture(config["p"], config["band_q"])
-    res = parisi.minimize_cs(xi, config["beta"],
-                             (config["m"], config["solver_q_max"]))
+    res = parisi.minimize_cs(xi, config["beta"], config["m"])
     return [{"location": t, "weight": w, "value": res.value,
              "kkt_residual": res.kkt_residual, "converged": res.converged}
             for t, w in zip(res.measure.locations.tolist(),
@@ -323,7 +310,7 @@ def _run_fp(config: dict) -> list[dict]:
     if config["n_q"] < 1:
         raise ValueError(f"config key 'n_q' must be >= 1, got {config['n_q']}")
     _check_key("beta", parisi._check_beta, config["beta"])
-    _check_solver_grid(config)
+    _check_key("m", parisi.make_grid, config["m"])
     _check_band(config, "q_min", "q_max")
     qs = np.linspace(config["q_min"], config["q_max"], config["n_q"])
     return _point_rows(_fp_row, config, [{"q": q} for q in qs.tolist()])
@@ -331,7 +318,7 @@ def _run_fp(config: dict) -> list[dict]:
 
 def _fp_row(config: dict, row: dict) -> None:
     pt = franz_parisi.fp_value(config["p"], config["beta"], row["q"],
-                               (config["m"], config["solver_q_max"]))
+                               config["m"])
     row.update({"value": pt.value, "rs_bound": pt.rs_bound,
                 "derivative": pt.derivative,
                 "band_free_energy": pt.band_free_energy,
@@ -344,7 +331,7 @@ def _run_shatter(config: dict) -> list[dict]:
             raise ValueError(f"config key {key!r} must be >= "
                              f"{franz_parisi.MIN_GRID_POINTS}, "
                              f"got {config[key]}")
-    _check_solver_grid(config)
+    _check_key("m", parisi.make_grid, config["m"])
     fracs = _comma_list(config, "beta_fracs", float)
     for frac in fracs:  # beta = frac * beta_c has the sign of frac
         _check_key("beta_fracs", parisi._check_beta, frac)
@@ -358,14 +345,13 @@ def _run_shatter(config: dict) -> list[dict]:
 
 
 def _shatter_row(config: dict, row: dict) -> None:
-    p, beta = row["p"], row["beta"]
-    spec = (config["m"], config["solver_q_max"])
+    p, beta, m = row["p"], row["beta"], config["m"]
     win = franz_parisi.find_window(
-        p, beta, franz_parisi.window_grid(p, n=config["n_q"]), spec)
+        p, beta, franz_parisi.window_grid(p, n=config["n_q"]), m)
     row.update({"q_under": win.q_under, "q_bar": win.q_bar,
                 "passes_fp": win.passes_fp, "n_points": win.n_points})
     hb = franz_parisi.find_window(
-        p, beta, franz_parisi.half_band_grid(p, n=config["n_q_half"]), spec)
+        p, beta, franz_parisi.half_band_grid(p, n=config["n_q_half"]), m)
     row.update({"hb_q_under": hb.q_under, "hb_q_bar": hb.q_bar,
                 "hb_window": hb.exists, "hb_n_points": hb.n_points})
 
@@ -375,6 +361,7 @@ def _run_simulate(config: dict) -> list[dict]:
     cfg = LangevinConfig(config["beta"], config["step"], config["n_steps"],
                          config["record_every"])
     _check_at_least("n_traj", config["n_traj"], 1)
+    _check_at_least("seed", config["seed"], 0)
     d = sample_disorder(config["n"], config["p"], seed=config["seed"])
     curve = correlation_curve(d, cfg, config["n_traj"], seed=config["seed"],
                               threads=config["threads"])

@@ -37,7 +37,8 @@ class ScanError(RuntimeError):
 
 
 class TruncationWarning(UserWarning):
-    """Minimizer support reached the grid endpoint q_max; enlarge q_max."""
+    """Minimizer support reached the fixed solver grid endpoint
+    ``parisi.Q_TOP``, so the value is that of a truncated measure."""
 
 
 class StabilityWarning(UserWarning):

@@ -33,7 +33,7 @@ import numpy as np
 
 from .errors import ScanError
 from .mixtures import MixtureFn, band_mixture, evaluate
-from .parisi import DEFAULT_GRID, MinimizeResult, minimize_cs
+from .parisi import DEFAULT_M, MinimizeResult, minimize_cs
 from .phase import _check_p
 
 __all__ = ["FpPoint", "FpWindow", "fp_value", "fp_rs_bound", "find_window",
@@ -71,13 +71,13 @@ class FpWindow:
         return self.n_points >= MIN_WINDOW_POINTS
 
 
-def fp_value(p: int, beta: float, q: float,
-             grid_spec: tuple[int, float] = DEFAULT_GRID) -> FpPoint:
+def fp_value(p: int, beta: float, q: float, m: int = DEFAULT_M) -> FpPoint:
     """Potential at overlap q via the band free energy, plus all per-point
-    fields (RS bound, envelope derivative, solver diagnostics)."""
+    fields (RS bound, envelope derivative, solver diagnostics); the band
+    solve runs on ``m`` grid intervals."""
     xi_q = band_mixture(p, q)
     p, q = xi_q.p, float(q)
-    res = minimize_cs(xi_q, beta, grid_spec)
+    res = minimize_cs(xi_q, beta, m)
     value = res.value + beta * beta * q ** p + 0.5 * math.log1p(-q * q)
     return FpPoint(
         q=q,
@@ -100,7 +100,7 @@ def fp_rs_bound(p: int, beta: float, q: float) -> float:
 
 
 def find_window(p: int, beta: float, q_grid: np.ndarray,
-                grid_spec: tuple[int, float] = DEFAULT_GRID) -> FpWindow:
+                m: int = DEFAULT_M) -> FpWindow:
     """Scan the potential on a strictly increasing grid inside (0, 1) and
     report the maximal strictly increasing run of at least
     MIN_WINDOW_POINTS consecutive points.
@@ -120,7 +120,7 @@ def find_window(p: int, beta: float, q_grid: np.ndarray,
     points: list[FpPoint] = []
     failures: list[tuple[float, str]] = []
     for q in q_grid:
-        pt = fp_value(p, beta, q, grid_spec)
+        pt = fp_value(p, beta, q, m)
         if not pt.converged:
             failures.append((float(q), "band solver did not converge"))
         points.append(pt)

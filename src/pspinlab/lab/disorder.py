@@ -22,8 +22,7 @@ from ..errors import SizeError
 
 __all__ = ["Configuration", "Disorder", "Lineage", "sample_disorder", "plant",
            "correlate_disorder", "reconstruct", "random_configuration",
-           "sphere_project", "sphere_check", "derived_rng", "derived_seed",
-           "MAX_ENTRIES"]
+           "sphere_project", "sphere_check", "derived_rng", "derived_seed"]
 
 Configuration = np.ndarray  # coords on S_N = {sigma : sum sigma_i^2 = N}
 

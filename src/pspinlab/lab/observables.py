@@ -154,7 +154,7 @@ def chaos_scan(n: int, p: int, beta: float, epsilons, n_samples: int,
     key (the argument of the same name) at fault, and the static-boundary
     warning is given once per scan."""
     eps = sorted(_check_chaos(p, beta, epsilons, n_samples, burn_in, thin,
-                              n_disorders))
+                              n_disorders, seed))
     per_disorder = map_parallel(
         functools.partial(_one_disorder, n, p, beta, eps, n_samples, seed,
                           burn_in, thin), range(n_disorders), threads)
@@ -203,7 +203,8 @@ def _eps_key(e: float) -> int:
 
 
 def _check_chaos(p: int, beta: float, epsilons, n_samples: int,
-                 burn_in: int, thin: int, n_disorders: int) -> list[float]:
+                 burn_in: int, thin: int, n_disorders: int,
+                 seed: int) -> list[float]:
     """The epsilons as floats, once every chaos input is valid; warns when
     beta is at or beyond the static boundary."""
     _check_beta(beta)
@@ -212,6 +213,7 @@ def _check_chaos(p: int, beta: float, epsilons, n_samples: int,
         raise ValueError(f"config key 'n_samples' must be <= "
                          f"{W2_MAX_POINTS}, got {n_samples}")
     _check_at_least("n_disorders", n_disorders, 1)
+    _check_at_least("seed", seed, 0)
     eps = [float(e) for e in epsilons]
     if not eps or not all(0.0 <= e <= 1.0 for e in eps):
         raise ValueError(f"config key 'epsilons' needs at least one "

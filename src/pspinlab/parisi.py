@@ -13,11 +13,13 @@ a finite sum over inter-atom segments and phi is piecewise linear, making
 dt/phi a log of a linear function per segment (or length/phi where the
 local CDF is constant). No quadrature error anywhere.
 
-Minimization is over CDF values on a fixed grid 0 = g_0 < ... < g_m = q_max.
-Replacing q_hat by the fixed endpoint q_max (integrating dt/phi up to q_max
-and adding log(1 - q_max)) reproduces P exactly whenever the true q_hat is
-<= q_max, because on [q_hat, q_max] the integrand is 1/(1-t) and the surplus
-integral telescopes against the log. With the endpoint fixed, the objective
+Minimization is over CDF values on a fixed grid 0 = g_0 < ... < g_m = q_top,
+with q_top = ``Q_TOP`` = 1 - 1e-4 for every solve. Replacing q_hat by the
+fixed endpoint q_top (integrating dt/phi up to q_top and adding
+log(1 - q_top)) reproduces P exactly whenever the true q_hat is <= q_top,
+because on [q_hat, q_top] the integrand is 1/(1-t) and the surplus
+integral telescopes against the log; a minimizer that reaches q_top is
+flagged by ``TruncationWarning``. With the endpoint fixed, the objective
 is smooth and convex in the CDF vector (the first term is linear, 1/phi is
 a convex decreasing function of an affine map), so projected gradient with
 isotonic projection onto the monotone chain converges globally.
@@ -37,9 +39,10 @@ from .errors import TruncationWarning
 from .mixtures import MixtureFn, evaluate
 
 __all__ = ["ParisiMeasure", "MinimizeResult", "cs_functional", "rs_value",
-           "minimize_cs", "make_grid", "DEFAULT_GRID"]
+           "minimize_cs", "make_grid"]
 
-DEFAULT_GRID = (512, 1.0 - 1e-4)
+Q_TOP = 1.0 - 1e-4  # fixed top of the solver grid, the endpoint q_top
+DEFAULT_M = 512  # grid intervals of a solve unless the caller sets m
 MAX_ITER = 20000  # iteration budget of minimize_cs
 TOL_REL = 1e-10  # relative objective stagnation that minimize_cs requires
 TOL_KKT = 1e-7  # max KKT violation that minimize_cs requires
@@ -150,18 +153,15 @@ def cs_functional(zeta: ParisiMeasure, xi: MixtureFn, beta: float,
     return 0.5 * (first + integral + math.log1p(-q_top))
 
 
-def make_grid(m: int, q_max: float = DEFAULT_GRID[1]) -> np.ndarray:
-    """Optimization grid: uniform on [0, 0.9] plus geometric accumulation
-    of 1 - g toward q_max; band mixtures at large p need resolution near 1."""
+def make_grid(m: int) -> np.ndarray:
+    """Optimization grid of m intervals: uniform on [0, 0.9] plus geometric
+    accumulation of 1 - g toward Q_TOP; band mixtures at large p need
+    resolution near 1."""
     if m < 16:
         raise ValueError(f"grid needs at least 16 intervals, got {m!r}")
-    if not 0.0 < q_max < 1.0:
-        raise ValueError(f"q_max must lie in (0, 1), got {q_max!r}")
-    if q_max <= 0.92:
-        return np.linspace(0.0, q_max, m + 1)
     m_u = int(0.6 * m)
     uniform = np.linspace(0.0, 0.9, m_u, endpoint=False)
-    geo = 1.0 - np.exp(np.linspace(math.log(0.1), math.log(1.0 - q_max),
+    geo = 1.0 - np.exp(np.linspace(math.log(0.1), math.log(1.0 - Q_TOP),
                                    m + 1 - m_u))
     return np.unique(np.concatenate([uniform, geo]))
 
@@ -172,8 +172,9 @@ def _check_beta(beta) -> None:
 
 
 def minimize_cs(xi: MixtureFn, beta: float,
-                grid_spec: tuple[int, float] = DEFAULT_GRID) -> MinimizeResult:
-    """Minimize the discretized functional over monotone CDF vectors.
+                m: int = DEFAULT_M) -> MinimizeResult:
+    """Minimize the discretized functional over monotone CDF vectors on
+    ``make_grid(m)``.
 
     Spectral projected gradient (Birgin, Martinez & Raydan 2000) with
     projection onto {0 <= x_0 <= ... <= x_{m-1} <= 1} given by clipped
@@ -184,11 +185,11 @@ def minimize_cs(xi: MixtureFn, beta: float,
     costs one gradient and one projection. Convergence requires both
     objective stagnation below ``TOL_REL`` and max KKT violation below
     ``TOL_KKT``; on budget exhaustion the best iterate is returned with
-    converged=False.
+    converged=False. Mass on the grid's top node ``Q_TOP`` warns with
+    ``TruncationWarning``: the value is then that of a truncated measure.
     """
     _check_beta(beta)
-    m, q_max = int(grid_spec[0]), float(grid_spec[1])
-    grid = make_grid(m, q_max)
+    grid = make_grid(m)
     prob = _CsProblem(xi, beta, grid)
 
     x = np.ones(len(grid) - 1)  # delta_0 start: exact in the RS phase
@@ -231,11 +232,11 @@ def minimize_cs(xi: MixtureFn, beta: float,
     jumps = np.diff(np.clip(x, 0.0, 1.0), prepend=0.0, append=1.0)
     atoms = jumps > 0
     measure = ParisiMeasure(grid[atoms], jumps[atoms])
-    boundary_mass = jumps[-1]  # weight of the atom at q_max, if any
+    boundary_mass = jumps[-1]  # weight of the atom at q_top, if any
     if boundary_mass > 1e-6:
-        warnings.warn("minimizer support reached q_max "
-                      f"(boundary mass {boundary_mass:.2e}); increase q_max",
-                      TruncationWarning, stacklevel=2)
+        warnings.warn("minimizer support reached the fixed grid endpoint "
+                      f"{Q_TOP} (boundary mass {boundary_mass:.2e}); the "
+                      "value is truncated", TruncationWarning, stacklevel=2)
     return MinimizeResult(value=float(fx), measure=measure, kkt_residual=kkt,
                           converged=converged, iterations=it)
 
@@ -248,9 +249,9 @@ class _CsProblem:
     """Value and analytic gradient of the fixed-endpoint objective.
 
     With x the CDF on grid[:-1] (grid[-1] pinned to CDF 1), lengths
-    L_j = g_{j+1} - g_j and phi_j = (1 - q_max) + sum_{i >= j} x_i L_i:
+    L_j = g_{j+1} - g_j and phi_j = (1 - q_top) + sum_{i >= j} x_i L_i:
 
-        2 P(x) = beta^2 (x . dxi + xi(1) - xi(q_max)) + log(1 - q_max)
+        2 P(x) = beta^2 (x . dxi + xi(1) - xi(q_top)) + log(1 - q_top)
                  + sum_j (L_j / phi_{j+1}) f(u_j),    u_j = x_j L_j / phi_{j+1},
 
     where f(u) = log(1+u)/u. Differentiating, a shift of x_k moves phi_j for

@@ -129,10 +129,10 @@ def test_fp_row_error_sets_exit_code(tmp_path, monkeypatch):
     # comes from a solve that raises at one overlap
     fp_value = cli.franz_parisi.fp_value
 
-    def fails_at_top(p, beta, q, grid_spec):
+    def fails_at_top(p, beta, q, m):
         if q > 0.8:
             raise RuntimeError("solve failed")
-        return fp_value(p, beta, q, grid_spec)
+        return fp_value(p, beta, q, m)
 
     monkeypatch.setattr(cli.franz_parisi, "fp_value", fails_at_top)
     out = tmp_path / "fp.csv"
@@ -292,9 +292,9 @@ def test_lab_threads_do_not_change_output(tmp_path, args):
 
 
 @pytest.mark.parametrize("args, text", [
-    # q_max below the minimizer support triggers a truncation warning
-    (["parisi", "--p", "3", "--beta", "1.5", "--solver-q-max", "0.5",
-      "--m", "64"], "q_max"),
+    # minimizer support above the solver grid's fixed endpoint triggers a
+    # truncation warning
+    (["parisi", "--p", "3", "--beta", "10000", "--m", "64"], "endpoint"),
     (["chaos", "--n", "4", "--beta", "1.5", "--epsilons", "0,1",
       "--n-samples", "2", "--n-disorders", "1", "--burn-in", "10",
       "--thin", "1"], "static boundary"),
@@ -389,12 +389,11 @@ def test_empty_inputs_rejected(tmp_path, capsys, args, key):
 
 @pytest.mark.parametrize("args, key", [
     (["fp", "--n-q", "2", "--m", "8"], "m"),
-    (["fp", "--n-q", "2", "--solver-q-max", "1.5"], "solver_q_max"),
-    (["fp", "--n-q", "2", "--m", "8", "--solver-q-max", "0"],
-     "solver_q_max"),
+    (["fp", "--n-q", "2", "--m", "15"], "m"),
+    (["parisi", "--m", "-1"], "m"),
     (["parisi", "--m", "8"], "m"),
     (["shatter-scan", "--p-list", "128", "--beta-fracs", "0.9",
-      "--solver-q-max", "1.5"], "solver_q_max"),
+      "--m", "8"], "m"),
     (["parisi", "--beta", "-1"], "beta"),
     (["fp", "--q-min", "1.0"], "q_min"),
     (["fp", "--beta", "0"], "beta"),
@@ -464,6 +463,9 @@ def test_bad_simulate_keys_rejected_before_disorder(tmp_path, capsys,
     (["simulate", "--n", "64", "--p", "6"], "p"),
     (["chaos", "--n", "0"], "n"),
     (["chaos", "--p", "1", "--n", "4"], "p"),
+    (["simulate", "--n", "4", "--seed", "-1"], "seed"),
+    # beta inside (beta_d, beta_c) at p = 3: checked before beta_c is
+    (["chaos", "--n", "4", "--beta", "1.18", "--seed", "-1"], "seed"),
 ])
 def test_bad_tensor_keys_rejected_before_work(tmp_path, capsys, monkeypatch,
                                               args, key):
@@ -610,6 +612,23 @@ def test_phase_header_with_tol_key_rejected(tmp_path, capsys):
     cfg.write_text(json.dumps({"command": "phase", "tol": 1e-10}))
     assert run_cli(["phase", "--config", str(cfg)]) == 2
     assert "'tol'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["parisi", "fp", "shatter-scan"])
+def test_solver_q_max_key_rejected(tmp_path, capsys, command):
+    # the solver grid's endpoint is the constant parisi.Q_TOP: a JSON
+    # config or an old header holding the key is rejected by name, and
+    # the flag is unknown
+    header = {"command": command, "solver_q_max": 0.9999}
+    for text in (json.dumps(header), "# " + json.dumps(header) + "\r\nx\r\n"):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(text)
+        assert run_cli([command, "--config", str(cfg)]) == 2
+        assert "'solver_q_max'" in capsys.readouterr().err
+    with pytest.raises(SystemExit) as exc:
+        run_cli([command, "--solver-q-max", "0.9999"])
+    assert exc.value.code == 2
+    assert "--solver-q-max" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("config, status", [(None, 0), ({"p_mn": 4}, 2)])

@@ -129,7 +129,7 @@ def test_small_p_window_on_the_v_grid():
     # the grid reaches down to q = 1/2 at p = 6, where the window lies
     # (about q in [0.66, 0.85] at m = 64)
     beta = 0.9 * beta_c(6)[0]
-    win = fp.find_window(6, beta, fp.window_grid(6, n=32), (64, 1.0 - 1e-4))
+    win = fp.find_window(6, beta, fp.window_grid(6, n=32), 64)
     assert win.exists
     assert 0.5 < win.q_under < win.q_bar < 0.99
 
@@ -180,7 +180,7 @@ def test_find_window_collects_failed_points(monkeypatch):
             self.converged = self.q < grid[5]  # fail beyond the 5th point
 
     monkeypatch.setattr(fp, "fp_value",
-                        lambda p, beta, q, grid_spec: Point(q))
+                        lambda p, beta, q, m: Point(q))
     with pytest.raises(ScanError) as err:
         fp.find_window(100, 1.0, grid)
     assert len(err.value.failures) == len(grid) - 5
@@ -202,7 +202,7 @@ def test_window_detection_on_synthetic_values(monkeypatch):
 
     calls = iter(values)
 
-    def fake_fp_value(p, beta, q, grid_spec):
+    def fake_fp_value(p, beta, q, m):
         return Point(q, float(next(calls)))
 
     monkeypatch.setattr(fp, "fp_value", fake_fp_value)

@@ -1,4 +1,4 @@
-"""Golden bodies of the variational commands.
+"""Golden bodies of the phase and variational commands.
 
 Each file under ``tests/golden`` is the CSV a command wrote, with ``--out``
 set to the file's name. A rerun must give the same header (less ``out``
@@ -25,6 +25,11 @@ CLOSED_REL = 1e-12
 # beta_c^2, so a search path that rounds differently may move beta_c (and
 # beta = frac * beta_c) by about TOL / (2 beta_c) < 1e-10
 BETA_REL = 1e-9
+# argmin_q_c is the argmin of the beta_c objective, which is flat there:
+# another bracketing grid for the same golden-section refinement, or
+# Brent's method to 1e-14, moves it by up to 1.4e-8 (2.1e-8 relative, at
+# p = 3; 2e-9 to 4e-9 at p = 4-10), so about 50 times the largest
+ARGMIN_REL = 1e-6
 # solver values: the stopping rule (objective stagnation below 1e-10
 # relative, KKT violation below TOL_KKT = 1e-7) admits any iterate near the
 # minimum; a run to 1e-13 stagnation and 1e-10 KKT moves these bodies'
@@ -44,12 +49,14 @@ TOLERANCE = {
     "q_under": ("rel", CLOSED_REL), "q_bar": ("rel", CLOSED_REL),
     "hb_q_under": ("rel", CLOSED_REL), "hb_q_bar": ("rel", CLOSED_REL),
     "beta": ("rel", BETA_REL), "beta_c": ("rel", BETA_REL),
+    "beta_d": ("rel", CLOSED_REL), "argmin_q_c": ("rel", ARGMIN_REL),
     "value": ("abs", VALUE_ABS), "band_free_energy": ("abs", VALUE_ABS),
     "kkt_residual": ("abs", TOL_KKT),
     "weight": ("abs", MEASURE_ABS), "derivative": ("abs", MEASURE_ABS),
 }
 
 CASES = [
+    ("phase_defaults", ["phase"]),
     ("parisi_defaults", ["parisi"]),
     ("parisi_beta1.5_m64", ["parisi", "--beta", "1.5", "--m", "64"]),
     ("fp_defaults", ["fp"]),

@@ -7,8 +7,8 @@ from pspinlab import parisi
 from pspinlab.errors import TruncationWarning
 from pspinlab.franz_parisi import fp_value, half_band_grid, window_grid
 from pspinlab.mixtures import band_mixture, evaluate, pure
-from pspinlab.parisi import (DEFAULT_GRID, ParisiMeasure, cs_functional,
-                             make_grid, minimize_cs, rs_value)
+from pspinlab.parisi import (ParisiMeasure, cs_functional, make_grid,
+                             minimize_cs, rs_value)
 from pspinlab.phase import beta_c
 
 
@@ -109,7 +109,7 @@ def test_discretized_objective_matches_atomic_value():
 
 def test_objective_gradient_matches_finite_differences():
     rng = np.random.default_rng(23)
-    grid = make_grid(32, 0.99)
+    grid = make_grid(32)
     prob = parisi._CsProblem(band_mixture(3, 0.4), 1.3, grid)
     x = np.sort(rng.uniform(0.0, 1.0, len(grid) - 1))
     _, g = prob.value_grad(x)
@@ -239,7 +239,7 @@ def test_buffered_objective_matches_allocating_reference_bit_for_bit(
         n_zero, tiny):
     # a window point at the default grid; with ``tiny`` the entries after
     # the zeros run from 1e-9 up, so u crosses both series cuts there
-    grid = make_grid(*DEFAULT_GRID)
+    grid = make_grid(512)
     m = len(grid) - 1
     prob = parisi._CsProblem(band_mixture(1024, window_grid(1024, 48)[10]),
                              2.8622855123888167, grid)
@@ -356,7 +356,7 @@ def test_minimize_window_scan_iteration_budget(monkeypatch):
 
 
 def test_minimize_rs_phase():
-    res = minimize_cs(pure(3), 0.8, (512, 0.995))
+    res = minimize_cs(pure(3), 0.8)
     assert res.converged
     assert res.value == pytest.approx(0.32, abs=1e-6)
     # minimizer is delta_0
@@ -400,14 +400,14 @@ def test_minimize_matches_two_atom_oracle_in_rsb_phase():
                                 options=dict(xatol=1e-13, fatol=1e-15,
                                              maxiter=8000))
                 best = min(best, float(r.fun))
-        res = minimize_cs(xi, beta, (1024, 1 - 1e-4))
+        res = minimize_cs(xi, beta, 1024)
         assert res.converged
         assert best - 1e-9 <= res.value <= best + 5e-6
 
 
 def test_minimize_grid_refinement():
-    v1 = minimize_cs(pure(3), 1.3, (512, 1 - 1e-4)).value
-    v2 = minimize_cs(pure(3), 1.3, (1024, 1 - 1e-4)).value
+    v1 = minimize_cs(pure(3), 1.3, 512).value
+    v2 = minimize_cs(pure(3), 1.3, 1024).value
     assert abs(v1 - v2) < 1e-6
 
 
@@ -420,7 +420,7 @@ def test_minimizer_expectation_cases():
     assert delta0.expectation(lambda t: t * 7.0 + 2.0) \
         == pytest.approx(2.0, abs=1e-15)  # delta_0: g(0)
     # single atom at a grid node
-    node = float(make_grid(64, 0.99)[40])
+    node = float(make_grid(64)[40])
     assert ParisiMeasure.dirac(node).expectation(lambda t: t) \
         == pytest.approx(node, abs=1e-15)
     two = ParisiMeasure([0.2, 0.6], [0.25, 0.75])
@@ -435,18 +435,20 @@ def test_minimizer_expectation_cases():
 def test_minimizer_measure_reproduces_value(xi, beta):
     # the returned atoms, fed back through the closed form, give the
     # solver's value: nothing of the grid solution is lost in the measure
-    q_max = DEFAULT_GRID[1]
     res = minimize_cs(xi, beta)
     assert res.converged
     assert res.measure.weights.sum() == pytest.approx(1.0, abs=1e-12)
-    assert cs_functional(res.measure, xi, beta, q_top=q_max) \
+    assert cs_functional(res.measure, xi, beta, q_top=parisi.Q_TOP) \
         == pytest.approx(res.value, abs=1e-12)
 
 
-def test_truncation_warning_when_q_max_too_small():
-    with pytest.warns(TruncationWarning):
-        res = minimize_cs(pure(3), 1.5, (64, 0.5))
-    assert res.measure.q_hat == 0.5  # the warned-of atom at q_max
+def test_truncation_warning_when_support_reaches_the_endpoint():
+    # at beta = 1e4 the p = 3 minimizer needs support above the fixed
+    # endpoint (at beta = 300 it still lies below it, at q_hat = 0.99891)
+    with pytest.warns(TruncationWarning, match="endpoint"):
+        res = minimize_cs(pure(3), 1e4, 64)
+    assert res.converged
+    assert res.measure.q_hat == make_grid(64)[-1]  # the warned-of atom
 
 
 @pytest.mark.parametrize("beta", [math.nan, math.inf, -math.inf, 0.0])
@@ -475,9 +477,9 @@ def test_measure_validation():
 
 
 def test_make_grid_shape():
-    g = make_grid(512, 1 - 1e-4)
+    g = make_grid(512)
     assert g[0] == 0.0
-    assert g[-1] == pytest.approx(1 - 1e-4, abs=1e-15)
+    assert g[-1] == pytest.approx(parisi.Q_TOP, abs=1e-15)
     assert np.all(np.diff(g) > 0)
     # refinement accumulates near 1
     assert np.diff(g)[-1] < np.diff(g)[0]
