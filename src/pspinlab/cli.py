@@ -270,7 +270,10 @@ def _run_command(config: dict) -> tuple[list[dict], int]:
         "chaos": _run_chaos,
     }[config["command"]]
     rows = runner(config)
-    n_errors = sum(1 for r in rows if r.get("error"))
+    # a parisi row has no error column: it failed when its solve did not
+    # converge
+    n_errors = sum(1 for r in rows
+                   if r.get("error") or r.get("converged") is False)
     return rows, n_errors
 
 

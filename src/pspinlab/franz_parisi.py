@@ -125,7 +125,9 @@ def find_window(p: int, beta: float, q_grid: np.ndarray,
             failures.append((float(q), "band solver did not converge"))
         points.append(pt)
     if failures:
-        raise ScanError(f"{len(failures)} window grid points failed",
+        raise ScanError(f"{len(failures)} of {len(q_grid)} window grid "
+                        f"points did not converge, first at q = "
+                        f"{failures[0][0]!r}",
                         failures=failures, partial=points)
 
     values = np.array([pt.value for pt in points])

@@ -78,7 +78,6 @@ class ReplicaExchange:
         self.n_sweeps = 0  # each sweep proposes on every rung and pair
         self._accepts = np.zeros(N_RUNGS)
         self._swap_accepts = np.zeros(N_RUNGS - 1)
-        self.energy_trace: list[float] = []
 
     def sweep(self, adapt: bool = False) -> None:
         """One Metropolis proposal on every rung at once, scored by one
@@ -111,7 +110,6 @@ class ReplicaExchange:
         self._swap_accepts += swapped
         self.configs = self.configs[order]
         self.energies = np.array(energies)
-        self.energy_trace.append(energies[-1])
 
     def sample(self, n_samples: int, burn_in: int,
                thin: int) -> list[Configuration]:
@@ -138,7 +136,6 @@ class ReplicaExchange:
             "acceptance": acc.tolist(),
             "swap_acceptance": swap.tolist(),
             "steps": self.steps.tolist(),
-            "energy_trace": self.energy_trace[-200:],
         }
 
     def check_mixing(self) -> None:

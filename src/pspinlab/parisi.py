@@ -181,12 +181,14 @@ def minimize_cs(xi: MixtureFn, beta: float,
     isotonic regression. The step is the Barzilai-Borwein ratio s.s / s.y of
     the last two iterates and gradients; the line search is nonmonotone
     (Armijo against the largest of the last ``SPG_MEMORY`` accepted values)
-    and halves the step with value-only trials, so an accepted first trial
-    costs one gradient and one projection. Convergence requires both
-    objective stagnation below ``TOL_REL`` and max KKT violation below
-    ``TOL_KKT``; on budget exhaustion the best iterate is returned with
-    converged=False. Mass on the grid's top node ``Q_TOP`` warns with
-    ``TruncationWarning``: the value is then that of a truncated measure.
+    and halves the step until a trial passes. Every trial is one
+    ``value_grad`` call, and the accepted trial's gradient is kept, so an
+    accepted first trial costs one gradient and one projection. Convergence
+    requires both objective stagnation below ``TOL_REL`` and max KKT
+    violation below ``TOL_KKT``; on budget exhaustion the best iterate is
+    returned with converged=False. Mass on the grid's top node ``Q_TOP``
+    warns with ``TruncationWarning``: the value is then that of a truncated
+    measure.
     """
     _check_beta(beta)
     grid = make_grid(m)
@@ -205,12 +207,10 @@ def minimize_cs(xi: MixtureFn, beta: float,
         slope, f_ref, lam = SPG_SIGMA * (gx @ d), max(recent), 1.0
         xn = x + d
         fxn, gxn = prob.value_grad(xn)
-        if fxn > f_ref + slope:
-            while fxn > f_ref + lam * slope and lam > 1e-18:
-                lam *= 0.5
-                xn = x + lam * d
-                fxn = prob.value(xn)
-            gxn = prob.value_grad(xn)[1]
+        while fxn > f_ref + lam * slope and lam > 1e-18:
+            lam *= 0.5
+            xn = x + lam * d
+            fxn, gxn = prob.value_grad(xn)
         s, y = xn - x, gxn - gx
         rel = abs(fx - fxn) / max(abs(fxn), 1.0)
         x, fx, gx = xn, fxn, gxn
@@ -256,9 +256,8 @@ class _CsProblem:
 
     where f(u) = log(1+u)/u. Differentiating, a shift of x_k moves phi_j for
     all j <= k in lockstep, and d seg_j / d(common phi shift) collapses to
-    -L_j / (phi_j phi_{j+1}) with no cancellation. ``value`` skips the
-    gradient work and returns bit for bit the value of ``value_grad``.
-    ``project`` maps a vector onto the feasible CDFs.
+    -L_j / (phi_j phi_{j+1}) with no cancellation. ``project`` maps a
+    vector onto the feasible CDFs.
 
     Scratch buffers for phi, ratio, u and the gradient prefix are allocated
     once and overwritten by every call; none leaves a call, and
@@ -287,44 +286,33 @@ class _CsProblem:
         y = self._isotonic(v).x
         return np.minimum(np.maximum(y, 0.0, out=y), 1.0, out=y)
 
-    def value(self, x: np.ndarray) -> float:
-        ratio, u = self._segments(x)
-        return self._total(x, ratio, _logratio(u))
-
     def value_grad(self, x: np.ndarray) -> tuple[float, np.ndarray]:
-        ratio, u = self._segments(x)
-        f, df = _logratio(u, slope=True)
-        grad = ratio * ratio
-        grad *= df  # dseg
-        grad += self.b2_dxi
-        # prefix_k = sum_{j < k} shift_j, shift_j = -L_j / (phi_j phi_{j+1});
-        # prefix_0 stays 0
-        phi, prefix, shift = self._phi, self._prefix, self._prefix[1:]
-        np.multiply(phi[:-2], phi[1:-1], out=shift)
-        np.divide(self.neg_L_head, shift, out=shift)
-        np.add.accumulate(shift, out=shift)
-        prefix *= self.L
-        grad += prefix
-        grad *= 0.5
-        return self._total(x, ratio, f), grad
-
-    def _segments(self, x: np.ndarray):
-        """phi on the grid, ratio_j = L_j / phi_{j+1} and u_j = x_j ratio_j."""
         phi = self._phi
         np.multiply(x, self.L, out=phi[:-1])
         tail = phi[-2::-1]  # phi[:-1] reversed: partial sums from the top
         np.add.accumulate(tail, out=tail)
         phi[:-1] += self.phi_end
         ratio = np.divide(self.L, phi[1:], out=self._ratio)
-        return ratio, np.multiply(x, ratio, out=self._u)
+        f, df = _logratio(np.multiply(x, ratio, out=self._u))
+        f *= ratio  # f is a fresh array
+        value = float(0.5 * (self.b2 * (x @ self.dxi) + f.sum() + self.const))
+        grad = ratio * ratio
+        grad *= df  # dseg
+        grad += self.b2_dxi
+        # prefix_k = sum_{j < k} shift_j, shift_j = -L_j / (phi_j phi_{j+1});
+        # prefix_0 stays 0
+        prefix, shift = self._prefix, self._prefix[1:]
+        np.multiply(phi[:-2], phi[1:-1], out=shift)
+        np.divide(self.neg_L_head, shift, out=shift)
+        np.add.accumulate(shift, out=shift)
+        prefix *= self.L
+        grad += prefix
+        grad *= 0.5
+        return value, grad
 
-    def _total(self, x: np.ndarray, ratio: np.ndarray, f: np.ndarray) -> float:
-        f *= ratio  # f is the caller's fresh array
-        return float(0.5 * (self.b2 * (x @ self.dxi) + f.sum() + self.const))
 
-
-def _logratio(u: np.ndarray, slope: bool = False):
-    """f(u) = log(1+u)/u and, with ``slope``, f'(u), from one log1p pass.
+def _logratio(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """f(u) = log(1+u)/u and f'(u), from one log1p pass.
 
     Series replace the closed forms where those fail: f below 1e-6 (0/0 at
     u = 0) and f' below 1e-4 (cancellation). The closed forms divide by a
@@ -343,8 +331,6 @@ def _logratio(u: np.ndarray, slope: bool = False):
     f[:z], s = 1.0, u[z:j]
     if z < j:
         np.copyto(f[z:j], 1.0 - 0.5 * s + s * s / 3.0, where=s < 1e-6)
-    if not slope:
-        return f
     df = (u / (1.0 + u) - lg) / np.maximum(u * u, 1e-8)
     df[:z] = -0.5
     if z < j:

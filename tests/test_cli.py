@@ -144,6 +144,19 @@ def test_fp_row_error_sets_exit_code(tmp_path, monkeypatch):
         assert row["error"] == "" and row["value"] != ""
 
 
+def test_parisi_solve_that_does_not_converge_sets_exit_code(tmp_path,
+                                                           monkeypatch):
+    # convergence is tested only after iteration 5, so a 3-iteration budget
+    # cannot converge; the rows are still written, with converged false
+    monkeypatch.setattr(cli.parisi, "MAX_ITER", 3)
+    out = tmp_path / "parisi.csv"
+    assert run_cli(["parisi", "--beta", "1.5", "--m", "64",
+                    "--out", str(out)]) == 1
+    _, cols, rows = read_csv(out)
+    assert "error" not in cols
+    assert rows and all(r["converged"] == "false" for r in rows)
+
+
 def test_parisi_command(tmp_path):
     # one row per atom of the minimizing measure: delta_0 in the replica
     # symmetric phase, two atoms (1RSB) at beta = 1.5

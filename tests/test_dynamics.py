@@ -160,7 +160,6 @@ class _PerRungReplicaExchange:
         self._proposals = np.zeros(n_rungs)
         self._swap_accepts = np.zeros(n_rungs - 1)
         self._swap_attempts = np.zeros(n_rungs - 1)
-        self.energy_trace = []
 
     def sweep(self, adapt=False):
         n_rungs = len(self.betas)
@@ -191,7 +190,6 @@ class _PerRungReplicaExchange:
                 self.energies[k], self.energies[k + 1] = \
                     self.energies[k + 1], self.energies[k]
                 self._swap_accepts[k] += 1
-        self.energy_trace.append(self.energies[-1])
 
 
 @pytest.mark.parametrize("n, p", [(8, 3), (6, 4)])
@@ -203,11 +201,11 @@ def test_batched_sweep_matches_per_rung_reference(n, p):
         adapt = i < 150  # adaptive burn-in, then plain sweeps
         batched.sweep(adapt=adapt)
         ref.sweep(adapt=adapt)
+        # the cold rung's energy after every sweep
+        assert abs(batched.energies[-1] - ref.energies[-1]) <= 1e-12
     np.testing.assert_allclose(batched.configs, np.array(ref.configs),
                                rtol=0, atol=1e-12)
     np.testing.assert_allclose(batched.energies, ref.energies,
-                               rtol=0, atol=1e-12)
-    np.testing.assert_allclose(batched.energy_trace, ref.energy_trace,
                                rtol=0, atol=1e-12)
     for name in ("_accepts", "_swap_accepts"):
         assert np.array_equal(getattr(batched, name), getattr(ref, name))

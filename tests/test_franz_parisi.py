@@ -185,6 +185,11 @@ def test_find_window_collects_failed_points(monkeypatch):
         fp.find_window(100, 1.0, grid)
     assert len(err.value.failures) == len(grid) - 5
     assert len(err.value.partial) == len(grid)
+    # the message, which reaches a shatter-scan row's error column, names
+    # the count and the first failed point
+    assert str(err.value) == (f"{len(grid) - 5} of {len(grid)} window grid "
+                              f"points did not converge, first at q = "
+                              f"{float(grid[5])!r}")
 
 
 def test_window_detection_on_synthetic_values(monkeypatch):
