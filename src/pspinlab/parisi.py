@@ -259,15 +259,16 @@ class _CsProblem:
     -L_j / (phi_j phi_{j+1}) with no cancellation. ``project`` maps a
     vector onto the feasible CDFs.
 
-    Scratch buffers for phi, ratio, u and the gradient prefix are allocated
-    once and overwritten by every call; none leaves a call, and
-    ``value_grad`` returns a fresh gradient, which the solver keeps.
+    Scratch buffers for phi, ratio, u, the gradient prefix and the
+    projection's weights and blocks are allocated once and overwritten by
+    every call; none leaves a call, and ``value_grad`` returns a fresh
+    gradient, which the solver keeps.
     """
 
     def __init__(self, xi: MixtureFn, beta: float, grid: np.ndarray):
         # scipy loads on the first solve, so importing pspinlab does not
-        from scipy.optimize import isotonic_regression
-        self._isotonic = isotonic_regression
+        from scipy.optimize._pava_pybind import pava
+        self._pava = pava
         self.L = np.diff(grid)
         self.neg_L_head = -self.L[:-1]
         xg = evaluate(xi, np.append(grid, 1.0))  # one call gives xi(1) too
@@ -278,13 +279,25 @@ class _CsProblem:
         self.phi_end = 1.0 - grid[-1]
         self._phi = np.full(len(grid), self.phi_end)  # phi_m stays phi_end
         self._ratio, self._u, self._prefix = np.zeros((3, len(self.L)))
+        self._w = np.ones(len(self.L))  # PAVA weights, refilled every call
+        self._r = np.full(len(self.L) + 1, -1, dtype=np.intp)  # PAVA blocks
 
     def project(self, v: np.ndarray) -> np.ndarray:
-        # euclidean projection onto the monotone chain intersected with
-        # [0, 1]; clipping the unconstrained isotonic fit is exact for box
-        # bounds, and the fit is a fresh array, so it is clipped in place
-        y = self._isotonic(v).x
-        return np.minimum(np.maximum(y, 0.0, out=y), 1.0, out=y)
+        """Euclidean projection of ``v`` onto the monotone chain intersected
+        with [0, 1], written into ``v`` and returned: ``v`` is consumed, so
+        it must be a fresh contiguous float64 vector (both callers pass one).
+
+        Clipping the unconstrained isotonic fit is exact for box bounds. The
+        fit is scipy's compiled pool-adjacent-violators kernel, the routine
+        that ``scipy.optimize.isotonic_regression`` wraps, called on the
+        problem's weight and block buffers without that wrapper's copies; it
+        pools in place and leaves block weights in ``w``, so ``w`` is reset
+        to ones first. Its module name is private, so a test pins this
+        projection bit for bit against the public function.
+        """
+        self._w.fill(1.0)
+        self._pava(v, self._w, self._r)
+        return np.minimum(np.maximum(v, 0.0, out=v), 1.0, out=v)
 
     def value_grad(self, x: np.ndarray) -> tuple[float, np.ndarray]:
         phi = self._phi

@@ -59,6 +59,11 @@ CASES = [
     ("phase_defaults", ["phase"]),
     ("parisi_defaults", ["parisi"]),
     ("parisi_beta1.5_m64", ["parisi", "--beta", "1.5", "--m", "64"]),
+    # a band solve that pools in its projection and backtracks in its line
+    # search: 54 iterations, 9 backtracking trials, 4 atoms
+    ("parisi_band_p128_m64",
+     ["parisi", "--p", "128", "--band-q", "0.9901", "--beta", "2.45299",
+      "--m", "64"]),
     ("fp_defaults", ["fp"]),
     ("shatter_scan_p128_1024",
      ["shatter-scan", "--p-list", "128,1024", "--beta-fracs", "0.9",

@@ -243,6 +243,52 @@ def test_buffered_objective_matches_allocating_reference_bit_for_bit(
         np.testing.assert_array_equal(g, kept)
 
 
+def test_projection_equals_public_isotonic_fit_bit_for_bit(monkeypatch):
+    # project calls scipy's private compiled PAVA kernel on reused weight
+    # and block buffers; the public isotonic_regression wraps the same
+    # kernel with fresh buffers. A scipy release that renames or changes
+    # the kernel, a weight buffer left holding pooled weights, a missing
+    # clip, or an argument the binding copies instead of pooling in place
+    # each fail this comparison
+    from scipy.optimize import isotonic_regression
+
+    grid = make_grid(512)
+    m = len(grid) - 1
+    prob = parisi._CsProblem(band_mixture(128, 0.9901), 2.4529900038181776,
+                             grid)
+    rng = np.random.default_rng(7)
+    ramp = np.linspace(-0.5, 1.5, m)
+    hand = [
+        np.repeat([0.3, 0.1, 0.1, 0.7, 0.7, 0.2, 0.9, 0.9], m // 8),  # ties
+        np.linspace(1.0, 0.0, m),  # strictly decreasing: one block
+        np.linspace(0.0, 1.0, m),  # increasing: no pooling
+        ramp + rng.normal(0.0, 500.0, m),  # far outside [0, 1]
+        np.sort(rng.uniform(0.0, 1.0, m))[::-1].copy(),  # pools, then ...
+        ramp + rng.normal(0.0, 0.05, m),  # ... a second call on one problem
+    ]
+    # every vector the solver projects on the slow window point below: its
+    # steps x - alpha g and its KKT checks x - g, most of which pool
+    inputs = []
+    project = parisi._CsProblem.project
+
+    def recording(self, v):
+        inputs.append(v.copy())
+        return project(self, v)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(parisi._CsProblem, "project", recording)
+        minimize_cs(band_mixture(128, 0.9901), 2.4529900038181776)
+    assert len(inputs) > 144  # one per iteration, plus the KKT checks
+    pooled = 0
+    for v in hand + inputs:
+        fit = isotonic_regression(v).x
+        want = np.minimum(np.maximum(fit, 0.0), 1.0)
+        got = prob.project(v.copy())
+        np.testing.assert_array_equal(got, want)
+        pooled += bool(np.any(fit != v))
+    assert pooled > len(inputs) // 2  # most recorded inputs do pool
+
+
 def test_minimize_slow_window_point_reproduces_reference_iterates():
     # a 1RSB-like window-grid point (p = 128, beta = 0.95 beta_c, the first
     # point of window_grid(128)); the reference iteration count and value
