@@ -206,8 +206,10 @@ def _fmt(value) -> str:
 # --------------------------
 
 def _comma_list(config: dict, key: str, cast) -> list:
-    """The comma-separated values of ``config[key]``; none, or one that
-    ``cast`` rejects or that is not finite, is an error naming the key."""
+    """The comma-separated values of ``config[key]``; none, one that
+    ``cast`` rejects or that is not finite, or one equal to another after
+    parsing (``0.9,0.90``) is an error naming the key: a repeat would
+    solve and write the same row twice."""
     try:
         values = [cast(s) for s in str(config[key]).split(",") if s]
     except ValueError:
@@ -215,6 +217,9 @@ def _comma_list(config: dict, key: str, cast) -> list:
     if not values or not all(math.isfinite(v) for v in values):
         raise ValueError(f"config key {key!r} needs one or more finite "
                          f"comma-separated values, got {config[key]!r}")
+    if len(set(values)) < len(values):
+        raise ValueError(f"config key {key!r} repeats a value, "
+                         f"got {config[key]!r}")
     return values
 
 

@@ -204,7 +204,7 @@ def minimize_cs(xi: MixtureFn, beta: float,
     for it in range(1, MAX_ITER + 1):
         d = prob.project(x - alpha * gx)
         d -= x
-        slope, f_ref, lam = SPG_SIGMA * (gx @ d), max(recent), 1.0
+        slope, f_ref, lam = SPG_SIGMA * float(gx @ d), max(recent), 1.0
         xn = x + d
         fxn, gxn = prob.value_grad(xn)
         while fxn > f_ref + lam * slope and lam > 1e-18:
@@ -217,8 +217,8 @@ def minimize_cs(xi: MixtureFn, beta: float,
         recent.append(fx)
         if fx < best_f:
             best_x, best_f = x, fx
-        sy = s @ y
-        alpha = (min(max((s @ s) / sy, SPG_ALPHA[0]), SPG_ALPHA[1])
+        sy = float(s @ y)
+        alpha = (min(max(float(s @ s) / sy, SPG_ALPHA[0]), SPG_ALPHA[1])
                  if sy > 0 else SPG_ALPHA[1])
         if rel < TOL_REL and it > 5:
             kkt = _kkt_residual(prob, x, gx)
@@ -259,10 +259,13 @@ class _CsProblem:
     -L_j / (phi_j phi_{j+1}) with no cancellation. ``project`` maps a
     vector onto the feasible CDFs.
 
-    Scratch buffers for phi, ratio, u, the gradient prefix and the
-    projection's weights and blocks are allocated once and overwritten by
-    every call; none leaves a call, and ``value_grad`` returns a fresh
-    gradient, which the solver keeps.
+    Scratch buffers for phi, ratio, u, ratio^2, the gradient prefix and the
+    projection's weights and blocks, and the views of phi and the prefix
+    that ``value_grad`` reads, are made once and overwritten by every call;
+    none leaves a call. ``value_grad`` returns a fresh gradient, which the
+    solver keeps, and its value as a Python float: the value and every
+    scalar of the solver's line search are Python floats, the same IEEE
+    operations as on numpy scalars without their dispatch.
     """
 
     def __init__(self, xi: MixtureFn, beta: float, grid: np.ndarray):
@@ -273,14 +276,23 @@ class _CsProblem:
         self.neg_L_head = -self.L[:-1]
         xg = evaluate(xi, np.append(grid, 1.0))  # one call gives xi(1) too
         self.dxi = np.diff(xg[:-1])
-        self.b2 = beta * beta
+        self.b2 = float(beta * beta)
         self.b2_dxi = self.b2 * self.dxi
-        self.const = self.b2 * (xg[-1] - xg[-2]) + math.log1p(-grid[-1])
+        self.const = float(self.b2 * (xg[-1] - xg[-2])
+                           + math.log1p(-grid[-1]))
         self.phi_end = 1.0 - grid[-1]
-        self._phi = np.full(len(grid), self.phi_end)  # phi_m stays phi_end
-        self._ratio, self._u, self._prefix = np.zeros((3, len(self.L)))
-        self._w = np.ones(len(self.L))  # PAVA weights, refilled every call
-        self._r = np.full(len(self.L) + 1, -1, dtype=np.intp)  # PAVA blocks
+        m = len(self.L)
+        phi = np.full(m + 1, self.phi_end)  # phi_m stays phi_end
+        # views of phi: phi_j for j < m, the same reversed (its partial sums
+        # from the top), phi_{j+1}, and the pairs (phi_j, phi_{j+1}) for
+        # j < m - 1 that the gradient prefix reads
+        self._phi_head, self._phi_rev = phi[:-1], phi[-2::-1]
+        self._phi_next = phi[1:]
+        self._phi_lo, self._phi_mid = phi[:-2], phi[1:-1]
+        self._ratio, self._u, self._ratio_sq, self._prefix = np.zeros((4, m))
+        self._shift = self._prefix[1:]  # prefix_0 stays 0
+        self._w = np.ones(m)  # PAVA weights, refilled every call
+        self._r = np.full(m + 1, -1, dtype=np.intp)  # PAVA blocks
 
     def project(self, v: np.ndarray) -> np.ndarray:
         """Euclidean projection of ``v`` onto the monotone chain intersected
@@ -300,24 +312,21 @@ class _CsProblem:
         return np.minimum(np.maximum(v, 0.0, out=v), 1.0, out=v)
 
     def value_grad(self, x: np.ndarray) -> tuple[float, np.ndarray]:
-        phi = self._phi
-        np.multiply(x, self.L, out=phi[:-1])
-        tail = phi[-2::-1]  # phi[:-1] reversed: partial sums from the top
-        np.add.accumulate(tail, out=tail)
-        phi[:-1] += self.phi_end
-        ratio = np.divide(self.L, phi[1:], out=self._ratio)
-        f, df = _logratio(np.multiply(x, ratio, out=self._u))
-        f *= ratio  # f is a fresh array
-        value = float(0.5 * (self.b2 * (x @ self.dxi) + f.sum() + self.const))
-        grad = ratio * ratio
-        grad *= df  # dseg
+        np.multiply(x, self.L, out=self._phi_head)
+        np.add.accumulate(self._phi_rev, out=self._phi_rev)
+        self._phi_head += self.phi_end
+        ratio = np.divide(self.L, self._phi_next, out=self._ratio)
+        f, grad = _logratio(np.multiply(x, ratio, out=self._u))
+        f *= ratio  # f and grad are fresh arrays
+        value = 0.5 * (self.b2 * float(x @ self.dxi) + float(f.sum())
+                       + self.const)
+        grad *= np.multiply(ratio, ratio, out=self._ratio_sq)  # dseg
         grad += self.b2_dxi
-        # prefix_k = sum_{j < k} shift_j, shift_j = -L_j / (phi_j phi_{j+1});
-        # prefix_0 stays 0
-        prefix, shift = self._prefix, self._prefix[1:]
-        np.multiply(phi[:-2], phi[1:-1], out=shift)
+        # prefix_k = sum_{j < k} shift_j, shift_j = -L_j / (phi_j phi_{j+1})
+        shift = np.multiply(self._phi_lo, self._phi_mid, out=self._shift)
         np.divide(self.neg_L_head, shift, out=shift)
         np.add.accumulate(shift, out=shift)
+        prefix = self._prefix
         prefix *= self.L
         grad += prefix
         grad *= 0.5
@@ -329,26 +338,34 @@ def _logratio(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
     Series replace the closed forms where those fail: f below 1e-6 (0/0 at
     u = 0) and f' below 1e-4 (cancellation). The closed forms divide by a
-    safe denominator, equal to u (or u^2) wherever they are kept. The
-    series run only over the span u[z:j]: j is one past the last u < 1e-4,
-    and the z leading exact zeros take the series' exact values at 0
-    (f = 1, f' = -1/2) by a slice fill. The bits equal those of the series
-    masked over every entry; in the solver the small entries are a prefix.
+    safe denominator, equal to u (or u^2) wherever they are kept, and are
+    computed in place in the two returned arrays and one temporary. The
+    series run only over the span u[z:j], one Python float at a time: j is
+    one past the last u < 1e-4, and the z leading exact zeros take the
+    series' exact values at 0 (f = 1, f' = -1/2) by a slice fill. These are
+    the IEEE operations of the series masked over every entry, in the same
+    order, so the bits are equal. In the solver the small entries are a
+    prefix, and the span is empty in most calls and a few entries long in
+    nearly all the rest.
     """
     lg = np.log1p(u)
-    f = lg / np.maximum(u, 1e-6)
+    f = np.maximum(u, 1e-6)
+    np.divide(lg, f, out=f)
+    df = np.add(u, 1.0)
+    np.divide(u, df, out=df)
+    df -= lg
+    df /= np.maximum(np.multiply(u, u, out=lg), 1e-8, out=lg)
     (small,) = (u < 1e-4).nonzero()
     j = int(small[-1]) + 1 if small.size else 0
     (nonzero,) = u[:j].nonzero()
     z = int(nonzero[0]) if nonzero.size else j
-    f[:z], s = 1.0, u[z:j]
-    if z < j:
-        np.copyto(f[z:j], 1.0 - 0.5 * s + s * s / 3.0, where=s < 1e-6)
-    df = (u / (1.0 + u) - lg) / np.maximum(u * u, 1e-8)
+    f[:z] = 1.0
     df[:z] = -0.5
-    if z < j:
-        np.copyto(df[z:j], -0.5 + 2.0 * s / 3.0 - 0.75 * s * s,
-                  where=s < 1e-4)
+    for i, s in enumerate(u[z:j].tolist(), z):
+        if s < 1e-4:
+            df[i] = -0.5 + 2.0 * s / 3.0 - 0.75 * s * s
+            if s < 1e-6:
+                f[i] = 1.0 - 0.5 * s + s * s / 3.0
     return f, df
 
 

@@ -424,6 +424,14 @@ def test_empty_inputs_rejected(tmp_path, capsys, args, key):
     (["phase", "--p-min", "5", "--p-max", "4"], "p_max"),
     (["shatter-scan", "--p-list", "2"], "p_list"),
     (["shatter-scan", "--p-list", "128,2"], "p_list"),
+    # a repeated entry would solve and write the same row again
+    (["shatter-scan", "--p-list", "6,6", "--beta-fracs", "0.9"], "p_list"),
+    (["shatter-scan", "--p-list", "6,20,6", "--beta-fracs", "0.9"],
+     "p_list"),
+    (["shatter-scan", "--p-list", "6", "--beta-fracs", "0.9,0.9"],
+     "beta_fracs"),
+    (["shatter-scan", "--p-list", "6", "--beta-fracs", "0.9,0.90"],
+     "beta_fracs"),  # equal once parsed
 ])
 def test_bad_solver_keys_rejected_before_work(tmp_path, capsys, monkeypatch,
                                               args, key):
@@ -434,6 +442,7 @@ def test_bad_solver_keys_rejected_before_work(tmp_path, capsys, monkeypatch,
         raise RuntimeError("work started")
 
     for owner, name in [(cli, "map_parallel"), (cli.phase, "beta_c"),
+                        (cli.franz_parisi, "find_window"),
                         (cli.parisi, "minimize_cs")]:
         monkeypatch.setattr(owner, name, record)
     out = tmp_path / "o.csv"

@@ -148,6 +148,24 @@ _SERIES_SWEEP = np.concatenate([[0.0, 1e-7],
                                  np.nextafter(1e-6, [0.0, 1.0]), [1e-6],
                                  np.nextafter(1e-4, [0.0, 1.0]), [1e-4],
                                  np.logspace(-3, 1, 60)])
+# each series cut and one step either side of it, inside a span that starts
+# after leading zeros and ends at a later small entry
+_CUTS = np.concatenate([np.nextafter(1e-6, [0.0, 1.0]), [1e-6],
+                        np.nextafter(1e-4, [0.0, 1.0]), [1e-4]])
+_CUTS_IN_SPAN = np.concatenate([np.zeros(4), _CUTS, [1e-3], _CUTS[::-1],
+                                [5e-5], np.logspace(-3, 1, 20)])
+# the projection's np.maximum(-0.0, 0.0) keeps -0.0, so the solver can pass
+# it, leading or inside the span
+_NEGATIVE_ZEROS = np.array([-0.0, 0.0, -0.0, 3e-7, -0.0, 2e-3, -0.0, 2e-5,
+                            0.5, -0.0, 1.0])
+# a span over all 512 entries: small and closed-form entries interleaved,
+# the last entry small
+_FULL_SPAN = np.random.default_rng(3).permutation(np.logspace(-9, 1, 512))
+_FULL_SPAN[-1] = 5e-5
+# a span of 350 entries after 100 leading zeros, a third of them closed form
+_LONG_SPAN = np.concatenate([np.zeros(100),
+                             np.geomspace(1e-12, 9e-5, 350), np.ones(62)])
+_LONG_SPAN[100:450:3] = np.logspace(-3, 1, 117)
 
 
 # _logratio runs its series only over the span of small entries and fills
@@ -161,9 +179,14 @@ _SERIES_SWEEP = np.concatenate([[0.0, 1e-7],
     np.concatenate([np.zeros(5), [1e-4], np.logspace(-3, 1, 20)]),
     _SERIES_SWEEP[::-1].copy(),  # small entries last, not a prefix
     np.concatenate([np.zeros(3), [1e-3, 0.0, 5e-7, 2.0, 0.0, 3e-5, 0.5]]),
+    _CUTS_IN_SPAN,
+    _NEGATIVE_ZEROS,
+    _FULL_SPAN,
+    _LONG_SPAN,
 ], ids=["across-series-cuts", "closed-form-only", "zeros-then-both-series",
         "all-zeros", "zeros-then-closed-form", "series-cuts-reversed",
-        "small-entries-scattered"])
+        "small-entries-scattered", "cuts-inside-span", "negative-zeros",
+        "span-of-all-512", "span-of-350"])
 def test_logratio_matches_masked_reference_bit_for_bit(u):
     f, df = parisi._logratio(u)
     np.testing.assert_array_equal(f, _f_logratio_reference(u))
@@ -370,7 +393,9 @@ def test_minimize_window_scan_iteration_budget(monkeypatch):
     # the spectral projected gradient takes 2865 iterations and 4156
     # value_grad calls, one per line-search trial. Its 1RSB-like points need
     # as many iterations as before or more, so the iteration bound is loose;
-    # a solver back on slow steps fails both bounds.
+    # a solver back on slow steps fails both bounds. A kernel change that
+    # keeps every floating-point operation keeps both totals exactly, over
+    # the 48 points of a whole scan
     evaluations = []
     value_grad = parisi._CsProblem.value_grad
 
@@ -386,6 +411,8 @@ def test_minimize_window_scan_iteration_budget(monkeypatch):
                      for q in panel)
     assert iterations <= 0.95 * 3140
     assert len(evaluations) <= 0.75 * 7072
+    assert iterations == 2865
+    assert len(evaluations) == 4156
 
 
 def test_minimize_rs_phase():
