@@ -133,9 +133,7 @@ def _resolve_config(args: argparse.Namespace) -> dict:
     for key, value in resolved.items():
         if isinstance(value, float) and not math.isfinite(value):
             raise ValueError(f"config key {key!r} must be finite, got {value}")
-    if resolved["threads"] < 1:
-        raise ValueError(f"config key 'threads' must be >= 1, "
-                         f"got {resolved['threads']}")
+    _check_at_least("threads", resolved["threads"], 1)
     out = resolved["out"]
     if out == "":
         raise ValueError("config key 'out' must name a file, got ''")
@@ -315,8 +313,7 @@ def _run_parisi(config: dict) -> list[dict]:
 
 
 def _run_fp(config: dict) -> list[dict]:
-    if config["n_q"] < 1:
-        raise ValueError(f"config key 'n_q' must be >= 1, got {config['n_q']}")
+    _check_at_least("n_q", config["n_q"], 1)
     _check_key("beta", parisi._check_beta, config["beta"])
     _check_key("m", parisi.make_grid, config["m"])
     _check_band(config, "q_min", "q_max")
@@ -335,10 +332,7 @@ def _fp_row(config: dict, row: dict) -> None:
 
 def _run_shatter(config: dict) -> list[dict]:
     for key in ("n_q", "n_q_half"):
-        if config[key] < franz_parisi.MIN_GRID_POINTS:
-            raise ValueError(f"config key {key!r} must be >= "
-                             f"{franz_parisi.MIN_GRID_POINTS}, "
-                             f"got {config[key]}")
+        _check_at_least(key, config[key], franz_parisi.MIN_GRID_POINTS)
     _check_key("m", parisi.make_grid, config["m"])
     fracs = _comma_list(config, "beta_fracs", float)
     for frac in fracs:  # beta = frac * beta_c has the sign of frac

@@ -28,12 +28,8 @@ class DivergenceError(RuntimeError):
 
 
 class ScanError(RuntimeError):
-    """A grid scan had per-point failures; partial results are attached."""
-
-    def __init__(self, message, failures=None, partial=None):
-        super().__init__(message)
-        self.failures = failures or []
-        self.partial = partial
+    """A grid scan had per-point failures; the message gives their count
+    and the first failed point."""
 
 
 class TruncationWarning(UserWarning):

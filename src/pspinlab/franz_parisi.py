@@ -59,12 +59,19 @@ class FpPoint:
 
 @dataclass(frozen=True)
 class FpWindow:
-    """Maximal strictly-increasing interval found by a window scan."""
+    """A window scan: the maximal strictly-increasing interval, then the
+    potential, RS bound, envelope derivative and KKT residual at every
+    grid point ``q``."""
 
     q_under: float
     q_bar: float
     passes_fp: bool
     n_points: int
+    q: np.ndarray
+    value: np.ndarray
+    rs_bound: np.ndarray
+    derivative: np.ndarray
+    kkt_residual: np.ndarray
 
     @property
     def exists(self) -> bool:
@@ -102,14 +109,15 @@ def fp_rs_bound(p: int, beta: float, q: float) -> float:
 def find_window(p: int, beta: float, q_grid: np.ndarray,
                 m: int = DEFAULT_M) -> FpWindow:
     """Scan the potential on a strictly increasing grid inside (0, 1) and
-    report the maximal strictly increasing run of at least
-    MIN_WINDOW_POINTS consecutive points.
+    return every point solved, with the maximal strictly increasing run of
+    at least MIN_WINDOW_POINTS consecutive points (``_window``).
 
     passes_fp is set when the run starts at or above 0.9999. Every point
-    is solved; if any solve did not converge, a ScanError then lists the
-    failed points and carries all points solved.
+    is solved; if any solve did not converge, a ScanError names their
+    count and the first failed q in its message, and no points are
+    returned.
     """
-    q_grid = np.asarray(q_grid, dtype=float)
+    q_grid = np.array(q_grid, dtype=float)
     if len(q_grid) < MIN_GRID_POINTS:
         raise ValueError(f"window grid needs at least {MIN_GRID_POINTS} points")
     if np.any(np.diff(q_grid) <= 0):
@@ -117,29 +125,17 @@ def find_window(p: int, beta: float, q_grid: np.ndarray,
     if q_grid[0] <= 0.0 or q_grid[-1] >= 1.0:
         raise ValueError("window grid must lie inside (0, 1)")
 
-    points: list[FpPoint] = []
-    failures: list[tuple[float, str]] = []
-    for q in q_grid:
-        pt = fp_value(p, beta, q, m)
-        if not pt.converged:
-            failures.append((float(q), "band solver did not converge"))
-        points.append(pt)
-    if failures:
-        raise ScanError(f"{len(failures)} of {len(q_grid)} window grid "
-                        f"points did not converge, first at q = "
-                        f"{failures[0][0]!r}",
-                        failures=failures, partial=points)
-
-    values = np.array([pt.value for pt in points])
-    noise = 10.0 * max(pt.kkt_residual for pt in points)
-    start, length = _longest_increasing_run(values, noise)
-    if length < MIN_WINDOW_POINTS:
-        return FpWindow(q_under=math.nan, q_bar=math.nan, passes_fp=False,
-                        n_points=0)
-    q_under = float(q_grid[start])
-    q_bar = float(q_grid[start + length - 1])
-    return FpWindow(q_under=q_under, q_bar=q_bar,
-                    passes_fp=q_under >= FP_THRESHOLD, n_points=length)
+    points = [fp_value(p, beta, q, m) for q in q_grid]
+    failed = [float(q) for q, pt in zip(q_grid, points) if not pt.converged]
+    if failed:
+        raise ScanError(f"{len(failed)} of {len(q_grid)} window grid points "
+                        f"did not converge, first at q = {failed[0]!r}")
+    value, rs_bound, derivative, kkt_residual = (
+        np.array([getattr(pt, name) for pt in points])
+        for name in ("value", "rs_bound", "derivative", "kkt_residual"))
+    return FpWindow(*_window(q_grid, value, kkt_residual), q=q_grid,
+                    value=value, rs_bound=rs_bound, derivative=derivative,
+                    kkt_residual=kkt_residual)
 
 
 def window_grid(p: int, n: int = 48, v_max: float = 5.0,
@@ -176,16 +172,20 @@ def _envelope_derivative(xi_q: MixtureFn, beta: float, q: float,
             - q / (1.0 - q2))
 
 
-def _longest_increasing_run(values: np.ndarray, noise: float) -> tuple[int, int]:
-    """(start, n_points) of the longest run with every step > noise."""
-    best_start, best_len = 0, 1
-    start, length = 0, 1
-    for i in range(1, len(values)):
-        if values[i] - values[i - 1] > noise:
-            length += 1
-        else:
-            start, length = i, 1
-        if length > best_len:
-            best_start, best_len = start, length
-    return best_start, best_len
-
+def _window(q: np.ndarray, value: np.ndarray,
+            kkt_residual: np.ndarray) -> tuple[float, float, bool, int]:
+    """(q_under, q_bar, passes_fp, n_points) of the longest run of grid
+    points whose every step in value exceeds 10 times the largest KKT
+    residual, the first of equal longest runs; a run of fewer than
+    MIN_WINDOW_POINTS points is no window (NaN edges, 0 points)."""
+    rises = np.diff(value) > 10.0 * np.max(kkt_residual)
+    # a run of rises over steps start .. stop - 1 spans points start .. stop
+    edges = np.flatnonzero(np.diff(np.concatenate(([False], rises, [False]))))
+    starts, stops = edges[::2], edges[1::2]
+    n_points = stops - starts + 1
+    if not len(n_points) or n_points.max() < MIN_WINDOW_POINTS:
+        return math.nan, math.nan, False, 0
+    best = np.argmax(n_points)
+    q_under = float(q[starts[best]])
+    return (q_under, float(q[stops[best]]), q_under >= FP_THRESHOLD,
+            int(n_points[best]))

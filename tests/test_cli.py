@@ -1,3 +1,4 @@
+import csv
 import importlib
 import json
 import os
@@ -155,6 +156,23 @@ def test_parisi_solve_that_does_not_converge_sets_exit_code(tmp_path,
     _, cols, rows = read_csv(out)
     assert "error" not in cols
     assert rows and all(r["converged"] == "false" for r in rows)
+
+
+def test_window_scan_that_does_not_converge_sets_exit_code(tmp_path,
+                                                           monkeypatch):
+    # a 3-iteration budget cannot converge, so every point of the main
+    # scan fails; the row names the count and the first failed q
+    monkeypatch.setattr(cli.parisi, "MAX_ITER", 3)
+    out = tmp_path / "shatter.csv"
+    assert run_cli(["shatter-scan", "--p-list", "6", "--beta-fracs", "0.9",
+                    "--n-q", "32", "--n-q-half", "32", "--m", "64",
+                    "--out", str(out)]) == 1
+    # the message holds a comma, so the row is read as quoted CSV
+    rows = list(csv.DictReader(out.read_text().splitlines()[1:]))
+    assert len(rows) == 1
+    assert rows[0]["error"] == ("32 of 32 window grid points did not "
+                                "converge, first at q = 0.5")
+    assert rows[0]["q_under"] == "" and rows[0]["hb_window"] == ""
 
 
 def test_parisi_command(tmp_path):

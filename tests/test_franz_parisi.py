@@ -183,8 +183,6 @@ def test_find_window_collects_failed_points(monkeypatch):
                         lambda p, beta, q, m: Point(q))
     with pytest.raises(ScanError) as err:
         fp.find_window(100, 1.0, grid)
-    assert len(err.value.failures) == len(grid) - 5
-    assert len(err.value.partial) == len(grid)
     # the message, which reaches a shatter-scan row's error column, names
     # the count and the first failed point
     assert str(err.value) == (f"{len(grid) - 5} of {len(grid)} window grid "
@@ -192,26 +190,61 @@ def test_find_window_collects_failed_points(monkeypatch):
                               f"{float(grid[5])!r}")
 
 
-def test_window_detection_on_synthetic_values(monkeypatch):
-    # feed a synthetic potential curve through fp_value to isolate the
-    # run detection: rise between indices 10 and 20, fall elsewhere
+def _window_of(values, kkt=1e-12, q=None):
+    values = np.asarray(values, dtype=float)
+    if q is None:
+        q = np.linspace(0.5, 0.9, len(values))
+    return fp._window(q, values, np.broadcast_to(kkt, values.shape))
+
+
+def test_window_detection_on_synthetic_values():
+    # rise from index 0 to 20, fall after it
     grid = fp.window_grid(100, n=40)
-    values = -np.abs(np.arange(40) - 20.0)
+    assert _window_of(-np.abs(np.arange(40) - 20.0), q=grid) == (
+        grid[0], grid[20], False, 21)
 
-    class Point:
-        def __init__(self, q, value):
-            self.q = q
-            self.value = value
-            self.kkt_residual = 1e-12
-            self.converged = True
 
-    calls = iter(values)
+def test_window_rule_cases():
+    q = np.linspace(0.5, 0.9, 8)
+    # a flat step ends a run: points 0-4 rise, 4 -> 5 is flat
+    assert _window_of([0, 1, 2, 3, 4, 4, 5, 6]) == (q[0], q[4], False, 5)
+    # a step of exactly 10 max KKT (0.125 -> 1.25) ends a run; one just
+    # above it does not
+    kkt = np.full(8, 0.01)
+    kkt[3] = 0.125
+    steps = np.array([1.25, 2.0, 2.0, 2.0, 2.0, 2.0, 2.0])
+    assert _window_of(np.r_[0.0, np.cumsum(steps)], kkt) == (
+        q[1], q[7], False, 7)
+    steps[0] = np.nextafter(1.25, 2.0)
+    assert _window_of(np.r_[0.0, np.cumsum(steps)], kkt) == (
+        q[0], q[7], False, 8)
+    # of two equal longest runs the first is reported
+    assert _window_of([0, 1, 2, 3, 0, 1, 2, 3]) == (q[0], q[3], False, 4)
+    # a 2-point rise is no window
+    under, bar, passes, n = _window_of([0, 1, 0, 1, 0, 1, 0, 1])
+    assert math.isnan(under) and math.isnan(bar)
+    assert (passes, n) == (False, 0)
+    # passes_fp: the run starts at or above FP_THRESHOLD
+    q = np.array([0.5, fp.FP_THRESHOLD, 0.99995, 0.99999])
+    assert _window_of([1, 0, 1, 2], q=q) == (q[1], q[3], True, 3)
 
-    def fake_fp_value(p, beta, q, m):
-        return Point(q, float(next(calls)))
 
-    monkeypatch.setattr(fp, "fp_value", fake_fp_value)
-    win = fp.find_window(100, 1.0, grid)
-    assert win.n_points == 21
-    assert win.q_under == pytest.approx(grid[0])
-    assert win.q_bar == pytest.approx(grid[20])
+@pytest.mark.parametrize("p, n", [(6, 32), (20, 32), (128, 48), (1024, 48)])
+def test_derivative_sign_agrees_with_the_window(p, n):
+    # the scan's stored envelope derivatives tell the same story as its
+    # values: positive inside the window, changing sign only next to its
+    # edges, and elsewhere of the sign of the potential's grid steps
+    win = fp.find_window(p, 0.9 * beta_c(p)[0], fp.window_grid(p, n), 64)
+    assert win.exists
+    under, bar = np.searchsorted(win.q, [win.q_under, win.q_bar])
+    assert (win.q[under], win.q[bar]) == (win.q_under, win.q_bar)
+    d = win.derivative
+    assert np.all(d[under + 1:bar] > 0)
+    sign = np.sign(d)
+    changes = np.flatnonzero(sign[:-1] != sign[1:])
+    assert len(changes) == 2
+    assert changes[0] in (under - 1, under) and changes[1] in (bar - 1, bar)
+    steady = np.setdiff1d(np.arange(len(d) - 1), changes)
+    assert np.array_equal(sign[steady], np.sign(np.diff(win.value))[steady])
+    for arr in (win.value, win.rs_bound, win.kkt_residual):
+        assert arr.shape == win.q.shape
