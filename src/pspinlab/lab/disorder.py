@@ -137,8 +137,9 @@ def sphere_project(x: np.ndarray) -> Configuration:
     """Rescale to the sphere of radius sqrt(n) along the last axis, so each
     row of a (K, n) batch is projected on its own."""
     x = np.asarray(x, dtype=float)
-    norm = np.linalg.norm(x, axis=-1, keepdims=True)
-    if not norm.all():
+    # what np.linalg.norm computes for real input, without its dispatch
+    norm = np.sqrt(np.add.reduce(x * x, axis=-1, keepdims=True))
+    if np.count_nonzero(norm) < norm.size:
         raise ValueError("cannot project the zero vector")
     return x * (math.sqrt(x.shape[-1]) / norm)
 

@@ -11,9 +11,10 @@ during burn-in only, so the post-burn-in chain satisfies detailed balance.
 
 All rungs move together: the configurations are one (K, n) array, the
 proposals of a sweep are projected and scored by one batched energy call,
-and the swap chain ends in one row permutation. A sweep reads the random
-stream in three calls: the (K, n) proposal normals, then K acceptance
-uniforms, then K - 1 swap uniforms.
+and the swap chain ends in one row permutation. A sweep reads the
+random stream as the (K, n) proposal normals, then 2K - 1 uniforms (K
+acceptance, then K - 1 swap), the same stream as drawing the two kinds of
+uniform in separate calls.
 """
 
 from __future__ import annotations
@@ -36,6 +37,11 @@ INITIAL_STEP = 0.5  # proposal scale of every rung before adaptation
 # approximation toward the target acceptance rate
 _GROW = math.exp(0.1 * (1.0 - TARGET_ACCEPT))
 _SHRINK = math.exp(-0.1 * TARGET_ACCEPT)
+# cap on a proposal scale: a rung that accepts almost every proposal (a hot
+# one, or beta = 0) would otherwise grow its scale by _GROW each burn-in
+# sweep until it overflows. At this scale the projected proposal no longer
+# depends on the current point to double precision.
+_MAX_STEP = 1e16
 
 
 def _check_beta(beta: float) -> None:
@@ -61,7 +67,8 @@ class ReplicaExchange:
     """Parallel tempering on the sphere with a geometric temperature ladder.
 
     ``configs`` holds one rung per row, coldest last, and ``energies`` the
-    matching H values."""
+    matching H values. Each sweep writes into both arrays in place, so copy
+    them to keep a snapshot."""
 
     def __init__(self, d: Disorder, beta: float, seed: int = 0):
         _check_beta(beta)
@@ -83,33 +90,33 @@ class ReplicaExchange:
         """One Metropolis proposal on every rung at once, scored by one
         energy call, then neighbor swap attempts from hot to cold."""
         n_rungs = len(self.configs)
-        noise = self.rng.standard_normal(self.configs.shape)
-        log_u_accept = np.log(self.rng.random(n_rungs))
-        log_u_swap = np.log(self.rng.random(n_rungs - 1)).tolist()
+        prop = self.rng.standard_normal(self.configs.shape)
+        log_u = np.log(self.rng.random(2 * n_rungs - 1))
 
-        prop = sphere_project(self.configs + self.steps[:, None] * noise)
+        prop *= self.steps[:, None]
+        prop += self.configs
+        prop = sphere_project(prop)
         e_prop = hamiltonian(self.d, prop)
-        accepted = log_u_accept < self.betas * (e_prop - self.energies)
-        self.configs = np.where(accepted[:, None], prop, self.configs)
-        self.energies = np.where(accepted, e_prop, self.energies)
+        accepted = log_u[:n_rungs] < self.betas * (e_prop - self.energies)
+        np.copyto(self.configs, prop, where=accepted[:, None])
+        np.copyto(self.energies, e_prop, where=accepted)
         self.n_sweeps += 1
         self._accepts += accepted
         if adapt:
             self.steps *= np.where(accepted, _GROW, _SHRINK)
+            np.minimum(self.steps, _MAX_STEP, out=self.steps)
 
         # each swap sees the energies left by the one before it
         energies = self.energies.tolist()
         order = list(range(n_rungs))
-        swapped = np.zeros(n_rungs - 1, dtype=bool)
-        for k, (dbeta, log_u) in enumerate(zip(self._swap_dbetas,
-                                               log_u_swap)):
-            if log_u < dbeta * (energies[k] - energies[k + 1]):
+        for k, (dbeta, log_u_k) in enumerate(zip(
+                self._swap_dbetas, log_u[n_rungs:].tolist())):
+            if log_u_k < dbeta * (energies[k] - energies[k + 1]):
                 energies[k], energies[k + 1] = energies[k + 1], energies[k]
                 order[k], order[k + 1] = order[k + 1], order[k]
-                swapped[k] = True
-        self._swap_accepts += swapped
-        self.configs = self.configs[order]
-        self.energies = np.array(energies)
+                self._swap_accepts[k] += 1.0
+        self.configs = self.configs.take(order, axis=0)
+        self.energies[:] = energies
 
     def sample(self, n_samples: int, burn_in: int,
                thin: int) -> list[Configuration]:

@@ -20,11 +20,12 @@ def run_cli(args):
 
 
 def read_csv(path):
+    # rows are parsed as CSV: an error message holds a comma, and is quoted
     lines = path.read_text().splitlines()
     header = json.loads(lines[0].lstrip("#").strip())
-    cols = lines[1].split(",")
-    rows = [dict(zip(cols, line.split(","))) for line in lines[2:] if line]
-    return header, cols, rows
+    reader = csv.DictReader(lines[1:])
+    rows = list(reader)
+    return header, reader.fieldnames, rows
 
 
 def test_phase_command(tmp_path):
@@ -167,8 +168,7 @@ def test_window_scan_that_does_not_converge_sets_exit_code(tmp_path,
     assert run_cli(["shatter-scan", "--p-list", "6", "--beta-fracs", "0.9",
                     "--n-q", "32", "--n-q-half", "32", "--m", "64",
                     "--out", str(out)]) == 1
-    # the message holds a comma, so the row is read as quoted CSV
-    rows = list(csv.DictReader(out.read_text().splitlines()[1:]))
+    _, _, rows = read_csv(out)
     assert len(rows) == 1
     assert rows[0]["error"] == ("32 of 32 window grid points did not "
                                 "converge, first at q = 0.5")

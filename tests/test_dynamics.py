@@ -7,6 +7,7 @@ import pytest
 from pspinlab import lab
 from pspinlab.errors import DivergenceError, MixingWarning, StabilityWarning
 from pspinlab.lab import LangevinConfig
+from pspinlab.lab import samplers
 from pspinlab.lab.disorder import derived_rng, sphere_project
 from pspinlab.lab.energy import hamiltonian
 from pspinlab.lab.observables import chaos_scan
@@ -217,6 +218,93 @@ def test_batched_sweep_matches_per_rung_reference(n, p):
     # some proposals rejected, some swaps accepted
     assert 0 < ref._accepts.sum() < ref._proposals.sum()
     assert 0 < ref._swap_accepts.sum() < ref._swap_attempts.sum()
+
+
+def _norm_sphere_project(x):
+    """``sphere_project`` in its ``np.linalg.norm`` form, kept as the
+    reference for the form without that function's dispatch."""
+    x = np.asarray(x, dtype=float)
+    norm = np.linalg.norm(x, axis=-1, keepdims=True)
+    if not norm.all():
+        raise ValueError("cannot project the zero vector")
+    return x * (math.sqrt(x.shape[-1]) / norm)
+
+
+class _AllocatingReplicaExchange(ReplicaExchange):
+    """``sweep`` in the form that allocated every array afresh, drew the
+    acceptance and swap uniforms in two calls and had no cap on the
+    proposal scale, kept as the reference for the in-place sweep."""
+
+    def sweep(self, adapt=False):
+        n_rungs = len(self.configs)
+        noise = self.rng.standard_normal(self.configs.shape)
+        log_u_accept = np.log(self.rng.random(n_rungs))
+        log_u_swap = np.log(self.rng.random(n_rungs - 1)).tolist()
+
+        prop = _norm_sphere_project(self.configs + self.steps[:, None] * noise)
+        e_prop = hamiltonian(self.d, prop)
+        accepted = log_u_accept < self.betas * (e_prop - self.energies)
+        self.configs = np.where(accepted[:, None], prop, self.configs)
+        self.energies = np.where(accepted, e_prop, self.energies)
+        self.n_sweeps += 1
+        self._accepts += accepted
+        if adapt:
+            self.steps *= np.where(accepted, samplers._GROW,
+                                   samplers._SHRINK)
+
+        # each swap sees the energies left by the one before it
+        energies = self.energies.tolist()
+        order = list(range(n_rungs))
+        swapped = np.zeros(n_rungs - 1, dtype=bool)
+        for k, (dbeta, log_u) in enumerate(zip(self._swap_dbetas,
+                                               log_u_swap)):
+            if log_u < dbeta * (energies[k] - energies[k + 1]):
+                energies[k], energies[k + 1] = energies[k + 1], energies[k]
+                order[k], order[k + 1] = order[k + 1], order[k]
+                swapped[k] = True
+        self._swap_accepts += swapped
+        self.configs = self.configs[order]
+        self.energies = np.array(energies)
+
+
+@pytest.mark.parametrize("n, p", [(16, 3), (8, 4)])
+def test_in_place_sweep_matches_allocating_reference_bit_for_bit(n, p):
+    d = lab.sample_disorder(n, p, seed=17)
+    sampler = ReplicaExchange(d, 1.0, seed=3)
+    ref = _AllocatingReplicaExchange(d, 1.0, seed=3)
+    for i in range(300):
+        adapt = i < 150  # adaptive burn-in, then plain sweeps
+        sampler.sweep(adapt=adapt)
+        ref.sweep(adapt=adapt)
+        assert np.array_equal(sampler.energies, ref.energies)
+    for name in ("configs", "energies", "steps", "_accepts",
+                 "_swap_accepts"):
+        assert np.array_equal(getattr(sampler, name), getattr(ref, name))
+    # both kinds of move were mixed
+    assert 0 < ref._accepts.sum() < 300 * samplers.N_RUNGS
+    assert ref._swap_accepts.sum() > 0
+
+
+@pytest.mark.parametrize("scale", [1e-150, 1.0, 1e150])
+def test_sphere_project_matches_linalg_norm_form_bit_for_bit(scale):
+    rng = np.random.default_rng(11)
+    for shape in [(8, 16), (5, 3), (8, 32), (32,)]:
+        x = scale * rng.standard_normal(shape)
+        assert np.array_equal(sphere_project(x), _norm_sphere_project(x))
+
+
+def test_adaptive_proposal_scale_is_capped():
+    # at beta = 0 every proposal is accepted, so each adaptive sweep grows
+    # every rung's scale: uncapped, s^2 n overflows near sweep 5900 and
+    # the scale itself near sweep 11800, and the suite makes the overflow
+    # warning an error
+    sampler = ReplicaExchange(lab.sample_disorder(4, 3, seed=2), 0.0, seed=1)
+    for _ in range(12000):
+        sampler.sweep(adapt=True)
+    assert np.all(sampler.steps == samplers._MAX_STEP)
+    assert np.isfinite(sampler.energies).all()
+    for sigma in sampler.configs:
+        lab.sphere_check(sigma)
 
 
 # each bad length comes with a burn-in that would sweep if it ran first
