@@ -23,9 +23,9 @@ import sys
 import numpy as np
 
 from . import __version__, franz_parisi, mixtures, parisi, phase
-from .lab import LangevinConfig, disorder
+from .lab import LangevinConfig
 from .lab.observables import chaos_scan, correlation_curve, map_parallel
-from .lab.disorder import sample_disorder
+from .lab.disorder import _check_budget, sample_disorder
 from .lab.samplers import _check_at_least
 
 # keys of every command besides "command" and "version"; out=None is stdout
@@ -142,6 +142,11 @@ def _resolve_config(args: argparse.Namespace) -> dict:
                          f"directory: {out!r}")
     if out is not None and os.path.isdir(out):
         raise ValueError(f"config key 'out' names a directory: {out!r}")
+    # a replayed header carries the out of the run that wrote it
+    if (args.config is not None and out is not None and os.path.exists(out)
+            and os.path.samefile(out, args.config)):
+        raise ValueError(f"config key 'out' names the config file "
+                         f"{args.config!r}; give --out another path")
     return resolved
 
 
@@ -239,13 +244,6 @@ def _check_band(config: dict, *q_keys: str) -> None:
         _check_key(key, mixtures.band_mixture, config["p"], config[key])
 
 
-def _check_tensor(config: dict) -> None:
-    """``disorder._check_budget`` owns the shape rules; ``n`` is checked
-    first, with p = 2, so a bad ``n`` is not reported against ``p``."""
-    _check_key("n", disorder._check_budget, config["n"], 2)
-    _check_key("p", disorder._check_budget, config["n"], config["p"])
-
-
 def _point_rows(fn, config: dict, points: list[dict]) -> list[dict]:
     """Each point dict as ``fn(config, row)`` fills it in, in order, on
     ``config["threads"]`` workers; a point that raises keeps the fields
@@ -299,7 +297,7 @@ def _run_parisi(config: dict) -> list[dict]:
     """One row per atom of the minimizing measure. An atom's location is
     resolved only to the solver grid: at 1RSB-like points one atom's mass
     can split across neighbouring grid nodes (at the default m = 512,
-    ``pure(3)`` at beta = 1.5 has atoms at 0.72997 and 0.7329, with
+    the pure p = 3 model at beta = 1.5 has atoms at 0.72997 and 0.7329, with
     weights 0.024 and 0.310)."""
     _check_key("beta", parisi._check_beta, config["beta"])
     _check_key("m", parisi.make_grid, config["m"])
@@ -359,7 +357,7 @@ def _shatter_row(config: dict, row: dict) -> None:
 
 
 def _run_simulate(config: dict) -> list[dict]:
-    _check_tensor(config)
+    _check_budget(config["n"], config["p"])
     cfg = LangevinConfig(config["beta"], config["step"], config["n_steps"],
                          config["record_every"])
     _check_at_least("n_traj", config["n_traj"], 1)
@@ -371,7 +369,6 @@ def _run_simulate(config: dict) -> list[dict]:
 
 
 def _run_chaos(config: dict) -> list[dict]:
-    _check_tensor(config)
     eps = _comma_list(config, "epsilons", float)
     return chaos_scan(config["n"], config["p"], config["beta"], eps,
                       config["n_samples"], config["n_disorders"],

@@ -4,15 +4,8 @@ from __future__ import annotations
 
 
 class SolverError(RuntimeError):
-    """A bracketed minimization failed to converge within its budget.
-
-    Carries the best bracket/value seen so callers can inspect or retry.
-    """
-
-    def __init__(self, message, bracket=None, best=None):
-        super().__init__(message)
-        self.bracket = bracket
-        self.best = best
+    """A bracketed minimization failed to converge within its budget; the
+    message gives the last bracket and the best value seen."""
 
 
 class SizeError(ValueError):
@@ -20,11 +13,8 @@ class SizeError(ValueError):
 
 
 class DivergenceError(RuntimeError):
-    """An SDE iterate left the representable range (step size too large)."""
-
-    def __init__(self, message, step=None):
-        super().__init__(message)
-        self.step = step
+    """An SDE iterate left the representable range (step size too large);
+    the message gives the step."""
 
 
 class ScanError(RuntimeError):

@@ -170,8 +170,12 @@ def _rank_one(v: np.ndarray, p: int) -> np.ndarray:
 
 
 def _check_budget(n: int, p: int) -> None:
-    if n < 1 or p < 2:
-        raise ValueError("need n >= 1 and p >= 2")
+    """The tensor shape rule; each error names its ``simulate``/``chaos``
+    key, ``n`` checked first, and a tensor over budget is blamed on ``p``."""
+    if n < 1:
+        raise ValueError("config key 'n': need n >= 1 and p >= 2")
+    if p < 2:
+        raise ValueError("config key 'p': need n >= 1 and p >= 2")
     if n ** p > MAX_ENTRIES:
-        raise SizeError(f"tensor with {n}^{p} entries exceeds the budget "
-                        f"of 2^31; reduce n or p")
+        raise SizeError(f"config key 'p': tensor with {n}^{p} entries "
+                        f"exceeds the budget of 2^31; reduce n or p")

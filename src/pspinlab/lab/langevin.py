@@ -47,8 +47,8 @@ class LangevinConfig:
 def langevin_run(d: Disorder, start: Configuration, cfg: LangevinConfig,
                  seed: int = 0) -> list[tuple[float, Configuration]]:
     """Trajectory [(time, configuration)] at record_every strides,
-    deterministic in ``seed``. Raises DivergenceError with the offending
-    step index if an iterate leaves the representable range."""
+    deterministic in ``seed``. Raises DivergenceError naming the offending
+    step if an iterate leaves the representable range."""
     start = np.asarray(start, dtype=float)
     sphere_check(start)
     n = d.n
@@ -72,8 +72,7 @@ def langevin_run(d: Disorder, start: Configuration, cfg: LangevinConfig,
             sq = float(sigma @ sigma)
             if not math.isfinite(sq):  # an entry, or the norm, overflowed
                 raise DivergenceError(
-                    f"trajectory diverged at step {k}; reduce the step size",
-                    step=k)
+                    f"trajectory diverged at step {k}; reduce the step size")
             sigma *= sqrt_n / math.sqrt(sq)  # retraction
             if k % cfg.record_every == 0:
                 out.append((k * h, sigma.copy()))

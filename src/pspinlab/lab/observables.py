@@ -9,8 +9,8 @@ import warnings
 import numpy as np
 
 from .. import phase
-from .disorder import (Configuration, Disorder, correlate_disorder,
-                       derived_seed, sample_disorder)
+from .disorder import (Configuration, Disorder, _check_budget,
+                       correlate_disorder, derived_seed, sample_disorder)
 from .langevin import LangevinConfig, langevin_run
 from .samplers import (ReplicaExchange, _check_at_least, _check_beta,
                        _check_run, equilibrium_sample)
@@ -153,8 +153,8 @@ def chaos_scan(n: int, p: int, beta: float, epsilons, n_samples: int,
     is checked before the first draw, an error naming the ``chaos`` config
     key (the argument of the same name) at fault, and the static-boundary
     warning is given once per scan."""
-    eps = sorted(_check_chaos(p, beta, epsilons, n_samples, burn_in, thin,
-                              n_disorders, seed))
+    eps = sorted(_check_chaos(n, p, beta, epsilons, n_samples, burn_in,
+                              thin, n_disorders, seed))
     per_disorder = map_parallel(
         functools.partial(_one_disorder, n, p, beta, eps, n_samples, seed,
                           burn_in, thin), range(n_disorders), threads)
@@ -202,11 +202,12 @@ def _eps_key(e: float) -> int:
     return int(e * 1e9)
 
 
-def _check_chaos(p: int, beta: float, epsilons, n_samples: int,
+def _check_chaos(n: int, p: int, beta: float, epsilons, n_samples: int,
                  burn_in: int, thin: int, n_disorders: int,
                  seed: int) -> list[float]:
     """The epsilons as floats, once every chaos input is valid; warns when
     beta is at or beyond the static boundary."""
+    _check_budget(n, p)
     _check_beta(beta)
     _check_run(n_samples, burn_in, thin)
     if n_samples > W2_MAX_POINTS:

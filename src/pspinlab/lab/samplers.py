@@ -73,7 +73,6 @@ class ReplicaExchange:
     def __init__(self, d: Disorder, beta: float, seed: int = 0):
         _check_beta(beta)
         self.d = d
-        self.beta = float(beta)
         ratio = (1.0 / 8.0) ** (1.0 / (N_RUNGS - 1))
         self.betas = beta * ratio ** np.arange(N_RUNGS - 1, -1, -1)
         self._swap_dbetas = np.diff(self.betas).tolist()
@@ -146,8 +145,7 @@ class ReplicaExchange:
         }
 
     def check_mixing(self) -> None:
-        diag = self.diagnostics()
-        swaps = np.asarray(diag["swap_acceptance"])
+        swaps = self._swap_accepts / max(self.n_sweeps, 1)
         if self.n_sweeps >= 50 and np.any(swaps < 0.01):
             warnings.warn(f"swap acceptance below 1% on some rung: {swaps}",
                           MixingWarning, stacklevel=3)

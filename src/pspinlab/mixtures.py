@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["MixtureFn", "pure", "band_mixture", "evaluate"]
+__all__ = ["MixtureFn", "band_mixture", "evaluate"]
 
 _TINY = np.finfo(float).tiny  # smallest normal double
 
@@ -33,11 +33,6 @@ class MixtureFn:
                              f"0 <= q2 < 1, got {self.q2!r}")
         object.__setattr__(self, "p", int(self.p))
         object.__setattr__(self, "q2", float(self.q2))
-
-
-def pure(p: int) -> MixtureFn:
-    """Pure p-spin mixture xi(t) = t^p."""
-    return MixtureFn(p)
 
 
 def band_mixture(p: int, q: float) -> MixtureFn:

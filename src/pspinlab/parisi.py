@@ -74,10 +74,6 @@ class ParisiMeasure:
         object.__setattr__(self, "locations", loc.copy())
         object.__setattr__(self, "weights", w.copy())
 
-    @classmethod
-    def dirac(cls, t: float) -> "ParisiMeasure":
-        return cls(np.array([t]), np.array([1.0]))
-
     @property
     def q_hat(self) -> float:
         return float(self.locations[-1])

@@ -75,7 +75,7 @@ def _bracketed_min(obj: Callable[[float], float], grid: np.ndarray,
                    tol: float, max_iter: int = 400) -> tuple[float, float]:
     """Grid bracketing followed by golden-section refinement.
 
-    Returns (argmin, min value); raises SolverError with the best bracket if
+    Returns (argmin, min value); raises SolverError naming the last bracket if
     the golden loop exhausts its budget before reaching ``tol``.
     """
     vals = np.array([obj(q) for q in grid])
@@ -97,8 +97,8 @@ def _bracketed_min(obj: Callable[[float], float], grid: np.ndarray,
         if abs(fc - fd) < tol and (b - a) < 1e-12:
             break
     else:
-        raise SolverError("golden-section refinement did not converge",
-                          bracket=(a, b), best=min(fc, fd))
+        raise SolverError(f"golden-section refinement did not converge: "
+                          f"bracket [{a}, {b}], best value {min(fc, fd)}")
     q = 0.5 * (a + b)
     return float(q), float(obj(q))
 

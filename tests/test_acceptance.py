@@ -15,7 +15,7 @@ from pspinlab import cli, franz_parisi, lab, phase
 from pspinlab.lab import LangevinConfig
 from pspinlab.lab.observables import chaos_scan
 from pspinlab.lab.samplers import ReplicaExchange
-from pspinlab.mixtures import band_mixture, evaluate, pure
+from pspinlab.mixtures import MixtureFn, band_mixture, evaluate
 from pspinlab.parisi import ParisiMeasure, cs_functional, minimize_cs, rs_value
 
 SQRT_E = math.sqrt(math.e)
@@ -87,13 +87,13 @@ def test_criterion_03_functional_identities():
         p = int(rng.integers(2, 9))
         beta = float(rng.uniform(0.1, 3.0))
         t = float(rng.uniform(0.0, 0.98))
-        diff = cs_functional(ParisiMeasure.dirac(t), pure(p), beta) \
-            - rs_value(t, pure(p), beta)
+        diff = cs_functional(ParisiMeasure(t, 1.0), MixtureFn(p), beta) \
+            - rs_value(t, MixtureFn(p), beta)
         assert abs(diff) < 1e-12
     for _ in range(100):  # truncation identity
         zeta = _random_measure(rng, q_top=0.9)
         beta = float(rng.uniform(0.2, 2.5))
-        xi = pure(int(rng.integers(2, 7)))
+        xi = MixtureFn(int(rng.integers(2, 7)))
         q_top = float(rng.uniform(zeta.q_hat, 0.999))
         assert abs(cs_functional(zeta, xi, beta)
                    - cs_functional(zeta, xi, beta, q_top=q_top)) < 1e-12
@@ -111,7 +111,7 @@ def test_criterion_03_functional_identities():
         mix = lam * w[0] + (1 - lam) * w[1]
         mix[-1] += 1.0 - mix.sum()
         beta = float(rng.uniform(0.3, 2.0))
-        xi = pure(int(rng.integers(2, 6)))
+        xi = MixtureFn(int(rng.integers(2, 6)))
         lhs = cs_functional(ParisiMeasure(loc, mix), xi, beta)
         rhs = lam * cs_functional(ParisiMeasure(loc, w[0]), xi, beta) \
             + (1 - lam) * cs_functional(ParisiMeasure(loc, w[1]), xi, beta)
@@ -126,10 +126,10 @@ def test_criterion_03_functional_identities():
 
 def test_criterion_04_rs_free_energy():
     for p, beta in [(3, 0.8), (4, 1.0), (3, 1.1)]:
-        res = minimize_cs(pure(p), beta)
+        res = minimize_cs(MixtureFn(p), beta)
         assert res.converged
         assert res.value == pytest.approx(beta * beta / 2.0, abs=1e-5)
-    low = minimize_cs(pure(3), 1.5)
+    low = minimize_cs(MixtureFn(3), 1.5)
     assert low.value < 1.5 ** 2 / 2.0 - 1e-3
     _report(4, "free energy equals beta^2/2 below the static boundary and "
                f"drops to {low.value:.6f} < 1.125 at (3, 1.5)")

@@ -69,6 +69,20 @@ def test_full_csv_accepted_as_config(tmp_path):
         == out2.read_bytes().split(b"\r\n", 1)[1]
 
 
+def test_replay_refuses_to_overwrite_its_config(tmp_path, capsys,
+                                                 monkeypatch):
+    # the header keeps the relative out "a.csv"; the replay names the same
+    # file by its absolute path and would write to it without --out
+    monkeypatch.chdir(tmp_path)
+    assert run_cli(["phase", "--p-max", "4", "--out", "a.csv"]) == 0
+    source = tmp_path / "a.csv"
+    before = source.read_bytes()
+    capsys.readouterr()
+    assert run_cli(["phase", "--config", str(source), "--p-max", "6"]) == 2
+    assert "config key 'out'" in capsys.readouterr().err
+    assert source.read_bytes() == before
+
+
 def test_unknown_config_key_rejected(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"command": "phase", "p_mn": 4}))

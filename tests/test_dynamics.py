@@ -47,7 +47,7 @@ def test_langevin_divergence_reports_step():
     with pytest.warns(StabilityWarning):
         with pytest.raises(DivergenceError) as err:
             lab.langevin_run(d, start, cfg, seed=0)
-    assert err.value.step == 1
+    assert "at step 1;" in str(err.value)
 
 
 def test_langevin_norm_overflow_is_divergence():
@@ -59,7 +59,7 @@ def test_langevin_norm_overflow_is_divergence():
     with pytest.warns(StabilityWarning):
         with pytest.raises(DivergenceError) as err:
             lab.langevin_run(d, start, cfg, seed=0)
-    assert err.value.step == 1
+    assert "at step 1;" in str(err.value)
 
 
 def test_stability_warning():
@@ -377,6 +377,28 @@ def test_chaos_scan_checks_and_warns_once(monkeypatch):
     assert len(rows) == 2
     assert len(calls) == 1
     assert sum("static boundary" in str(w.message) for w in caught) == 1
+
+
+@pytest.mark.parametrize("n, p, key", [(0, 3, "n"), (4, 1, "p"),
+                                       (2000, 3, "p")])
+def test_chaos_scan_rejects_tensor_keys_before_work(monkeypatch, n, p, key):
+    # beta = 1.2 lies inside (beta_d, beta_c) at p = 3, so a scan that
+    # checked the tensor late would first compute beta_c
+    from pspinlab import phase
+    from pspinlab.lab import observables
+
+    calls = []
+
+    def record(*args, **kwargs):
+        calls.append(args)
+        raise RuntimeError("work started")
+
+    monkeypatch.setattr(phase, "beta_c", record)
+    monkeypatch.setattr(observables, "sample_disorder", record)
+    with pytest.raises(ValueError, match=f"config key '{key}'"):
+        chaos_scan(n, p, 1.2, [0.0, 0.5], n_samples=2, n_disorders=1,
+                   burn_in=10, thin=1)
+    assert calls == []
 
 
 def test_overlap_chaos_bounds():

@@ -5,7 +5,7 @@ import pytest
 from scipy.special import gammaln
 
 from pspinlab.franz_parisi import half_band_grid, window_grid
-from pspinlab.mixtures import MixtureFn, band_mixture, evaluate, pure
+from pspinlab.mixtures import MixtureFn, band_mixture, evaluate
 from pspinlab.parisi import make_grid
 
 
@@ -54,27 +54,29 @@ def _max_rel_gap(p, q, t):
 
 
 def test_pure_values():
-    assert evaluate(pure(3), 0.5) == pytest.approx(0.125, abs=1e-15)
-    assert evaluate(pure(2), 1.0) == pytest.approx(1.0, abs=1e-15)
-    assert evaluate(pure(4), 1.0, order=1) == pytest.approx(4.0, abs=1e-15)
-    assert evaluate(pure(3), 0.5, order=1) == pytest.approx(0.75, abs=1e-15)
+    assert evaluate(MixtureFn(3), 0.5) == pytest.approx(0.125, abs=1e-15)
+    assert evaluate(MixtureFn(2), 1.0) == pytest.approx(1.0, abs=1e-15)
+    assert evaluate(MixtureFn(4), 1.0, order=1) \
+        == pytest.approx(4.0, abs=1e-15)
+    assert evaluate(MixtureFn(3), 0.5, order=1) \
+        == pytest.approx(0.75, abs=1e-15)
     for p in (2, 3, 7):
-        assert evaluate(pure(p), 0.0) == 0.0
+        assert evaluate(MixtureFn(p), 0.0) == 0.0
 
 
 def test_pure_rejects_bad_degree():
     for bad in (1, 0, -2, 2.5):
         with pytest.raises(ValueError):
-            pure(bad)
+            MixtureFn(bad)
 
 
 def test_eval_domain_guard():
     with pytest.raises(ValueError):
-        evaluate(pure(3), 1.0 + 1e-9)
+        evaluate(MixtureFn(3), 1.0 + 1e-9)
     with pytest.raises(ValueError):
-        evaluate(pure(3), -1.5)
+        evaluate(MixtureFn(3), -1.5)
     with pytest.raises(ValueError):
-        evaluate(pure(3), 0.5, order=3)
+        evaluate(MixtureFn(3), 0.5, order=3)
 
 
 @pytest.mark.parametrize("p", [3, 7, 128, 1024, 2048])
@@ -114,8 +116,8 @@ def test_band_mixture_hand_coefficients():
 
 
 def test_band_mixture_q_zero_recovers_pure():
-    assert band_mixture(2, 0.0) == pure(2)
-    assert band_mixture(5, -0.0) == pure(5)
+    assert band_mixture(2, 0.0) == MixtureFn(2)
+    assert band_mixture(5, -0.0) == MixtureFn(5)
 
 
 def test_band_mixture_top_value_identity():

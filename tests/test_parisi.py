@@ -7,7 +7,7 @@ import pytest
 from pspinlab import parisi
 from pspinlab.errors import TruncationWarning
 from pspinlab.franz_parisi import fp_value, half_band_grid, window_grid
-from pspinlab.mixtures import band_mixture, evaluate, pure
+from pspinlab.mixtures import MixtureFn, band_mixture, evaluate
 from pspinlab.parisi import (ParisiMeasure, cs_functional, make_grid,
                              minimize_cs, rs_value)
 from pspinlab.phase import beta_c
@@ -25,9 +25,9 @@ def random_measure(rng, n_atoms=None, q_top=0.95):
 
 
 def test_single_atom_hand_values():
-    assert cs_functional(ParisiMeasure.dirac(0.0), pure(3), 1.0) \
+    assert cs_functional(ParisiMeasure(0.0, 1.0), MixtureFn(3), 1.0) \
         == pytest.approx(0.5, abs=1e-15)
-    assert cs_functional(ParisiMeasure.dirac(0.3), pure(3), 1.0) \
+    assert cs_functional(ParisiMeasure(0.3, 1.0), MixtureFn(3), 1.0) \
         == pytest.approx(0.5224482, abs=1e-7)
 
 
@@ -37,17 +37,17 @@ def test_single_atom_equals_rs_value():
         p = int(rng.integers(2, 9))
         beta = float(rng.uniform(0.1, 3.0))
         t = float(rng.uniform(0.0, 0.98))
-        got = cs_functional(ParisiMeasure.dirac(t), pure(p), beta)
-        assert abs(got - rs_value(t, pure(p), beta)) < 1e-12
+        got = cs_functional(ParisiMeasure(t, 1.0), MixtureFn(p), beta)
+        assert abs(got - rs_value(t, MixtureFn(p), beta)) < 1e-12
 
 
 def test_rs_value_edges():
     xi = band_mixture(4, 0.3)
     assert rs_value(0.0, xi, 1.7) == pytest.approx(
         1.7 ** 2 * evaluate(xi, 1.0) / 2.0, abs=1e-14)
-    assert rs_value(1.0 - 1e-12, pure(3), 1.0) > 1e10  # pole at t -> 1
+    assert rs_value(1.0 - 1e-12, MixtureFn(3), 1.0) > 1e10  # pole at t -> 1
     with pytest.raises(ValueError):
-        rs_value(1.0, pure(3), 1.0)
+        rs_value(1.0, MixtureFn(3), 1.0)
 
 
 def test_truncation_identity():
@@ -55,7 +55,7 @@ def test_truncation_identity():
     for _ in range(100):
         zeta = random_measure(rng, q_top=0.9)
         beta = float(rng.uniform(0.2, 2.5))
-        xi = pure(int(rng.integers(2, 7)))
+        xi = MixtureFn(int(rng.integers(2, 7)))
         base = cs_functional(zeta, xi, beta)
         extended = cs_functional(zeta, xi, beta,
                                  q_top=float(rng.uniform(zeta.q_hat, 0.999)))
@@ -64,7 +64,7 @@ def test_truncation_identity():
 
 def test_convexity_probe():
     rng = np.random.default_rng(21)
-    xi = pure(3)
+    xi = MixtureFn(3)
     for _ in range(100):
         loc = np.sort(rng.uniform(0.0, 0.9, size=4))
         while np.any(np.diff(loc) <= 1e-6):
@@ -92,7 +92,7 @@ def test_discretized_objective_matches_atomic_value():
     for _ in range(20):
         zeta = random_measure(rng, n_atoms=3, q_top=0.8)
         beta = float(rng.uniform(0.3, 2.0))
-        xi = pure(int(rng.integers(2, 6)))
+        xi = MixtureFn(int(rng.integers(2, 6)))
         q_max = 0.99
         grid = np.unique(np.concatenate([
             np.linspace(0.0, q_max, 40), zeta.locations, [q_max]]))
@@ -338,7 +338,7 @@ APG_PANEL = [
      2.8622855123888167, 1.0723172482097896, 15, 1.0723172482090977),
     ("p=2048 half band", lambda: band_mixture(2048, half_band_grid(2048, 32)[16]),
      2.9828216675239876, 0.5512922592487417, 12, 0.5512922592478571),
-    ("pure p=3", lambda: pure(3), 1.5, 1.0973230045906819,
+    ("pure p=3", lambda: MixtureFn(3), 1.5, 1.0973230045906819,
      24, 1.0973230044509794),
 ]
 
@@ -360,7 +360,7 @@ def test_minimize_matches_previous_solver_values(label, make_xi, beta,
 
 
 def test_minimize_budget_exhaustion_returns_best_iterate(monkeypatch):
-    # at pure(3), beta = 5 the nonmonotone line search accepts a third
+    # at MixtureFn(3), beta = 5 the nonmonotone line search accepts a third
     # iterate worse than the second, so returning the last iterate fails.
     # The accepted values are read off the line search's memory of them, so
     # a rejected trial, which also calls value_grad, is never compared
@@ -377,7 +377,7 @@ def test_minimize_budget_exhaustion_returns_best_iterate(monkeypatch):
 
     monkeypatch.setattr(parisi, "MAX_ITER", 3)
     monkeypatch.setattr(parisi, "deque", RecordingDeque)
-    res = minimize_cs(pure(3), 5.0)
+    res = minimize_cs(MixtureFn(3), 5.0)
     assert not res.converged
     assert res.iterations == 3
     assert len(accepted) == 4  # the start and one per iteration
@@ -416,7 +416,7 @@ def test_minimize_window_scan_iteration_budget(monkeypatch):
 
 
 def test_minimize_rs_phase():
-    res = minimize_cs(pure(3), 0.8)
+    res = minimize_cs(MixtureFn(3), 0.8)
     assert res.converged
     assert res.value == pytest.approx(0.32, abs=1e-6)
     # minimizer is delta_0
@@ -425,7 +425,7 @@ def test_minimize_rs_phase():
 
 
 def test_minimize_dominated_by_single_atoms():
-    for xi, beta in [(pure(3), 1.5), (band_mixture(3, 0.5), 1.0)]:
+    for xi, beta in [(MixtureFn(3), 1.5), (band_mixture(3, 0.5), 1.0)]:
         res = minimize_cs(xi, beta)
         ts = np.linspace(0.0, 0.99, 200)
         rs_min = min(rs_value(float(t), xi, beta) for t in ts)
@@ -451,7 +451,7 @@ def test_minimize_matches_two_atom_oracle_in_rsb_phase():
     from scipy.optimize import minimize as sp_minimize
 
     for p, beta in [(3, 1.5), (4, 2.0)]:
-        xi = pure(p)
+        xi = MixtureFn(p)
         best = np.inf
         for x0 in (0.1, 0.4, 0.8):
             for q0 in (0.5, 0.8, 0.95):
@@ -466,13 +466,13 @@ def test_minimize_matches_two_atom_oracle_in_rsb_phase():
 
 
 def test_minimize_grid_refinement():
-    v1 = minimize_cs(pure(3), 1.3, 512).value
-    v2 = minimize_cs(pure(3), 1.3, 1024).value
+    v1 = minimize_cs(MixtureFn(3), 1.3, 512).value
+    v2 = minimize_cs(MixtureFn(3), 1.3, 1024).value
     assert abs(v1 - v2) < 1e-6
 
 
 def test_minimizer_expectation_cases():
-    delta0 = ParisiMeasure.dirac(0.0)
+    delta0 = ParisiMeasure(0.0, 1.0)
     assert delta0.expectation(lambda t: np.ones_like(t)) \
         == pytest.approx(1.0, abs=1e-15)
     assert delta0.expectation(lambda t: 1.0) \
@@ -481,15 +481,15 @@ def test_minimizer_expectation_cases():
         == pytest.approx(2.0, abs=1e-15)  # delta_0: g(0)
     # single atom at a grid node
     node = float(make_grid(64)[40])
-    assert ParisiMeasure.dirac(node).expectation(lambda t: t) \
+    assert ParisiMeasure(node, 1.0).expectation(lambda t: t) \
         == pytest.approx(node, abs=1e-15)
     two = ParisiMeasure([0.2, 0.6], [0.25, 0.75])
     assert two.expectation(lambda t: t) == pytest.approx(0.5, abs=1e-15)
 
 
 @pytest.mark.parametrize("xi, beta", [
-    (pure(3), 0.8),
-    (pure(3), 1.5),
+    (MixtureFn(3), 0.8),
+    (MixtureFn(3), 1.5),
     (band_mixture(128, 0.9901), 2.45299),  # 1RSB-like window point
 ])
 def test_minimizer_measure_reproduces_value(xi, beta):
@@ -506,7 +506,7 @@ def test_truncation_warning_when_support_reaches_the_endpoint():
     # at beta = 1e4 the p = 3 minimizer needs support above the fixed
     # endpoint (at beta = 300 it still lies below it, at q_hat = 0.99891)
     with pytest.warns(TruncationWarning, match="endpoint"):
-        res = minimize_cs(pure(3), 1e4, 64)
+        res = minimize_cs(MixtureFn(3), 1e4, 64)
     assert res.converged
     assert res.measure.q_hat == make_grid(64)[-1]  # the warned-of atom
 
@@ -517,8 +517,8 @@ def test_beta_rule_rejects_before_any_solve(monkeypatch, beta):
         raise RuntimeError("solve started")
 
     monkeypatch.setattr(parisi, "_CsProblem", no_solve)
-    for call in (lambda: minimize_cs(pure(3), beta),
-                 lambda: cs_functional(ParisiMeasure.dirac(0.0), pure(3),
+    for call in (lambda: minimize_cs(MixtureFn(3), beta),
+                 lambda: cs_functional(ParisiMeasure(0.0, 1.0), MixtureFn(3),
                                        beta),
                  lambda: fp_value(3, beta, 0.5)):
         with pytest.raises(ValueError, match="beta"):

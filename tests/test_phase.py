@@ -83,8 +83,7 @@ def test_bracketed_min_budget_error_carries_bracket():
     with pytest.raises(SolverError) as err:
         phase._bracketed_min(lambda q: (q - 0.5) ** 2,
                              np.linspace(0.1, 0.9, 9), tol=1e-13, max_iter=2)
-    assert err.value.bracket is not None
-    assert err.value.best is not None
+    assert "bracket [" in str(err.value)
 
 
 def test_input_validation():
