@@ -27,7 +27,11 @@ isotonic projection onto the monotone chain converges globally.
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
 import math
+import os
+import sys
 import warnings
 from collections import deque
 from dataclasses import dataclass
@@ -241,6 +245,38 @@ def minimize_cs(xi: MixtureFn, beta: float,
 # discretized objective
 # --------------------------
 
+_PAVA_MODULE = "scipy.optimize._pava_pybind"
+
+
+def _pava_kernel() -> Callable:
+    """scipy's compiled pool-adjacent-violators kernel, ``pava``.
+
+    Importing it by name would first run ``scipy/optimize/__init__.py``,
+    hundreds of modules the kernel does not use (about 0.6 s and 49 MB on a
+    2-core shared host), so its extension file is found in scipy's
+    ``optimize/`` directory and loaded by itself, without executing scipy.
+    It is registered in ``sys.modules``
+    under its full name: later solves skip the search, and a later
+    ``import scipy.optimize`` reuses the same module object.
+    """
+    module = sys.modules.get(_PAVA_MODULE)
+    if module is None:
+        scipy = importlib.util.find_spec("scipy")
+        spec = scipy and importlib.machinery.FileFinder(
+            os.path.join(scipy.submodule_search_locations[0], "optimize"),
+            (importlib.machinery.ExtensionFileLoader,
+             importlib.machinery.EXTENSION_SUFFIXES)).find_spec(_PAVA_MODULE)
+        if spec is None:
+            raise ModuleNotFoundError(
+                "the band solver needs scipy >= 1.12 for its compiled PAVA "
+                f"kernel {_PAVA_MODULE}, which was not found",
+                name=_PAVA_MODULE)
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+        sys.modules[_PAVA_MODULE] = module
+    return module.pava
+
+
 class _CsProblem:
     """Value and analytic gradient of the fixed-endpoint objective.
 
@@ -265,9 +301,9 @@ class _CsProblem:
     """
 
     def __init__(self, xi: MixtureFn, beta: float, grid: np.ndarray):
-        # scipy loads on the first solve, so importing pspinlab does not
-        from scipy.optimize._pava_pybind import pava
-        self._pava = pava
+        # the kernel's extension file loads on the first solve, alone: not
+        # the scipy.optimize package, and not when pspinlab is imported
+        self._pava = _pava_kernel()
         self.L = np.diff(grid)
         self.neg_L_head = -self.L[:-1]
         xg = evaluate(xi, np.append(grid, 1.0))  # one call gives xi(1) too
@@ -297,11 +333,13 @@ class _CsProblem:
 
         Clipping the unconstrained isotonic fit is exact for box bounds. The
         fit is scipy's compiled pool-adjacent-violators kernel, the routine
-        that ``scipy.optimize.isotonic_regression`` wraps, called on the
-        problem's weight and block buffers without that wrapper's copies; it
-        pools in place and leaves block weights in ``w``, so ``w`` is reset
-        to ones first. Its module name is private, so a test pins this
-        projection bit for bit against the public function.
+        that ``scipy.optimize.isotonic_regression`` wraps, loaded from its
+        extension file alone (``_pava_kernel``; the solver never imports the
+        ``scipy.optimize`` package) and called on the problem's weight and
+        block buffers without that wrapper's copies; it pools in place and
+        leaves block weights in ``w``, so ``w`` is reset to ones first. Its
+        module name is private, so a test pins this projection bit for bit
+        against the public function.
         """
         self._w.fill(1.0)
         self._pava(v, self._w, self._r)

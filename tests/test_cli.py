@@ -597,9 +597,10 @@ def test_startup_does_not_load_scipy(tmp_path):
     assert [steps[name][0] for name in (
         "phase", "simulate", "help", "config error", "chaos",
         "chaos in the window")] == [0, 0, 0, 2, 0, 0]
-    # the solver commands load scipy on first use
+    # the solver commands load scipy's PAVA kernel on first use, and only
+    # its extension file: neither scipy nor scipy.optimize is imported
     status, loaded = steps["parisi"]
-    assert status == 0 and "scipy.optimize" in loaded
+    assert status == 0 and loaded == ["scipy.optimize._pava_pybind"]
 
 
 def test_out_in_missing_directory_rejected(tmp_path, capsys):

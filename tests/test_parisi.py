@@ -1,10 +1,17 @@
+import importlib.machinery
+import importlib.util
+import json
 import math
+import os
+import subprocess
+import sys
 from collections import deque
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from pspinlab import parisi
+from pspinlab import cli, parisi
 from pspinlab.errors import TruncationWarning
 from pspinlab.franz_parisi import fp_value, half_band_grid, window_grid
 from pspinlab.mixtures import MixtureFn, band_mixture, evaluate
@@ -310,6 +317,84 @@ def test_projection_equals_public_isotonic_fit_bit_for_bit(monkeypatch):
         np.testing.assert_array_equal(got, want)
         pooled += bool(np.any(fit != v))
     assert pooled > len(inputs) // 2  # most recorded inputs do pool
+
+
+# runs in a fresh interpreter, since this test process has scipy.optimize
+# loaded; argv[1] is "solve first" or "scipy first". Two solves, counting
+# the finder's searches, then the solver's kernel, the scipy modules the
+# solves loaded, and the public isotonic fit of [3, 1, 2]
+LOAD_ORDER_SCRIPT = r"""
+import importlib.util, json, sys
+
+if sys.argv[1] == "scipy first":
+    import scipy.optimize
+from pspinlab import parisi
+from pspinlab.mixtures import MixtureFn
+
+searches = []
+find_spec = importlib.util.find_spec
+importlib.util.find_spec = lambda name, *a: (searches.append(name),
+                                              find_spec(name, *a))[1]
+before = set(sys.modules)
+for _ in range(2):
+    parisi.minimize_cs(MixtureFn(3), 1.5, 64)
+kernel = parisi._CsProblem(MixtureFn(3), 1.5, parisi.make_grid(64))._pava
+new = sorted(m for m in set(sys.modules) - before if m.startswith("scipy"))
+searched = list(searches)
+import scipy.optimize
+from scipy.optimize import isotonic_regression
+print(json.dumps({
+    "searches": searched, "new": new,
+    "same": scipy.optimize._isotonic.pava is kernel
+            and sys.modules["scipy.optimize._pava_pybind"].pava is kernel,
+    "fit": isotonic_regression([3.0, 1.0, 2.0]).x.tolist()}))
+"""
+
+
+@pytest.mark.parametrize("order", ["solve first", "scipy first"])
+def test_kernel_is_the_module_scipy_optimize_uses(order):
+    # the solver loads the kernel's extension file alone and registers it,
+    # so scipy.optimize reuses that module whichever loads first, and the
+    # search for it runs once per process at most
+    src = str(Path(parisi.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p])}
+    proc = subprocess.run([sys.executable, "-c", LOAD_ORDER_SCRIPT, order],
+                          env=env, capture_output=True, text=True,
+                          timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    got = json.loads(proc.stdout.splitlines()[-1])
+    assert got["same"] and got["fit"] == [2.0, 2.0, 2.0]
+    if order == "solve first":
+        assert got["searches"] == ["scipy"]
+        assert got["new"] == ["scipy.optimize._pava_pybind"]
+    else:  # scipy.optimize already holds the kernel: nothing is searched
+        assert got["searches"] == [] and got["new"] == []
+
+
+@pytest.mark.parametrize("where", ["no scipy", "no kernel file"])
+def test_missing_kernel_names_scipy(monkeypatch, tmp_path, capsys, where):
+    (tmp_path / "optimize").mkdir()
+
+    def find_spec(name, *args):
+        assert name == "scipy"  # the search never executes scipy
+        if where == "no scipy":
+            return None
+        # a scipy package whose optimize/ directory holds no kernel
+        spec = importlib.machinery.ModuleSpec("scipy", None, is_package=True)
+        spec.submodule_search_locations.append(str(tmp_path))
+        return spec
+
+    monkeypatch.delitem(sys.modules, "scipy.optimize._pava_pybind",
+                        raising=False)
+    monkeypatch.setattr(importlib.util, "find_spec", find_spec)
+    with pytest.raises(ModuleNotFoundError,
+                       match=r"scipy >= 1\.12 .*_pava_pybind"):
+        minimize_cs(MixtureFn(3), 1.5, 64)
+    out = tmp_path / "p.csv"
+    assert cli.main(["parisi", "--m", "64", "--out", str(out)]) == 2
+    assert "scipy >= 1.12" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_minimize_slow_window_point_reproduces_reference_iterates():
