@@ -1,10 +1,9 @@
 """Batch command-line front end with reproducible CSV output.
 
-Every output file starts with one JSON header line (prefixed ``#``) holding
-the fully resolved configuration, seed and tool version; feeding that line
-back through ``--config`` reproduces the CSV body byte for byte. Config
-precedence is built-in defaults < JSON file < command-line flags, and
-unknown JSON keys are rejected as a typo guard.
+Every output file starts with one JSON header line (``#``-prefixed) holding
+the resolved configuration (with the seed where a command takes one) and the
+version; replaying it through ``--config`` reproduces the body byte for byte.
+Precedence is defaults < JSON file < flags; unknown JSON keys are rejected.
 
 Subcommands: phase, parisi, fp, shatter-scan, simulate, chaos.
 """
@@ -28,22 +27,24 @@ from .lab.observables import chaos_scan, correlation_curve, map_parallel
 from .lab.disorder import _check_budget, sample_disorder
 from .lab.samplers import _check_at_least
 
-# keys of every command besides "command" and "version"; out=None is stdout
-COMMON = {"seed": 0, "out": None, "threads": 1}
-
+# keys besides "command" and "version" (out=None is stdout); each command
+# reads all of its keys but shatter-scan's seed, kept while the benchmark's
+# command line (perfbench/workloads.py, Shatter.argv) passes --seed
+COMMON = {"out": None}
 DEFAULTS = {
-    "phase": {"p_min": 3, "p_max": 10},
+    "phase": {"p_min": 3, "p_max": 10, "threads": 1},
     "parisi": {"p": 3, "band_q": 0.0, "beta": 1.0, "m": parisi.DEFAULT_M},
     "fp": {"p": 3, "beta": 1.0, "q_min": 0.0, "q_max": 0.99, "n_q": 50,
-           "m": parisi.DEFAULT_M},
+           "m": parisi.DEFAULT_M, "threads": 1},
     "shatter-scan": {"p_list": "128,256,512,1024,2048",
                      "beta_fracs": "0.85,0.9,0.95", "n_q": 48,
                      "n_q_half": franz_parisi.MIN_GRID_POINTS,
-                     "m": parisi.DEFAULT_M},
+                     "m": parisi.DEFAULT_M, "threads": 1, "seed": 0},
     "simulate": {"n": 16, "p": 3, "beta": 1.0, "step": 0.01, "n_steps": 1000,
-                 "record_every": 10, "n_traj": 8},
+                 "record_every": 10, "n_traj": 8, "seed": 0, "threads": 1},
     "chaos": {"n": 16, "p": 3, "beta": 1.0, "epsilons": "0,0.25,0.5,1",
-              "n_samples": 16, "n_disorders": 4, "burn_in": 300, "thin": 15},
+              "n_samples": 16, "n_disorders": 4, "burn_in": 300, "thin": 15,
+              "seed": 0, "threads": 1},
 }
 
 COLUMNS = {
@@ -115,25 +116,23 @@ def _resolve_config(args: argparse.Namespace) -> dict:
     resolved = {**keys, "command": command, "version": __version__}
     if args.config is not None:
         file_cfg = _load_config_file(args.config)
-        known = set(resolved)
-        unknown = set(file_cfg) - known
+        unknown = set(file_cfg) - set(resolved)
         if unknown:
             raise ValueError(f"unknown config keys {sorted(unknown)}; "
-                             f"known keys are {sorted(known)}")
+                             f"known keys are {sorted(resolved)}")
         if file_cfg.get("command", command) != command:
             raise ValueError(f"config is for command "
                              f"{file_cfg['command']!r}, not {command!r}")
         file_cfg.pop("version", None)
         _check_types(file_cfg, keys)
         resolved.update(file_cfg)
-    for key in keys:
-        value = getattr(args, key)
-        if value is not None:
-            resolved[key] = value
+    flags = {key: getattr(args, key) for key in keys}
+    resolved.update({k: v for k, v in flags.items() if v is not None})
     for key, value in resolved.items():
         if isinstance(value, float) and not math.isfinite(value):
             raise ValueError(f"config key {key!r} must be finite, got {value}")
-    _check_at_least("threads", resolved["threads"], 1)
+    if "threads" in resolved:
+        _check_at_least("threads", resolved["threads"], 1)
     out = resolved["out"]
     if out == "":
         raise ValueError("config key 'out' must name a file, got ''")
@@ -235,10 +234,11 @@ def _check_key(key: str, check, *args) -> None:
         raise ValueError(f"config key {key!r}: {exc}") from None
 
 
-def _check_band(config: dict, *q_keys: str) -> None:
-    """``mixtures.band_mixture`` owns the rules on ``p`` and the band
-    overlaps; ``p`` is checked first, so a bad ``p`` is not reported
-    against an overlap key."""
+def _check_solver(config: dict, *q_keys: str) -> None:
+    """beta, m, p, then each overlap in ``q_keys``, by their owners' rules;
+    a bad ``p`` is not reported against an overlap key."""
+    _check_key("beta", parisi._check_beta, config["beta"])
+    _check_key("m", parisi.make_grid, config["m"])
     _check_key("p", mixtures.band_mixture, config["p"], 0.0)
     for key in q_keys:
         _check_key(key, mixtures.band_mixture, config["p"], config[key])
@@ -299,9 +299,7 @@ def _run_parisi(config: dict) -> list[dict]:
     can split across neighbouring grid nodes (at the default m = 512,
     the pure p = 3 model at beta = 1.5 has atoms at 0.72997 and 0.7329, with
     weights 0.024 and 0.310)."""
-    _check_key("beta", parisi._check_beta, config["beta"])
-    _check_key("m", parisi.make_grid, config["m"])
-    _check_band(config, "band_q")
+    _check_solver(config, "band_q")
     xi = mixtures.band_mixture(config["p"], config["band_q"])
     res = parisi.minimize_cs(xi, config["beta"], config["m"])
     return [{"location": t, "weight": w, "value": res.value,
@@ -312,10 +310,12 @@ def _run_parisi(config: dict) -> list[dict]:
 
 def _run_fp(config: dict) -> list[dict]:
     _check_at_least("n_q", config["n_q"], 1)
-    _check_key("beta", parisi._check_beta, config["beta"])
-    _check_key("m", parisi.make_grid, config["m"])
-    _check_band(config, "q_min", "q_max")
-    qs = np.linspace(config["q_min"], config["q_max"], config["n_q"])
+    _check_solver(config, "q_min", "q_max")
+    q_min, q_max = config["q_min"], config["q_max"]
+    if q_max < q_min or (q_max == q_min and config["n_q"] > 1):
+        raise ValueError(f"config key 'q_max' must be above q_min {q_min} "
+                         f"(or equal to it when n_q is 1), got {q_max}")
+    qs = np.linspace(q_min, q_max, config["n_q"])
     return _point_rows(_fp_row, config, [{"q": q} for q in qs.tolist()])
 
 

@@ -45,11 +45,11 @@ def _one_trajectory(d: Disorder, cfg: LangevinConfig, seed: int, i: int):
 
 def map_parallel(fn, items, threads: int) -> list:
     """[fn(item) for item in items], in order, on ``threads`` worker
-    processes when there is more than one item."""
+    processes (at most one per item) when there are two or more items."""
     if threads > 1 and len(items) > 1:
         # imported here: it loads multiprocessing, which only a pool needs
         from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=threads) as pool:
+        with ProcessPoolExecutor(min(threads, len(items))) as pool:
             return list(pool.map(fn, items))
     return [fn(item) for item in items]
 

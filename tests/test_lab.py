@@ -1,3 +1,4 @@
+import concurrent.futures
 import itertools
 import json
 import math
@@ -404,3 +405,27 @@ def test_derived_seed_is_first_draw_of_derived_rng():
         assert type(seed) is int and 0 <= seed < 2 ** 63
         assert seed == int(derived_rng(*key).integers(2 ** 63))
     assert derived_seed(3, 1, 0) != derived_seed(3, 1, 1)
+
+
+def test_map_parallel_starts_no_more_workers_than_items(monkeypatch):
+    # a pool that records its size and maps in this process, so the test
+    # starts no process
+    sizes = []
+
+    class SerialPool:
+        def __init__(self, max_workers=None):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+    assert observables.map_parallel(lambda x: -x, [1, 2], threads=64) \
+        == [-1, -2]
+    assert sizes == [2]
