@@ -52,9 +52,9 @@ COLUMNS = {
     "parisi": ["location", "weight", "value", "kkt_residual", "converged"],
     "fp": ["q", "value", "rs_bound", "derivative", "band_free_energy",
            "error"],
-    "shatter-scan": ["p", "beta", "beta_c", "q_under", "q_bar", "passes_fp",
-                     "n_points", "hb_q_under", "hb_q_bar", "hb_window",
-                     "hb_n_points", "error"],
+    "shatter-scan": ["p", "beta", "beta_c", "q_under", "q_bar", "n_points",
+                     "hb_q_under", "hb_q_bar", "hb_window", "hb_n_points",
+                     "error"],
     "simulate": ["t", "corr", "stderr"],
     "chaos": ["epsilon", "overlap_sq", "overlap_sq_stderr", "w2",
               "w2_stderr"],
@@ -167,13 +167,13 @@ def _load_config_file(path: str) -> dict:
     with open(path, "r", encoding="utf-8") as fh:
         text = fh.read().strip()
     if text.startswith("#"):
-        text = text.lstrip("#").strip().splitlines()[0]
+        text = text.lstrip("#").strip().partition("\n")[0]
     try:
         cfg = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ValueError(f"config file {path} is not valid JSON: {exc}")
     if not isinstance(cfg, dict):
-        raise ValueError("config must be a JSON object")
+        raise ValueError(f"config file {path} must hold a JSON object")
     return cfg
 
 
@@ -349,7 +349,7 @@ def _shatter_row(config: dict, row: dict) -> None:
     win = franz_parisi.find_window(
         p, beta, franz_parisi.window_grid(p, n=config["n_q"]), m)
     row.update({"q_under": win.q_under, "q_bar": win.q_bar,
-                "passes_fp": win.passes_fp, "n_points": win.n_points})
+                "n_points": win.n_points})
     hb = franz_parisi.find_window(
         p, beta, franz_parisi.half_band_grid(p, n=config["n_q_half"]), m)
     row.update({"hb_q_under": hb.q_under, "hb_q_bar": hb.q_bar,

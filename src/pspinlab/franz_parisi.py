@@ -19,9 +19,9 @@ minimizer zeta_q:
             + beta^2 p q^{p-1} - q / (1 - q^2).
 
 An increasing window of V on a grid accumulating at 1 is the numerical
-signature of shattering; detection requires strict increase over at least
-three consecutive grid points above a noise floor tied to the solver's KKT
-residual.
+signature of shattering; detection requires a run of at least three grid
+points whose every step in V exceeds 10 times the scan's largest KKT
+residual, a noise floor that does not bound the values' error.
 """
 
 from __future__ import annotations
@@ -39,7 +39,6 @@ from .phase import _check_p
 __all__ = ["FpPoint", "FpWindow", "fp_value", "fp_rs_bound", "find_window",
            "window_grid", "half_band_grid"]
 
-FP_THRESHOLD = 0.9999  # window start needed for the clustering condition
 MIN_WINDOW_POINTS = 3  # shortest increasing run that counts as a window
 MIN_GRID_POINTS = 32  # fewest points a window scan accepts
 
@@ -59,13 +58,14 @@ class FpPoint:
 
 @dataclass(frozen=True)
 class FpWindow:
-    """A window scan: the maximal strictly-increasing interval, then the
+    """A window scan: the first longest run of at least MIN_WINDOW_POINTS
+    grid points whose every step in value exceeds 10 times the largest KKT
+    residual (a noise floor, not a bound on the values' error), then the
     potential, RS bound, envelope derivative and KKT residual at every
     grid point ``q``."""
 
     q_under: float
     q_bar: float
-    passes_fp: bool
     n_points: int
     q: np.ndarray
     value: np.ndarray
@@ -109,14 +109,11 @@ def fp_rs_bound(p: int, beta: float, q: float) -> float:
 def find_window(p: int, beta: float, q_grid: np.ndarray,
                 m: int = DEFAULT_M) -> FpWindow:
     """Scan the potential on a strictly increasing grid inside (0, 1) and
-    return every point solved, with the maximal strictly increasing run of
-    at least MIN_WINDOW_POINTS consecutive points (``_window``).
-
-    passes_fp is set when the run starts at or above 0.9999. Every point
-    is solved; if any solve did not converge, a ScanError names their
-    count and the first failed q in its message, and no points are
-    returned.
-    """
+    return every point solved, with the first longest run of at least
+    MIN_WINDOW_POINTS points whose every step in value exceeds 10 times
+    the largest KKT residual (``_window``). If any solve did not converge,
+    a ScanError names their count and the first failed q, and no points
+    are returned."""
     q_grid = np.array(q_grid, dtype=float)
     if len(q_grid) < MIN_GRID_POINTS:
         raise ValueError(f"window grid needs at least {MIN_GRID_POINTS} points")
@@ -173,8 +170,8 @@ def _envelope_derivative(xi_q: MixtureFn, beta: float, q: float,
 
 
 def _window(q: np.ndarray, value: np.ndarray,
-            kkt_residual: np.ndarray) -> tuple[float, float, bool, int]:
-    """(q_under, q_bar, passes_fp, n_points) of the longest run of grid
+            kkt_residual: np.ndarray) -> tuple[float, float, int]:
+    """(q_under, q_bar, n_points) of the longest run of grid
     points whose every step in value exceeds 10 times the largest KKT
     residual, the first of equal longest runs; a run of fewer than
     MIN_WINDOW_POINTS points is no window (NaN edges, 0 points)."""
@@ -184,8 +181,6 @@ def _window(q: np.ndarray, value: np.ndarray,
     starts, stops = edges[::2], edges[1::2]
     n_points = stops - starts + 1
     if not len(n_points) or n_points.max() < MIN_WINDOW_POINTS:
-        return math.nan, math.nan, False, 0
+        return math.nan, math.nan, 0
     best = np.argmax(n_points)
-    q_under = float(q[starts[best]])
-    return (q_under, float(q[stops[best]]), q_under >= FP_THRESHOLD,
-            int(n_points[best]))
+    return float(q[starts[best]]), float(q[stops[best]]), int(n_points[best])

@@ -96,6 +96,21 @@ def test_config_for_wrong_command_rejected(tmp_path):
     assert run_cli(["fp", "--config", str(cfg)]) == 2
 
 
+@pytest.mark.parametrize("text, want", [
+    (b"#\n", "not valid JSON"), (b"# \r\n", "not valid JSON"),
+    (b"{", "not valid JSON"), (b"[]", "JSON object"),
+], ids=["empty-header", "empty-crlf-header", "truncated", "list"])
+def test_bad_config_file_rejected(tmp_path, capsys, text, want):
+    # a header line holding no JSON reaches the same error as a broken file
+    cfg = tmp_path / "cfg.json"
+    cfg.write_bytes(text)
+    out = tmp_path / "o.csv"
+    assert run_cli(["phase", "--config", str(cfg), "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert want in captured.err and str(cfg) in captured.err
+    assert captured.out == "" and not out.exists()
+
+
 @pytest.mark.parametrize("command, cfg, key, want", [
     ("phase", {"p_max": "5"}, "p_max", "int"),
     ("simulate", {"n": 8.5}, "n", "int"),
@@ -295,7 +310,6 @@ def test_shatter_scan_deep_rs_has_no_window(tmp_path):
     assert run_cli(["shatter-scan", "--p-list", "3", "--beta-fracs", "0.414",
                     "--n-q", "32", "--m", "128", "--out", str(out)]) == 0
     _, _, rows = read_csv(out)
-    assert rows[0]["passes_fp"] == "false"
     assert rows[0]["n_points"] == "0"
     # the half-band scan runs at every p; deep in the RS phase it finds none
     assert rows[0]["hb_window"] == "false"
@@ -732,7 +746,8 @@ def test_unread_seed_and_threads_keys_rejected(tmp_path, capsys, command,
 UNREAD = {"shatter-scan": {"seed"}}
 
 
-@pytest.mark.parametrize("args", [
+# one small run of each command
+SMALL_RUNS = [
     ["phase", "--p-max", "3"],
     ["parisi", "--m", "64"],
     ["fp", "--n-q", "2", "--m", "64"],
@@ -742,7 +757,10 @@ UNREAD = {"shatter-scan": {"seed"}}
      "--n-traj", "3"],
     ["chaos", "--n", "6", "--epsilons", "0,0.5", "--n-samples", "3",
      "--n-disorders", "2", "--burn-in", "30", "--thin", "2"],
-], ids=lambda args: args[0])
+]
+
+
+@pytest.mark.parametrize("args", SMALL_RUNS, ids=lambda args: args[0])
 def test_every_config_key_is_read(tmp_path, monkeypatch, args):
     # the resolved config records every key the run looks up; threads is 1,
     # so every lookup happens in this process
@@ -764,6 +782,21 @@ def test_every_config_key_is_read(tmp_path, monkeypatch, args):
     command = args[0]
     keys = set(cli.COMMON) | set(cli.DEFAULTS[command])
     assert keys - read == UNREAD.get(command, set())
+
+
+@pytest.mark.parametrize("args", SMALL_RUNS, ids=lambda args: args[0])
+def test_every_row_fills_exactly_its_columns(tmp_path, monkeypatch, args):
+    # the writer looks up each listed column in a row, so a listed column
+    # that no row fills would be written empty, and a filled key that is not
+    # listed would be dropped; neither raises (a parisi row has no error key)
+    written = []
+    monkeypatch.setattr(cli, "_write_output",
+                        lambda config, rows: written.extend(rows))
+    assert run_cli(args + ["--out", str(tmp_path / "o.csv")]) == 0
+    ok = [row for row in written if not row.get("error")]
+    assert ok
+    for row in ok:
+        assert set(row) == set(cli.COLUMNS[args[0]])
 
 
 @pytest.mark.parametrize("config, status", [(None, 0), ({"p_mn": 4}, 2)])

@@ -120,7 +120,6 @@ def test_symmetry_in_q():
 
 def test_no_window_in_deep_rs():
     win = fp.find_window(3, 0.5, fp.window_grid(3, n=32))
-    assert not win.passes_fp
     assert win.n_points == 0
     assert math.isnan(win.q_under) and math.isnan(win.q_bar)
 
@@ -201,32 +200,26 @@ def test_window_detection_on_synthetic_values():
     # rise from index 0 to 20, fall after it
     grid = fp.window_grid(100, n=40)
     assert _window_of(-np.abs(np.arange(40) - 20.0), q=grid) == (
-        grid[0], grid[20], False, 21)
+        grid[0], grid[20], 21)
 
 
 def test_window_rule_cases():
     q = np.linspace(0.5, 0.9, 8)
     # a flat step ends a run: points 0-4 rise, 4 -> 5 is flat
-    assert _window_of([0, 1, 2, 3, 4, 4, 5, 6]) == (q[0], q[4], False, 5)
+    assert _window_of([0, 1, 2, 3, 4, 4, 5, 6]) == (q[0], q[4], 5)
     # a step of exactly 10 max KKT (0.125 -> 1.25) ends a run; one just
     # above it does not
     kkt = np.full(8, 0.01)
     kkt[3] = 0.125
     steps = np.array([1.25, 2.0, 2.0, 2.0, 2.0, 2.0, 2.0])
-    assert _window_of(np.r_[0.0, np.cumsum(steps)], kkt) == (
-        q[1], q[7], False, 7)
+    assert _window_of(np.r_[0.0, np.cumsum(steps)], kkt) == (q[1], q[7], 7)
     steps[0] = np.nextafter(1.25, 2.0)
-    assert _window_of(np.r_[0.0, np.cumsum(steps)], kkt) == (
-        q[0], q[7], False, 8)
+    assert _window_of(np.r_[0.0, np.cumsum(steps)], kkt) == (q[0], q[7], 8)
     # of two equal longest runs the first is reported
-    assert _window_of([0, 1, 2, 3, 0, 1, 2, 3]) == (q[0], q[3], False, 4)
+    assert _window_of([0, 1, 2, 3, 0, 1, 2, 3]) == (q[0], q[3], 4)
     # a 2-point rise is no window
-    under, bar, passes, n = _window_of([0, 1, 0, 1, 0, 1, 0, 1])
-    assert math.isnan(under) and math.isnan(bar)
-    assert (passes, n) == (False, 0)
-    # passes_fp: the run starts at or above FP_THRESHOLD
-    q = np.array([0.5, fp.FP_THRESHOLD, 0.99995, 0.99999])
-    assert _window_of([1, 0, 1, 2], q=q) == (q[1], q[3], True, 3)
+    under, bar, n = _window_of([0, 1, 0, 1, 0, 1, 0, 1])
+    assert math.isnan(under) and math.isnan(bar) and n == 0
 
 
 @pytest.mark.parametrize("p, n", [(6, 32), (20, 32), (128, 48), (1024, 48)])
