@@ -1,11 +1,11 @@
 """Gaussian tensor disorder with reproducible lineage.
 
-A disorder is an order-p tensor of i.i.d. standard normals (not
-symmetrized), optionally carrying a rank-one spike beta s^{(x)p}/N^{(p-1)/2}
-or an entrywise correlation (1-eps) G + sqrt(2 eps - eps^2) W with a parent
-disorder. Every constructor records its ``Lineage``, one flat record of JSON
-values (seed; spike beta and direction; parent and epsilon), so that the
-exact entries can be regenerated bit for bit, also from its JSON form.
+A disorder is one symmetric order-p tensor S, the slot-permutation mean of
+i.i.d. standard normals G (the raw draw is not kept), optionally carrying a
+rank-one spike beta s^{(x)p}/N^{(p-1)/2} or a correlation (1-eps) S +
+sqrt(2 eps - eps^2) sym(W) with a parent disorder. Every constructor records
+its ``Lineage`` (seed; spike beta and direction; parent and epsilon), one
+flat record of JSON values from which the entries are rebuilt bit for bit.
 
 Configurations are plain numpy vectors on the sphere of radius sqrt(N).
 """
@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass
-from functools import cached_property, reduce
+from functools import reduce
 
 import numpy as np
 
@@ -57,7 +57,7 @@ class Lineage:
 
 @dataclass(frozen=True)
 class Disorder:
-    """Order-p coefficient tensor, shape (n,) * p, C order (row-major)."""
+    """Symmetric order-p coefficient tensor, shape (n,) * p, C order."""
 
     n: int
     p: int
@@ -68,32 +68,17 @@ class Disorder:
         if self.entries.shape != (self.n,) * self.p:
             raise ValueError("entries must have shape (n,) * p")
 
-    @cached_property
-    def symmetric(self) -> np.ndarray:
-        """Mean of ``entries`` over all p! slot permutations, built once.
-
-        Stage k averages the tensor symmetric in slots 0..k-1 over the
-        transpositions (j k), j < k, and the identity, so the whole build
-        costs O(p^2) tensor passes instead of p!. The sums of swapped views
-        come out in a permuted memory order; C order spares the flat
-        contractions in :mod:`energy` a copy per call.
-        """
-        s = self.entries
-        for k in range(1, self.p):
-            s = (s + sum(np.swapaxes(s, j, k) for j in range(k))) / (k + 1)
-        return np.ascontiguousarray(s)
-
 
 def sample_disorder(n: int, p: int, seed: int) -> Disorder:
-    """i.i.d. standard normal entries, deterministic in the seed."""
+    """sym(G) for i.i.d. standard normal G, deterministic in the seed."""
     _check_budget(n, p)
-    w = derived_rng(seed).standard_normal((n,) * p)
-    return Disorder(n=n, p=p, entries=w, lineage=Lineage(n=n, p=p, seed=seed))
+    s = _symmetrize(derived_rng(seed).standard_normal((n,) * p))
+    return Disorder(n=n, p=p, entries=s, lineage=Lineage(n=n, p=p, seed=seed))
 
 
 def plant(n: int, p: int, beta: float, direction: Configuration,
           seed: int) -> Disorder:
-    """Rank-one spike beta direction^{(x)p} / N^{(p-1)/2} plus fresh noise."""
+    """Rank-one spike beta direction^{(x)p} / N^{(p-1)/2} plus sym(noise)."""
     _check_budget(n, p)
     direction = np.asarray(direction, dtype=float)
     sphere_check(direction)
@@ -105,10 +90,11 @@ def plant(n: int, p: int, beta: float, direction: Configuration,
 
 
 def correlate_disorder(d: Disorder, epsilon: float, seed: int) -> Disorder:
-    """(1-eps) G + sqrt(2 eps - eps^2) W entrywise; marginal law unchanged."""
+    """(1-eps) S + sqrt(2 eps - eps^2) sym(W), by linearity the sym of the
+    entrywise coupling of the raw draws; marginal law unchanged."""
     if not 0.0 <= epsilon <= 1.0:
         raise ValueError(f"epsilon must lie in [0, 1], got {epsilon}")
-    w = derived_rng(seed).standard_normal(d.entries.shape)
+    w = _symmetrize(derived_rng(seed).standard_normal(d.entries.shape))
     eta = np.sqrt(2.0 * epsilon - epsilon * epsilon)
     entries = (1.0 - epsilon) * d.entries + eta * w
     lineage = Lineage(n=d.n, p=d.p, seed=int(seed), parent=d.lineage,
@@ -163,6 +149,17 @@ def derived_seed(*key) -> int:
     """An integer seed drawn from the stream of ``key``, for interfaces
     that take a seed rather than a generator."""
     return int(derived_rng(*key).integers(2 ** 63))
+
+
+def _symmetrize(g: np.ndarray) -> np.ndarray:
+    """Mean of ``g`` over all slot permutations. Stage k averages the
+    tensor symmetric in slots 0..k-1 over the transpositions (j k), j < k,
+    and the identity, so the build costs O(p^2) tensor passes instead of
+    p!. The sums of swapped views come out in a permuted memory order; C
+    order spares the flat contractions in :mod:`energy` a copy per call."""
+    for k in range(1, g.ndim):
+        g = (g + sum(np.swapaxes(g, j, k) for j in range(k))) / (k + 1)
+    return np.ascontiguousarray(g)
 
 
 def _rank_one(v: np.ndarray, p: int) -> np.ndarray:

@@ -1,11 +1,11 @@
 """Hamiltonian and gradients for tensor disorder.
 
 H(sigma) = N^{-(p-1)/2} <G, sigma^{(x)p}> depends on the i.i.d. entries G
-only through their symmetrization S (the mean over slot permutations,
-cached on the Disorder), so H and its gradient are one contraction chain
-of S: H = S[sigma, ..., sigma] and grad H = p S[sigma,...,sigma,.]. H is
-taken at one configuration or at every row of a (K, n) batch in the same
-call. Euler's identity <sigma, grad H> = p H holds up to rounding.
+only through their symmetrization S, the one tensor a Disorder holds, so
+H and its gradient are one contraction chain of S: H = S[sigma, ..., sigma]
+and grad H = p S[sigma,...,sigma,.]. H is taken at one configuration or at
+every row of a (K, n) batch in the same call. Euler's identity
+<sigma, grad H> = p H holds up to rounding.
 
 Every chain contracts the leading slot first: the tensor is viewed as an
 (n, n^(m-1)) matrix and one flat matrix-vector product removes that slot,
@@ -27,14 +27,14 @@ def hamiltonian(d: Disorder, sigma: Configuration):
     """H at one configuration (shape (n,), a float) or at each row of a
     batch (shape (K, n), a (K,) array); O(K N^p)."""
     sigma = _check_dims(d, sigma, batch=True)
-    h = _scale(d) * _contract(d.symmetric, [sigma] * d.p)
+    h = _scale(d) * _contract(d.entries, [sigma] * d.p)
     return float(h) if sigma.ndim == 1 else h
 
 
 def gradient(d: Disorder, sigma: Configuration) -> np.ndarray:
     """Exact ambient gradient p S[sigma, ..., sigma, .]."""
     sigma = _check_dims(d, sigma)
-    return (d.p * _scale(d)) * _contract(d.symmetric, [sigma] * (d.p - 1))
+    return (d.p * _scale(d)) * _contract(d.entries, [sigma] * (d.p - 1))
 
 
 def spherical_gradient(d: Disorder, sigma: Configuration) -> np.ndarray:

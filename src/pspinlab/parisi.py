@@ -188,7 +188,8 @@ def minimize_cs(xi: MixtureFn, beta: float,
     violation below ``TOL_KKT``; on budget exhaustion the best iterate is
     returned with converged=False. Mass on the grid's top node ``Q_TOP``
     warns with ``TruncationWarning``: the value is then that of a truncated
-    measure.
+    measure. The budget runs out at low temperature (p = 3: beta = 300 at
+    m = 512, KKT 1e-3; 1000 at m = 64); no default goes above beta ~ 3.
     """
     _check_beta(beta)
     grid = make_grid(m)

@@ -278,6 +278,9 @@ def test_criterion_07_finite_n_laws():
     x = np.concatenate(xs)
     y = np.concatenate(ys)
     r = float(np.corrcoef(x, y)[0, 1])
+    # se for independent entries; the entries are symmetric tensors, each
+    # value repeated up to p! times, so the true se is larger and this
+    # bound is stricter than stated
     se = (1 - (1 - eps) ** 2) / math.sqrt(len(x))
     assert abs(r - (1 - eps)) <= 3 * se
     _report(7, "covariance N q^p at overlaps {0, +-0.5, 1}; planted energy "

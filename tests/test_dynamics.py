@@ -345,10 +345,11 @@ def test_chaos_config_invariants():
     # the eta = sqrt(2 eps - eps^2) mixing weight lives in correlate_disorder
     eps = 0.3
     mixed = lab.correlate_disorder(d, eps, seed=2)
-    w = derived_rng(2).standard_normal(d.entries.shape)
+    # sym(W) for the noise W of seed 2 is the disorder sampled at seed 2
+    sym_w = lab.sample_disorder(6, 3, seed=2).entries
     np.testing.assert_array_equal(
         mixed.entries,
-        (1.0 - eps) * d.entries + np.sqrt(2.0 * eps - eps * eps) * w)
+        (1.0 - eps) * d.entries + np.sqrt(2.0 * eps - eps * eps) * sym_w)
     with pytest.raises(ValueError, match="'epsilons'"):
         chaos_scan(6, 3, 0.5, [1.5], n_samples=4, n_disorders=1, seed=1,
                    burn_in=20, thin=2)

@@ -8,6 +8,7 @@ import pytest
 
 from pspinlab import lab
 from pspinlab.lab import observables
+from pspinlab.lab.disorder import derived_rng
 from pspinlab.errors import SizeError
 
 
@@ -177,30 +178,46 @@ def assert_close_rel(got, want, rel=1e-12):
 BENCHMARK_SIZES = [(32, 3), (16, 4)]
 
 
+def raw_draw(n, p, seed):
+    """The i.i.d. draw that ``sample_disorder(n, p, seed)`` symmetrizes."""
+    return derived_rng(seed).standard_normal((n,) * p)
+
+
+def permutation_mean(g):
+    perms = list(itertools.permutations(range(g.ndim)))
+    return sum(g.transpose(perm) for perm in perms) / len(perms)
+
+
 @pytest.mark.parametrize("n, p", BENCHMARK_SIZES)
 def test_derivatives_match_einsum_at_benchmark_sizes(n, p):
-    d = lab.sample_disorder(n, p, seed=7 * n + p)
+    seed = 7 * n + p
+    d = lab.sample_disorder(n, p, seed=seed)
     # the flat contractions reshape S on every call; in a permuted memory
     # layout each reshape would be a full copy
-    assert d.symmetric.flags.c_contiguous
+    assert d.entries.flags.c_contiguous
+    g = raw_draw(n, p, seed)
+    assert_close_rel(d.entries, permutation_mean(g), rel=1e-14)
     rng = np.random.default_rng(n + p)
     scale = float(n) ** (-(p - 1) / 2.0)
     for _ in range(3):
         s = lab.sphere_project(rng.standard_normal(n))
-        assert_close_rel(lab.gradient(d, s),
-                         p * scale * einsum_contract(d.symmetric,
-                                                     [s] * (p - 1)))
+        # d/dsigma of <G, sigma^p>: slot k of G free, the others take sigma
+        want = scale * sum(einsum_contract(np.moveaxis(g, k, 0),
+                                           [s] * (p - 1)) for k in range(p))
+        assert_close_rel(lab.gradient(d, s), want)
 
 
 @pytest.mark.parametrize("n, p", BENCHMARK_SIZES)
 def test_hamiltonian_matches_einsum_at_benchmark_sizes(n, p):
-    d = lab.sample_disorder(n, p, seed=11 * n + p)
+    seed = 11 * n + p
+    d = lab.sample_disorder(n, p, seed=seed)
     batch = lab.sphere_project(
         np.random.default_rng(n * p).standard_normal((8, n)))
     letters = "abcdefgh"[:p]
+    # H(S) = H(G): the reference contracts the raw draw
     want = float(n) ** (-(p - 1) / 2.0) * np.einsum(
         letters + "," + ",".join("k" + c for c in letters) + "->k",
-        d.entries, *[batch] * p)
+        raw_draw(n, p, seed), *[batch] * p)
     assert_close_rel(lab.hamiltonian(d, batch), want)
     assert_close_rel([lab.hamiltonian(d, row) for row in batch], want)
 
@@ -208,15 +225,24 @@ def test_hamiltonian_matches_einsum_at_benchmark_sizes(n, p):
 def test_symmetric_tensor_is_permutation_mean():
     for p in (2, 3, 4, 5):
         d = lab.sample_disorder(4, p, seed=p)
-        sym = d.symmetric
-        assert sym is d.symmetric  # built once, then cached
-        perms = list(itertools.permutations(range(p)))
-        mean = sum(d.entries.transpose(perm) for perm in perms) \
-            / math.factorial(p)
+        assert d.entries.flags.c_contiguous
+        mean = permutation_mean(raw_draw(4, p, p))
         tol = 1e-14 * np.max(np.abs(mean))
-        assert np.max(np.abs(sym - mean)) <= tol
-        for perm in perms:
-            assert np.max(np.abs(sym.transpose(perm) - sym)) <= tol
+        assert np.max(np.abs(d.entries - mean)) <= tol
+        planted = lab.plant(4, p, 1.5, lab.random_configuration(4, p), seed=p)
+        for sym in (d.entries, planted.entries,
+                    lab.correlate_disorder(planted, 0.3, seed=p).entries):
+            for perm in itertools.permutations(range(p)):
+                assert np.max(np.abs(sym.transpose(perm) - sym)) <= tol
+
+
+def test_disorder_holds_one_tensor():
+    d = lab.sample_disorder(48, 4, seed=0)
+    s = lab.random_configuration(48, 1)
+    lab.hamiltonian(d, s)
+    lab.gradient(d, s)
+    arrays = [v for v in vars(d).values() if isinstance(v, np.ndarray)]
+    assert sum(a.nbytes for a in arrays) == 8 * 48 ** 4
 
 
 def test_derivatives_leave_entries_lineage_exact():
