@@ -32,7 +32,7 @@ from .lab.samplers import _check_at_least
 # command line (perfbench/workloads.py, Shatter.argv) passes --seed
 COMMON = {"out": None}
 DEFAULTS = {
-    "phase": {"p_min": 3, "p_max": 10, "threads": 1},
+    "phase": {"p_min": 3, "p_max": 10},
     "parisi": {"p": 3, "band_q": 0.0, "beta": 1.0, "m": parisi.DEFAULT_M},
     "fp": {"p": 3, "beta": 1.0, "q_min": 0.0, "q_max": 0.99, "n_q": 50,
            "m": parisi.DEFAULT_M, "threads": 1},
@@ -244,12 +244,13 @@ def _check_solver(config: dict, *q_keys: str) -> None:
         _check_key(key, mixtures.band_mixture, config["p"], config[key])
 
 
-def _point_rows(fn, config: dict, points: list[dict]) -> list[dict]:
+def _point_rows(fn, config: dict, points: list[dict],
+                threads: int) -> list[dict]:
     """Each point dict as ``fn(config, row)`` fills it in, in order, on
-    ``config["threads"]`` workers; a point that raises keeps the fields
-    filled so far and gets the message in its ``error`` column."""
+    ``threads`` workers; a point that raises keeps the fields filled so
+    far and gets the message in its ``error`` column."""
     return map_parallel(functools.partial(_point_row, fn, config), points,
-                        config["threads"])
+                        threads)
 
 
 def _point_row(fn, config: dict, row: dict) -> dict:
@@ -284,7 +285,8 @@ def _run_phase(config: dict) -> list[dict]:
         raise ValueError(f"config key 'p_max' must be >= p_min "
                          f"{config['p_min']}, got {config['p_max']}")
     points = [{"p": p} for p in range(config["p_min"], config["p_max"] + 1)]
-    return _point_rows(_phase_row, config, points)
+    # a row is a bisection on floats, far cheaper than starting a pool
+    return _point_rows(_phase_row, config, points, threads=1)
 
 
 def _phase_row(config: dict, row: dict) -> None:
@@ -316,7 +318,8 @@ def _run_fp(config: dict) -> list[dict]:
         raise ValueError(f"config key 'q_max' must be above q_min {q_min} "
                          f"(or equal to it when n_q is 1), got {q_max}")
     qs = np.linspace(q_min, q_max, config["n_q"])
-    return _point_rows(_fp_row, config, [{"q": q} for q in qs.tolist()])
+    return _point_rows(_fp_row, config, [{"q": q} for q in qs.tolist()],
+                       config["threads"])
 
 
 def _fp_row(config: dict, row: dict) -> None:
@@ -341,7 +344,7 @@ def _run_shatter(config: dict) -> list[dict]:
     bcs = [phase.beta_c(p)[0] for p in p_list]
     points = [{"p": p, "beta": frac * bc, "beta_c": bc}
               for p, bc in zip(p_list, bcs) for frac in fracs]
-    return _point_rows(_shatter_row, config, points)
+    return _point_rows(_shatter_row, config, points, config["threads"])
 
 
 def _shatter_row(config: dict, row: dict) -> None:

@@ -3,11 +3,6 @@
 from __future__ import annotations
 
 
-class SolverError(RuntimeError):
-    """A bracketed minimization failed to converge within its budget; the
-    message gives the last bracket and the best value seen."""
-
-
 class SizeError(ValueError):
     """Requested tensor exceeds the entry budget."""
 

@@ -82,11 +82,13 @@ def plant(n: int, p: int, beta: float, direction: Configuration,
     _check_budget(n, p)
     direction = np.asarray(direction, dtype=float)
     sphere_check(direction)
-    base = sample_disorder(n, p, seed)
-    spike = _rank_one(direction, p) * (beta * float(n) ** (-(p - 1) / 2.0))
+    entries = sample_disorder(n, p, seed).entries
+    spike = _rank_one(direction, p)
+    spike *= beta * float(n) ** (-(p - 1) / 2.0)
+    entries += spike
     lineage = Lineage(n=n, p=p, seed=seed, spike_beta=float(beta),
                       direction=tuple(direction.tolist()))
-    return Disorder(n=n, p=p, entries=spike + base.entries, lineage=lineage)
+    return Disorder(n=n, p=p, entries=entries, lineage=lineage)
 
 
 def correlate_disorder(d: Disorder, epsilon: float, seed: int) -> Disorder:
@@ -95,11 +97,11 @@ def correlate_disorder(d: Disorder, epsilon: float, seed: int) -> Disorder:
     if not 0.0 <= epsilon <= 1.0:
         raise ValueError(f"epsilon must lie in [0, 1], got {epsilon}")
     w = _symmetrize(derived_rng(seed).standard_normal(d.entries.shape))
-    eta = np.sqrt(2.0 * epsilon - epsilon * epsilon)
-    entries = (1.0 - epsilon) * d.entries + eta * w
+    w *= np.sqrt(2.0 * epsilon - epsilon * epsilon)
+    w += (1.0 - epsilon) * d.entries
     lineage = Lineage(n=d.n, p=d.p, seed=int(seed), parent=d.lineage,
                       epsilon=float(epsilon))
-    return Disorder(n=d.n, p=d.p, entries=entries, lineage=lineage)
+    return Disorder(n=d.n, p=d.p, entries=w, lineage=lineage)
 
 
 def reconstruct(lineage: Lineage) -> Disorder:

@@ -227,11 +227,7 @@ def _check_chaos(n: int, p: int, beta: float, epsilons, n_samples: int,
 
 
 def _warn_if_low_temperature(p: int, beta: float) -> None:
-    # beta_d < beta_c and beta_d is closed form: a beta below beta_d skips
-    # the minimization behind beta_c
-    try:
-        if beta < phase.beta_d_pure(p):
-            return
+    try:  # the lab takes p = 2, which has no pure p-spin boundary
         bc, _ = phase.beta_c(p)
     except ValueError:
         return

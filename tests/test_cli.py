@@ -329,16 +329,15 @@ def test_shatter_scan_small_p_half_band_window(tmp_path):
     assert float(row["hb_q_under"]) >= 1.0 - 1.0 / 40
 
 
-@pytest.mark.parametrize("args, threads", [
-    (["phase", "--p-max", "6"], "3"),
-    (["fp", "--n-q", "4", "--m", "64"], "2"),
-    (["shatter-scan", "--p-list", "6,20", "--beta-fracs", "0.9",
-      "--n-q", "32", "--n-q-half", "32", "--m", "64"], "2"),
-], ids=["phase", "fp", "shatter-scan"])
-def test_threads_do_not_change_output(tmp_path, args, threads):
+@pytest.mark.parametrize("args", [
+    ["fp", "--n-q", "4", "--m", "64"],
+    ["shatter-scan", "--p-list", "6,20", "--beta-fracs", "0.9",
+     "--n-q", "32", "--n-q-half", "32", "--m", "64"],
+], ids=["fp", "shatter-scan"])
+def test_threads_do_not_change_output(tmp_path, args):
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"
     assert run_cli(args + ["--out", str(a), "--threads", "1"]) == 0
-    assert run_cli(args + ["--out", str(b), "--threads", threads]) == 0
+    assert run_cli(args + ["--out", str(b), "--threads", "2"]) == 0
     assert a.read_bytes().split(b"\r\n", 1)[1] \
         == b.read_bytes().split(b"\r\n", 1)[1]
 
@@ -374,8 +373,8 @@ def test_warnings_do_not_change_exit_status(tmp_path, recwarn, args, text):
 
 
 def test_chaos_command_checks_and_warns_once(tmp_path, monkeypatch):
-    # one static-boundary check, so one beta_c minimization and one
-    # warning, however many disorders the run draws
+    # one static-boundary check, so one beta_c call and one warning,
+    # however many disorders the run draws
     calls = []
     beta_c = cli.phase.beta_c
 
@@ -439,8 +438,8 @@ def test_non_finite_json_values_rejected(tmp_path, capsys, text, key):
      "n_q"),
     (["shatter-scan", "--p-list", "3", "--beta-fracs", "0.5",
       "--n-q-half", "5"], "n_q_half"),
-    (["phase", "--p-max", "3", "--threads", "0"], "threads"),
-    (["phase", "--p-max", "3", "--threads", "-2"], "threads"),
+    (["fp", "--n-q", "2", "--threads", "0"], "threads"),
+    (["fp", "--n-q", "2", "--threads", "-2"], "threads"),
     (["shatter-scan", "--p-list", "2.5", "--beta-fracs", "0.5"], "p_list"),
     (["shatter-scan", "--p-list", "3", "--beta-fracs", "0.9,x"],
      "beta_fracs"),
@@ -687,7 +686,7 @@ def test_simulate_header_with_method_key_rejected(tmp_path, capsys):
 
 
 def test_phase_header_with_tol_key_rejected(tmp_path, capsys):
-    # beta_c's golden-section tolerance is the constant phase.TOL
+    # beta_c bisects down to adjacent floats and takes no tolerance
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"command": "phase", "tol": 1e-10}))
     assert run_cli(["phase", "--config", str(cfg)]) == 2
@@ -721,13 +720,14 @@ def test_fp_single_point_may_set_q_max_to_q_min(tmp_path):
 
 @pytest.mark.parametrize("command, key", [
     ("phase", "seed"), ("parisi", "seed"), ("fp", "seed"),
-    ("parisi", "threads"),
+    ("phase", "threads"), ("parisi", "threads"),
 ])
 def test_unread_seed_and_threads_keys_rejected(tmp_path, capsys, command,
                                                key):
     # the command never reads the key (phase, parisi and fp draw nothing at
-    # random, and parisi makes one solve): a JSON config or an old header
-    # holding it is rejected by name, and the flag is unknown
+    # random, a phase row costs less than starting a worker, and parisi
+    # makes one solve): a JSON config or an old header holding it is
+    # rejected by name, and the flag is unknown
     header = {"command": command, key: 1}
     for text in (json.dumps(header), "# " + json.dumps(header) + "\r\nx\r\n"):
         cfg = tmp_path / "cfg.json"

@@ -359,8 +359,8 @@ def test_chaos_config_invariants():
 
 
 def test_chaos_scan_checks_and_warns_once(monkeypatch):
-    # the static-boundary check needs beta_c(p), a minimization: one per
-    # scan, not one more per disorder
+    # the static-boundary check needs beta_c(p): one call per scan, not
+    # one more per disorder
     from pspinlab import phase
 
     calls = []

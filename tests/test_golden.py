@@ -21,14 +21,16 @@ GOLDEN = Path(__file__).parent / "golden"
 # grid points and closed forms: numpy arithmetic on fixed inputs, which
 # another CPU may round differently in the last bits only
 CLOSED_REL = 1e-12
-# beta_c comes from a golden-section search to phase.TOL = 1e-10 on
-# beta_c^2, so a search path that rounds differently may move beta_c (and
-# beta = frac * beta_c) by about TOL / (2 beta_c) < 1e-10
+# beta_c is the plateau function at a root bisected to adjacent floats,
+# within 4e-15 relative of a 60-digit reference; the golden-section search
+# to 1e-10 on beta_c^2 that it replaced agreed with it to 1e-15 on these
+# bodies. The bound (on beta = frac * beta_c too) keeps that search's
+# TOL / (2 beta_c) < 1e-10 with room, far above any last-bit rounding
 BETA_REL = 1e-9
-# argmin_q_c is the argmin of the beta_c objective, which is flat there:
-# another bracketing grid for the same golden-section refinement, or
-# Brent's method to 1e-14, moves it by up to 1.4e-8 (2.1e-8 relative, at
-# p = 3; 2e-9 to 4e-9 at p = 4-10), so about 50 times the largest
+# argmin_q_c = 1 - e^{-u} at that root, where the beta_c objective is
+# flat: the golden-section minimizer that bisection replaced put it up to
+# 1.4e-8 relative away (at p = 3; 3e-10 to 4e-9 at p = 4-10), so the
+# bound is about 70 times the largest such move
 ARGMIN_REL = 1e-6
 # solver values: the stopping rule (objective stagnation below 1e-10
 # relative, KKT violation below TOL_KKT = 1e-7) admits any iterate near the

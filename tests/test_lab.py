@@ -2,6 +2,7 @@ import concurrent.futures
 import itertools
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -243,6 +244,23 @@ def test_disorder_holds_one_tensor():
     lab.gradient(d, s)
     arrays = [v for v in vars(d).values() if isinstance(v, np.ndarray)]
     assert sum(a.nbytes for a in arrays) == 8 * 48 ** 4
+
+
+def test_spike_and_correlation_build_in_place():
+    # drawing and symmetrizing a tensor peaks near two tensors; the spike
+    # and the correlated mix are added into that draw, not beside it
+    n, p = 24, 4
+    parent = lab.sample_disorder(n, p, seed=0)
+    direction = lab.random_configuration(n, 1)
+    for build in (lambda: lab.plant(n, p, 1.5, direction, seed=2),
+                  lambda: lab.correlate_disorder(parent, 0.3, seed=3)):
+        tracemalloc.start()
+        try:
+            build()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.2 * 8 * n ** p
 
 
 def test_derivatives_leave_entries_lineage_exact():

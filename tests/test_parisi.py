@@ -17,7 +17,6 @@ from pspinlab.franz_parisi import fp_value, half_band_grid, window_grid
 from pspinlab.mixtures import MixtureFn, band_mixture, evaluate
 from pspinlab.parisi import (ParisiMeasure, cs_functional, make_grid,
                              minimize_cs, rs_value)
-from pspinlab.phase import beta_c
 
 
 def random_measure(rng, n_atoms=None, q_top=0.95):
@@ -480,7 +479,8 @@ def test_minimize_window_scan_iteration_budget(monkeypatch):
     # as many iterations as before or more, so the iteration bound is loose;
     # a solver back on slow steps fails both bounds. A kernel change that
     # keeps every floating-point operation keeps both totals exactly, over
-    # the 48 points of a whole scan
+    # the 48 points of a whole scan. beta is pinned to the float the counts
+    # were taken at, 0.95 beta_c(128): a last-bit move of beta_c moves them
     evaluations = []
     value_grad = parisi._CsProblem.value_grad
 
@@ -489,7 +489,7 @@ def test_minimize_window_scan_iteration_budget(monkeypatch):
         return value_grad(self, x)
 
     monkeypatch.setattr(parisi._CsProblem, "value_grad", counted)
-    beta = 0.95 * beta_c(128)[0]
+    beta = 0.95 * 2.5820947408612396
     panel = 1.0 - np.exp(np.linspace(math.log(0.0099), math.log(0.05 / 128),
                                      48))
     iterations = sum(minimize_cs(band_mixture(128, q), beta).iterations

@@ -1,5 +1,6 @@
 import csv
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -48,20 +49,52 @@ def test_beta_c_increasing_in_p():
 
 
 def test_beta_c_ratio_decreases_toward_one():
+    # beta_c ~ sqrt(log p) from above; a q grid that stops short of the
+    # minimizer's 1 - q ~ 1 / (p log p) reads a larger beta_c at large p,
+    # and the ratio turns up
     ratios = [phase.beta_c(p)[0] / math.sqrt(math.log(p))
-              for p in (100, 1000, 10000)]
-    assert ratios[0] > ratios[1] > ratios[2] > 1.0
+              for p in (100, 1000, 10**4, 10**6, 10**8, 10**10)]
+    assert all(a > b for a, b in zip(ratios, ratios[1:]))
+    assert ratios[-1] > 1.0
 
 
 def test_beta_d_pure_matches_plateau_infimum():
     # the plateau equation's infimum sqrt(inf_q q / (xi'(q)(1-q))) for
-    # xi(t) = t^p, found numerically, against the closed form
+    # xi(t) = t^p, found on a dense grid, against the closed form
+    q = np.linspace(1e-3, 1.0 - 1e-7, 2_000_001)
     for p in range(3, 21):
-        q, val = phase._bracketed_min(
-            lambda q: q / (p * q ** (p - 1) * (1.0 - q)), phase._q_grid(),
-            1e-12)
-        assert math.sqrt(val) == pytest.approx(phase.beta_d_pure(p), abs=1e-8)
-        assert q == pytest.approx((p - 2) / (p - 1), abs=1e-4)
+        vals = q / (p * q ** (p - 1) * (1.0 - q))
+        i = int(np.argmin(vals))
+        assert math.sqrt(vals[i]) == pytest.approx(phase.beta_d_pure(p),
+                                                   abs=1e-8)
+        assert q[i] == pytest.approx((p - 2) / (p - 1), abs=1e-4)
+
+
+@pytest.mark.parametrize("p", list(range(3, 13)) + [128, 1024, 2048, 10**4])
+def test_beta_c_satisfies_both_identities(p):
+    # at the objective's stationary point q_c, beta_c^2 q^p + q + log(1-q)
+    # = 0 (the complexity vanishes) and beta_c^2 = 1 / (p q^{p-2} (1-q))
+    # (the plateau function). The first is stationary in q, so rounding
+    # the returned q moves it only to second order; the second moves by
+    # that rounding over 1 - q, measured below 4e-13 at these p
+    bc, q = phase.beta_c(p)
+    log_1mq = math.log1p(-q)
+    sigma = bc * bc * math.exp(p * math.log(q)) + q + log_1mq
+    assert abs(sigma) <= 1e-12 * abs(log_1mq)
+    plateau = math.expm1(2.0 * math.log(bc) + math.log(p)
+                         + (p - 2) * math.log(q) + log_1mq)
+    assert abs(plateau) <= 1e-12
+
+
+@pytest.mark.parametrize("p", list(range(3, 21)) + [10**4])
+def test_beta_d_pure_matches_exact_rational(p):
+    # beta_d^2 = (p-1)^{p-1} / (p (p-2)^{p-2}) as a fraction of Python
+    # ints; its square root to 2^-80 by integer square root
+    square = Fraction((p - 1) ** (p - 1), p * (p - 2) ** (p - 2))
+    bits = 80
+    exact = Fraction(math.isqrt(square.numerator * 4 ** bits
+                                // square.denominator), 2 ** bits)
+    assert abs(Fraction(phase.beta_d_pure(p)) / exact - 1) <= 1e-15
 
 
 def test_phase_scan_invariants(tmp_path):
@@ -75,15 +108,6 @@ def test_phase_scan_invariants(tmp_path):
         assert beta_d < beta_c
         assert 1.0 < beta_d < 2.0
         assert 0.0 < float(row["argmin_q_c"]) < 1.0
-
-
-def test_bracketed_min_budget_error_carries_bracket():
-    from pspinlab.errors import SolverError
-
-    with pytest.raises(SolverError) as err:
-        phase._bracketed_min(lambda q: (q - 0.5) ** 2,
-                             np.linspace(0.1, 0.9, 9), tol=1e-13, max_iter=2)
-    assert "bracket [" in str(err.value)
 
 
 def test_input_validation():
