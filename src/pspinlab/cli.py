@@ -25,7 +25,7 @@ from . import __version__, franz_parisi, mixtures, parisi, phase
 from .lab import LangevinConfig
 from .lab.observables import chaos_scan, correlation_curve, map_parallel
 from .lab.disorder import _check_budget, sample_disorder
-from .lab.samplers import _check_at_least
+from .lab.samplers import _check_range
 
 # keys besides "command" and "version" (out=None is stdout); each command
 # reads all of its keys but shatter-scan's seed, kept while the benchmark's
@@ -49,7 +49,7 @@ DEFAULTS = {
 
 COLUMNS = {
     "phase": ["p", "beta_d", "beta_c", "argmin_q_c", "error"],
-    "parisi": ["location", "weight", "value", "kkt_residual", "converged"],
+    "parisi": ["location", "weight", "value", "kkt_residual", "error"],
     "fp": ["q", "value", "rs_bound", "derivative", "band_free_energy",
            "error"],
     "shatter-scan": ["p", "beta", "beta_c", "q_under", "q_bar", "n_points",
@@ -132,7 +132,7 @@ def _resolve_config(args: argparse.Namespace) -> dict:
         if isinstance(value, float) and not math.isfinite(value):
             raise ValueError(f"config key {key!r} must be finite, got {value}")
     if "threads" in resolved:
-        _check_at_least("threads", resolved["threads"], 1)
+        _check_range("threads", resolved["threads"], 1)
     out = resolved["out"]
     if out == "":
         raise ValueError("config key 'out' must name a file, got ''")
@@ -183,8 +183,7 @@ def _write_output(config: dict, rows: list[dict]) -> None:
     writer = csv.writer(buf, lineterminator="\r\n")
     cols = COLUMNS[config["command"]]
     writer.writerow(cols)
-    for row in rows:
-        writer.writerow([_fmt(row.get(c)) for c in cols])
+    writer.writerows([_fmt(row.get(c)) for c in cols] for row in rows)
     text = buf.getvalue()
     if config["out"] is None:
         sys.stdout.write(text)
@@ -198,8 +197,6 @@ def _fmt(value) -> str:
         return ""
     if isinstance(value, bool):
         return "true" if value else "false"
-    if isinstance(value, float):
-        return repr(value)
     return str(value)
 
 
@@ -272,11 +269,7 @@ def _run_command(config: dict) -> tuple[list[dict], int]:
         "chaos": _run_chaos,
     }[config["command"]]
     rows = runner(config)
-    # a parisi row has no error column: it failed when its solve did not
-    # converge
-    n_errors = sum(1 for r in rows
-                   if r.get("error") or r.get("converged") is False)
-    return rows, n_errors
+    return rows, sum(1 for row in rows if row.get("error"))
 
 
 def _run_phase(config: dict) -> list[dict]:
@@ -284,6 +277,7 @@ def _run_phase(config: dict) -> list[dict]:
     if config["p_max"] < config["p_min"]:
         raise ValueError(f"config key 'p_max' must be >= p_min "
                          f"{config['p_min']}, got {config['p_max']}")
+    _check_key("p_max", phase._check_p, config["p_max"])
     points = [{"p": p} for p in range(config["p_min"], config["p_max"] + 1)]
     # a row is a bisection on floats, far cheaper than starting a pool
     return _point_rows(_phase_row, config, points, threads=1)
@@ -305,13 +299,14 @@ def _run_parisi(config: dict) -> list[dict]:
     xi = mixtures.band_mixture(config["p"], config["band_q"])
     res = parisi.minimize_cs(xi, config["beta"], config["m"])
     return [{"location": t, "weight": w, "value": res.value,
-             "kkt_residual": res.kkt_residual, "converged": res.converged}
+             "kkt_residual": res.kkt_residual,
+             "error": parisi._solve_error(res)}
             for t, w in zip(res.measure.locations.tolist(),
                             res.measure.weights.tolist())]
 
 
 def _run_fp(config: dict) -> list[dict]:
-    _check_at_least("n_q", config["n_q"], 1)
+    _check_range("n_q", config["n_q"], 1)
     _check_solver(config, "q_min", "q_max")
     q_min, q_max = config["q_min"], config["q_max"]
     if q_max < q_min or (q_max == q_min and config["n_q"] > 1):
@@ -328,12 +323,12 @@ def _fp_row(config: dict, row: dict) -> None:
     row.update({"value": pt.value, "rs_bound": pt.rs_bound,
                 "derivative": pt.derivative,
                 "band_free_energy": pt.band_free_energy,
-                "error": "" if pt.converged else "solver did not converge"})
+                "error": parisi._solve_error(pt)})
 
 
 def _run_shatter(config: dict) -> list[dict]:
     for key in ("n_q", "n_q_half"):
-        _check_at_least(key, config[key], franz_parisi.MIN_GRID_POINTS)
+        _check_range(key, config[key], franz_parisi.MIN_GRID_POINTS)
     _check_key("m", parisi.make_grid, config["m"])
     fracs = _comma_list(config, "beta_fracs", float)
     for frac in fracs:  # beta = frac * beta_c has the sign of frac
@@ -363,8 +358,8 @@ def _run_simulate(config: dict) -> list[dict]:
     _check_budget(config["n"], config["p"])
     cfg = LangevinConfig(config["beta"], config["step"], config["n_steps"],
                          config["record_every"])
-    _check_at_least("n_traj", config["n_traj"], 1)
-    _check_at_least("seed", config["seed"], 0)
+    _check_range("n_traj", config["n_traj"], 1)
+    _check_range("seed", config["seed"], 0)
     d = sample_disorder(config["n"], config["p"], seed=config["seed"])
     curve = correlation_curve(d, cfg, config["n_traj"], seed=config["seed"],
                               threads=config["threads"])

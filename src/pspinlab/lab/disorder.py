@@ -83,7 +83,7 @@ def plant(n: int, p: int, beta: float, direction: Configuration,
     direction = np.asarray(direction, dtype=float)
     sphere_check(direction)
     entries = sample_disorder(n, p, seed).entries
-    spike = _rank_one(direction, p)
+    spike = reduce(np.multiply.outer, [direction] * p)
     spike *= beta * float(n) ** (-(p - 1) / 2.0)
     entries += spike
     lineage = Lineage(n=n, p=p, seed=seed, spike_beta=float(beta),
@@ -162,10 +162,6 @@ def _symmetrize(g: np.ndarray) -> np.ndarray:
     for k in range(1, g.ndim):
         g = (g + sum(np.swapaxes(g, j, k) for j in range(k))) / (k + 1)
     return np.ascontiguousarray(g)
-
-
-def _rank_one(v: np.ndarray, p: int) -> np.ndarray:
-    return reduce(np.multiply.outer, [v] * p)
 
 
 def _check_budget(n: int, p: int) -> None:

@@ -22,7 +22,7 @@ import numpy as np
 from ..errors import DivergenceError, StabilityWarning
 from .disorder import Configuration, Disorder, derived_rng, sphere_check
 from .energy import gradient, spherical_gradient
-from .samplers import _check_at_least, _check_beta
+from .samplers import _check_range, _check_beta
 
 __all__ = ["LangevinConfig", "langevin_run"]
 
@@ -40,8 +40,8 @@ class LangevinConfig:
         _check_beta(self.beta)
         if not self.step > 0:  # NaN fails this test too
             raise ValueError(f"config key 'step' must be > 0, got {self.step}")
-        _check_at_least("n_steps", self.n_steps, 1)
-        _check_at_least("record_every", self.record_every, 1)
+        _check_range("n_steps", self.n_steps, 1)
+        _check_range("record_every", self.record_every, 1, self.n_steps)
 
 
 def langevin_run(d: Disorder, start: Configuration, cfg: LangevinConfig,

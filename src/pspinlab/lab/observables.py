@@ -12,7 +12,7 @@ from .. import phase
 from .disorder import (Configuration, Disorder, _check_budget,
                        correlate_disorder, derived_seed, sample_disorder)
 from .langevin import LangevinConfig, langevin_run
-from .samplers import (ReplicaExchange, _check_at_least, _check_beta,
+from .samplers import (ReplicaExchange, _check_range, _check_beta,
                        _check_run, equilibrium_sample)
 
 __all__ = ["correlation_curve", "w2_empirical", "chaos_scan"]
@@ -27,7 +27,7 @@ def correlation_curve(d: Disorder, cfg: LangevinConfig,
     with standard errors, on the monotone time grid of recorded strides.
     Starts are equilibrium draws at ``cfg.beta``, the temperature of the
     dynamics. Trajectories are independent and run on ``threads`` workers."""
-    _check_at_least("n_traj", n_trajectories, 1)
+    _check_range("n_traj", n_trajectories, 1)
     results = map_parallel(functools.partial(_one_trajectory, d, cfg, seed),
                            range(n_trajectories), threads)
     times = results[0][0]
@@ -210,11 +210,9 @@ def _check_chaos(n: int, p: int, beta: float, epsilons, n_samples: int,
     _check_budget(n, p)
     _check_beta(beta)
     _check_run(n_samples, burn_in, thin)
-    if n_samples > W2_MAX_POINTS:
-        raise ValueError(f"config key 'n_samples' must be <= "
-                         f"{W2_MAX_POINTS}, got {n_samples}")
-    _check_at_least("n_disorders", n_disorders, 1)
-    _check_at_least("seed", seed, 0)
+    _check_range("n_samples", n_samples, 1, W2_MAX_POINTS)
+    _check_range("n_disorders", n_disorders, 1)
+    _check_range("seed", seed, 0)
     eps = [float(e) for e in epsilons]
     if not eps or not all(0.0 <= e <= 1.0 for e in eps):
         raise ValueError(f"config key 'epsilons' needs at least one "

@@ -51,16 +51,18 @@ def _check_beta(beta: float) -> None:
                          f"got {beta}")
 
 
-def _check_at_least(key: str, value: int, low: int) -> None:
+def _check_range(key: str, value: int, low: int, high=math.inf) -> None:
     if value < low:
         raise ValueError(f"config key {key!r} must be >= {low}, got {value}")
+    if value > high:
+        raise ValueError(f"config key {key!r} must be <= {high}, got {value}")
 
 
 def _check_run(n_samples: int, burn_in: int, thin: int) -> None:
     """The run-length rule of ``ReplicaExchange.sample``, key by key."""
-    _check_at_least("n_samples", n_samples, 1)
-    _check_at_least("burn_in", burn_in, 0)
-    _check_at_least("thin", thin, 1)
+    _check_range("n_samples", n_samples, 1)
+    _check_range("burn_in", burn_in, 0)
+    _check_range("thin", thin, 1)
 
 
 class ReplicaExchange:

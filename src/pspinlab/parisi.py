@@ -102,6 +102,11 @@ class MinimizeResult:
     iterations: int
 
 
+def _solve_error(result) -> str:
+    """A row's ``error``: empty once ``result`` (a solve) converged."""
+    return "" if result.converged else "solver did not converge"
+
+
 def rs_value(t: float, xi: MixtureFn, beta: float) -> float:
     """Value at the single atom delta_t:
     (beta^2/2)(xi(1) - xi(t)) + t/(2(1-t)) + log(1-t)/2."""

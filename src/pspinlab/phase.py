@@ -13,8 +13,8 @@ beta^2 xi'(q)(1-q) = q (Crisanti & Sommers, Z. Phys. B 87, 1992):
 
 h is taken in log space and q_c is found as u = -log(1-q_c), so no power
 overflows and 1 - q_c never rounds away: against a 60-digit reference,
-beta_c is within 4e-15 relative and beta_d within 1.4e-15 for p from 3
-to 1e18 (the returned q_c itself rounds to 1 from about p = 1e15 on).
+beta_c is within 4e-15 relative (1e-13 above p = 1e18) and beta_d within
+1.4e-15 for p from 3 to P_MAX = 1e300; q_c itself rounds to 1 from 1e15 on.
 """
 
 from __future__ import annotations
@@ -22,6 +22,8 @@ from __future__ import annotations
 import math
 
 __all__ = ["beta_c", "beta_d_pure"]
+
+P_MAX = 10**300  # largest p: below e^709 / 709, so beta_c's root u < 709
 
 
 def beta_c(p: int) -> tuple[float, float]:
@@ -33,6 +35,7 @@ def beta_c(p: int) -> tuple[float, float]:
     u = log(p-1), so g falls on (0, log(p-1)) and then rises without
     bound; g(2 log(p-1)) > 0 for all p >= 3 (p = 3 is the tightest, at
     0.34), so [log(p-1), 2 log(p-1)] brackets the one non-zero root.
+    Past u = 709, near expm1's overflow, g > e^u - p u > 0 for p <= P_MAX.
     """
     p = _check_p(p)
     lo, hi = math.log(p - 1), 2.0 * math.log(p - 1)
@@ -40,7 +43,7 @@ def beta_c(p: int) -> tuple[float, float]:
         u = 0.5 * (lo + hi)
         if not lo < u < hi:
             break
-        if math.expm1(u) - (p - 1) * math.expm1(-u) - p * u < 0.0:
+        if u < 709.0 and math.expm1(u) - (p - 1) * math.expm1(-u) < p * u:
             lo = u
         else:
             hi = u
@@ -60,6 +63,6 @@ def _plateau_beta(p: int, log_q: float, log_1mq: float) -> float:
 
 
 def _check_p(p) -> int:
-    if int(p) != p or int(p) < 3:
-        raise ValueError(f"p must be an integer >= 3, got {p!r}")
+    if int(p) != p or not 3 <= int(p) <= P_MAX:
+        raise ValueError(f"p must be an integer in [3, {P_MAX:.0e}], got {p!r}")
     return int(p)

@@ -179,14 +179,18 @@ def test_fp_row_error_sets_exit_code(tmp_path, monkeypatch):
 def test_parisi_solve_that_does_not_converge_sets_exit_code(tmp_path,
                                                            monkeypatch):
     # convergence is tested only after iteration 5, so a 3-iteration budget
-    # cannot converge; the rows are still written, with converged false
+    # cannot converge; the rows are still written, each with the error the
+    # fp rows of an unconverged solve carry
     monkeypatch.setattr(cli.parisi, "MAX_ITER", 3)
     out = tmp_path / "parisi.csv"
     assert run_cli(["parisi", "--beta", "1.5", "--m", "64",
                     "--out", str(out)]) == 1
     _, cols, rows = read_csv(out)
-    assert "error" not in cols
-    assert rows and all(r["converged"] == "false" for r in rows)
+    assert cols[-1] == "error" and "converged" not in cols
+    assert rows
+    for row in rows:
+        assert row["error"] == "solver did not converge"
+        assert row["location"] != "" and row["value"] != ""
 
 
 def test_window_scan_that_does_not_converge_sets_exit_code(tmp_path,
@@ -215,13 +219,13 @@ def test_parisi_command(tmp_path):
                         "--out", str(out)]) == 0
         _, cols, rows = read_csv(out)
         assert cols == ["location", "weight", "value", "kkt_residual",
-                        "converged"]
+                        "error"]
         got_loc = [float(r["location"]) for r in rows]
         got_w = [float(r["weight"]) for r in rows]
         assert got_loc == pytest.approx(locations, abs=1e-3)
         assert got_w == pytest.approx(weights, abs=1e-4)
         assert sum(got_w) == pytest.approx(1.0, abs=1e-12)
-        assert all(r["converged"] == "true" for r in rows)
+        assert all(r["error"] == "" for r in rows)
     _, _, rows = read_csv(tmp_path / "parisi_0.8.csv")
     assert [(r["location"], r["weight"]) for r in rows] == [("0.0", "1.0")]
     assert float(rows[0]["value"]) == pytest.approx(0.32, abs=1e-5)
@@ -393,6 +397,42 @@ def test_chaos_command_checks_and_warns_once(tmp_path, monkeypatch):
     assert sum("static boundary" in str(w.message) for w in caught) == 1
 
 
+@pytest.mark.parametrize("p, warned", [("3", 1), ("2", 0)])
+def test_chaos_at_p_2_has_no_static_boundary(tmp_path, p, warned):
+    # beta_c refuses p = 2, which the lab takes; the boundary check then
+    # gives no warning, where at p = 3 this beta is beyond beta_c. The run
+    # makes 49 sweeps a chain, below the 50 the mixing check needs
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert run_cli(["chaos", "--n", "6", "--p", p, "--beta", "5",
+                        "--epsilons", "0,1", "--n-samples", "3",
+                        "--n-disorders", "2", "--burn-in", "40",
+                        "--thin", "3", "--out", str(tmp_path / "o.csv")]) == 0
+    assert len(caught) == warned
+    assert all("static boundary" in str(w.message) for w in caught)
+
+
+def test_no_subcommand_prints_help(capsys):
+    assert run_cli([]) == 2
+    captured = capsys.readouterr()
+    assert captured.out.startswith("usage: pspinlab")
+    for command in cli.DEFAULTS:
+        assert command in captured.out
+
+
+def test_phase_row_above_the_expm1_range(tmp_path):
+    # p = 1e210 is past where a sign test through expm1 would overflow
+    out = tmp_path / "phase.csv"
+    p = str(10**210)
+    assert run_cli(["phase", "--p-min", p, "--p-max", p,
+                    "--out", str(out)]) == 0
+    _, _, rows = read_csv(out)
+    assert [row["p"] for row in rows] == [p]
+    assert float(rows[0]["beta_c"]) == pytest.approx(22.12997318257317,
+                                                     rel=1e-13)
+    assert rows[0]["error"] == ""
+
+
 def test_stdout_output(capsys):
     assert run_cli(["phase", "--p-max", "3"]) == 0
     text = capsys.readouterr().out
@@ -488,6 +528,11 @@ def test_empty_inputs_rejected(tmp_path, capsys, args, key):
     (["fp", "--q-min", "0.5", "--q-max", "0.5", "--n-q", "3", "--m", "64"],
      "q_max"),
     (["fp", "--q-min", "0.5", "--q-max", "0.1"], "q_max"),
+    # beyond phase.P_MAX = 1e300, checked before any row is made
+    (["phase", "--p-min", str(10**320), "--p-max", str(10**320)], "p_min"),
+    (["phase", "--p-min", str(10**300), "--p-max", str(10**300 + 1)],
+     "p_max"),
+    (["shatter-scan", "--p-list", f"128,{10**300 + 1}"], "p_list"),
 ])
 def test_bad_solver_keys_rejected_before_work(tmp_path, capsys, monkeypatch,
                                               args, key):
@@ -513,6 +558,8 @@ def test_bad_solver_keys_rejected_before_work(tmp_path, capsys, monkeypatch,
     ("--n-steps", "0", "n_steps"),
     ("--beta", "-1", "beta"),
     ("--record-every", "0", "record_every"),
+    # above n_steps (default 1000): no step after t = 0 would be recorded
+    ("--record-every", "1001", "record_every"),
     ("--n-traj", "0", "n_traj"),
 ])
 def test_bad_simulate_keys_rejected_before_disorder(tmp_path, capsys,
@@ -788,7 +835,7 @@ def test_every_config_key_is_read(tmp_path, monkeypatch, args):
 def test_every_row_fills_exactly_its_columns(tmp_path, monkeypatch, args):
     # the writer looks up each listed column in a row, so a listed column
     # that no row fills would be written empty, and a filled key that is not
-    # listed would be dropped; neither raises (a parisi row has no error key)
+    # listed would be dropped; neither raises
     written = []
     monkeypatch.setattr(cli, "_write_output",
                         lambda config, rows: written.extend(rows))

@@ -122,6 +122,16 @@ def test_nan_sampler_settings_rejected(make):
         make()
 
 
+@pytest.mark.parametrize("record_every", [0, 11])
+def test_record_stride_outside_the_run_rejected(record_every):
+    # a stride above n_steps would record t = 0 alone after every step ran
+    want = ">= 1, got 0" if record_every < 1 else "<= 10, got 11"
+    with pytest.raises(ValueError, match=f"'record_every' must be {want}"):
+        LangevinConfig(beta=0.5, step=0.01, n_steps=10,
+                       record_every=record_every)
+    LangevinConfig(beta=0.5, step=0.01, n_steps=10, record_every=10)
+
+
 def test_equilibrium_beta_zero_is_uniform():
     d = lab.sample_disorder(8, 3, seed=30)
     sampler = ReplicaExchange(d, 0.0, seed=4)
@@ -320,7 +330,7 @@ def test_sampler_rejects_bad_run_lengths(call):
 
 
 def test_correlation_curve_rejects_no_trajectories():
-    # the one trajectory-count rule, stated in samplers._check_at_least
+    # the one trajectory-count rule, stated in samplers._check_range
     d = lab.sample_disorder(6, 3, seed=8)
     cfg = LangevinConfig(beta=0.5, step=0.01, n_steps=10, record_every=5)
     with pytest.raises(ValueError, match="'n_traj'"):

@@ -166,6 +166,12 @@ def test_find_window_validates_grid():
         fp.find_window(3, 0.5, np.linspace(0.5, 1.0, 40))  # reaches 1
     with pytest.raises(ValueError):
         fp.find_window(3, 0.5, np.linspace(0.0, 0.99, 40))  # reaches 0
+    grid = np.linspace(0.5, 0.9, 40)
+    grid[[10, 11]] = grid[[11, 10]]  # one step down
+    with pytest.raises(ValueError, match="strictly increasing"):
+        fp.find_window(3, 0.5, grid)
+    with pytest.raises(ValueError, match="strictly increasing"):
+        fp.find_window(3, 0.5, np.full(40, 0.7))  # no step up
 
 
 def test_find_window_collects_failed_points(monkeypatch):

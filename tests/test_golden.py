@@ -43,8 +43,7 @@ VALUE_ABS = TOL_KKT
 # 1.8e-10 and derivatives by 3.1e-7, so 30 times the larger
 MEASURE_ABS = 1e-5
 
-EXACT = {"p", "n_points", "hb_window", "hb_n_points", "converged",
-         "error"}
+EXACT = {"p", "n_points", "hb_window", "hb_n_points", "error"}
 TOLERANCE = {
     "q": ("rel", CLOSED_REL), "location": ("rel", CLOSED_REL),
     "rs_bound": ("rel", CLOSED_REL),

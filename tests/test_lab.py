@@ -38,6 +38,13 @@ def test_entry_moments():
     assert abs(d.entries.mean()) < 4.0 / np.sqrt(16 ** 3)
 
 
+@pytest.mark.parametrize("shape", [(4, 4), (4, 4, 3), (4, 4, 4, 4)])
+def test_disorder_rejects_entries_of_another_shape(shape):
+    lineage = lab.Lineage(n=4, p=3, seed=0)
+    with pytest.raises(ValueError, match=r"shape \(n,\) \* p"):
+        lab.Disorder(n=4, p=3, entries=np.zeros(shape), lineage=lineage)
+
+
 def test_size_budget():
     with pytest.raises(SizeError):
         lab.sample_disorder(2 ** 11, 3, seed=0)

@@ -619,6 +619,16 @@ def test_measure_validation():
         ParisiMeasure([0.5], [0.9])  # mass != 1
     with pytest.raises(ValueError):
         ParisiMeasure([0.2, 0.5], [1.2, -0.2])  # negative weight
+    with pytest.raises(ValueError, match="matching 1-d vectors"):
+        ParisiMeasure([0.2, 0.5], [1.0])  # shapes differ
+
+
+@pytest.mark.parametrize("q_top", [0.3, 1.0, 1.5])
+def test_cs_functional_q_top_outside_range_rejected(q_top):
+    # the endpoint extends the measure's top atom, 0.5, and stays below 1
+    zeta = ParisiMeasure([0.2, 0.5], [0.5, 0.5])
+    with pytest.raises(ValueError, match=r"q_top must lie in \[q_hat, 1\)"):
+        cs_functional(zeta, MixtureFn(3), 1.0, q_top=q_top)
 
 
 def test_make_grid_shape():

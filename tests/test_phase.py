@@ -115,3 +115,38 @@ def test_input_validation():
         phase.beta_c(2)
     with pytest.raises(ValueError):
         phase.beta_d_pure(2)
+
+
+@pytest.mark.parametrize("p, want", [(10**100, 15.353143737213736),
+                                     (10**200, 21.602350563919313),
+                                     (10**205, 21.867759917678566),
+                                     (3 * 10**205, 21.892917532344768)])
+def test_beta_c_bits_below_the_expm1_range(p, want):
+    # the sign test skips expm1 at u >= 709, where g > 0; up to p = 3.2e205,
+    # where expm1 does not overflow at any midpoint, evaluating g there
+    # gave the same sign (the first midpoint at 3e205 is u = 709.69), so
+    # beta_c keeps the bits it had when it evaluated g at every midpoint
+    assert phase.beta_c(p) == (want, 1.0)
+
+
+@pytest.mark.parametrize("p, want", [
+    (10**210, 22.12997318257317009666),
+    (10**250, 24.12492288225728279496),
+    (phase.P_MAX, 26.40685626024649268187),
+])
+def test_beta_c_above_the_expm1_range(p, want):
+    # from p = 3.2e205 on the bracket's first midpoint 1.5 log(p - 1)
+    # passes u = 709.78, where expm1 overflows; there g > 0 without it.
+    # Each want is an 80-digit mpmath bisection of the same equation
+    bc, q = phase.beta_c(p)
+    assert bc == pytest.approx(want, rel=1e-13)
+    assert q == 1.0
+    assert phase.beta_d_pure(p) == pytest.approx(math.sqrt(math.e),
+                                                 rel=1e-15)
+
+
+@pytest.mark.parametrize("p", [phase.P_MAX + 1, 10**320])
+def test_p_above_p_max_refused(p):
+    for fn in (phase.beta_c, phase.beta_d_pure):
+        with pytest.raises(ValueError, match=r"integer in \[3, 1e\+300\]"):
+            fn(p)
