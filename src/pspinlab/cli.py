@@ -11,9 +11,9 @@ Subcommands: phase, parisi, fp, shatter-scan, simulate, chaos.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import functools
-import io
 import json
 import math
 import os
@@ -48,7 +48,7 @@ DEFAULTS = {
 }
 
 COLUMNS = {
-    "phase": ["p", "beta_d", "beta_c", "argmin_q_c", "error"],
+    "phase": ["p", "beta_d", "beta_c", "one_minus_q_c"],
     "parisi": ["location", "weight", "value", "kkt_residual", "error"],
     "fp": ["q", "value", "rs_bound", "derivative", "band_free_energy",
            "error"],
@@ -73,11 +73,11 @@ def main(argv=None) -> int:
         return 2
     try:
         config = _resolve_config(args)
-        rows, n_errors = _run_command(config)
+        # a runner checks its keys before it returns, so before out opens
+        n_errors = _write_output(config, _run_command(config))
     except Exception as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 2
-    _write_output(config, rows)
     return 1 if n_errors else 0
 
 
@@ -177,19 +177,21 @@ def _load_config_file(path: str) -> dict:
     return cfg
 
 
-def _write_output(config: dict, rows: list[dict]) -> None:
-    buf = io.StringIO()
-    buf.write("# " + json.dumps(config, sort_keys=True) + "\r\n")
-    writer = csv.writer(buf, lineterminator="\r\n")
-    cols = COLUMNS[config["command"]]
-    writer.writerow(cols)
-    writer.writerows([_fmt(row.get(c)) for c in cols] for row in rows)
-    text = buf.getvalue()
-    if config["out"] is None:
-        sys.stdout.write(text)
-    else:
-        with open(config["out"], "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+def _write_output(config: dict, rows) -> int:
+    """Write the header, then each row as ``rows`` yields it, to ``out``
+    or to stdout (left open); return the number of rows with an error."""
+    out = config["out"]
+    with (contextlib.nullcontext(sys.stdout) if out is None
+          else open(out, "w", encoding="utf-8", newline="")) as fh:
+        fh.write("# " + json.dumps(config, sort_keys=True) + "\r\n")
+        writer = csv.writer(fh, lineterminator="\r\n")
+        cols = COLUMNS[config["command"]]
+        writer.writerow(cols)
+        n_errors = 0
+        for row in rows:
+            writer.writerow([_fmt(row.get(c)) for c in cols])
+            n_errors += bool(row.get("error"))
+    return n_errors
 
 
 def _fmt(value) -> str:
@@ -241,13 +243,12 @@ def _check_solver(config: dict, *q_keys: str) -> None:
         _check_key(key, mixtures.band_mixture, config["p"], config[key])
 
 
-def _point_rows(fn, config: dict, points: list[dict],
-                threads: int) -> list[dict]:
+def _point_rows(fn, config: dict, points: list[dict]) -> list[dict]:
     """Each point dict as ``fn(config, row)`` fills it in, in order, on
-    ``threads`` workers; a point that raises keeps the fields filled so
-    far and gets the message in its ``error`` column."""
+    ``config["threads"]`` workers; a point that raises keeps the fields
+    filled so far and gets the message in its ``error`` column."""
     return map_parallel(functools.partial(_point_row, fn, config), points,
-                        threads)
+                        config["threads"])
 
 
 def _point_row(fn, config: dict, row: dict) -> dict:
@@ -259,34 +260,32 @@ def _point_row(fn, config: dict, row: dict) -> dict:
     return row
 
 
-def _run_command(config: dict) -> tuple[list[dict], int]:
-    runner = {
+def _run_command(config: dict):
+    return {
         "phase": _run_phase,
         "parisi": _run_parisi,
         "fp": _run_fp,
         "shatter-scan": _run_shatter,
         "simulate": _run_simulate,
         "chaos": _run_chaos,
-    }[config["command"]]
-    rows = runner(config)
-    return rows, sum(1 for row in rows if row.get("error"))
+    }[config["command"]](config)
 
 
-def _run_phase(config: dict) -> list[dict]:
+def _run_phase(config: dict):
     _check_key("p_min", phase._check_p, config["p_min"])
     if config["p_max"] < config["p_min"]:
         raise ValueError(f"config key 'p_max' must be >= p_min "
                          f"{config['p_min']}, got {config['p_max']}")
     _check_key("p_max", phase._check_p, config["p_max"])
-    points = [{"p": p} for p in range(config["p_min"], config["p_max"] + 1)]
-    # a row is a bisection on floats, far cheaper than starting a pool
-    return _point_rows(_phase_row, config, points, threads=1)
+    # both ends pass the p rule, so no row can fail; each is made as it is
+    # written, so memory does not grow with the range
+    return map(_phase_row, range(config["p_min"], config["p_max"] + 1))
 
 
-def _phase_row(config: dict, row: dict) -> None:
-    bc, q = phase.beta_c(row["p"])
-    row.update({"beta_d": phase.beta_d_pure(row["p"]), "beta_c": bc,
-                "argmin_q_c": q})
+def _phase_row(p: int) -> dict:
+    bc, one_minus_q = phase.beta_c(p)
+    return {"p": p, "beta_d": phase.beta_d_pure(p), "beta_c": bc,
+            "one_minus_q_c": one_minus_q}
 
 
 def _run_parisi(config: dict) -> list[dict]:
@@ -313,8 +312,7 @@ def _run_fp(config: dict) -> list[dict]:
         raise ValueError(f"config key 'q_max' must be above q_min {q_min} "
                          f"(or equal to it when n_q is 1), got {q_max}")
     qs = np.linspace(q_min, q_max, config["n_q"])
-    return _point_rows(_fp_row, config, [{"q": q} for q in qs.tolist()],
-                       config["threads"])
+    return _point_rows(_fp_row, config, [{"q": q} for q in qs.tolist()])
 
 
 def _fp_row(config: dict, row: dict) -> None:
@@ -339,7 +337,7 @@ def _run_shatter(config: dict) -> list[dict]:
     bcs = [phase.beta_c(p)[0] for p in p_list]
     points = [{"p": p, "beta": frac * bc, "beta_c": bc}
               for p, bc in zip(p_list, bcs) for frac in fracs]
-    return _point_rows(_shatter_row, config, points, config["threads"])
+    return _point_rows(_shatter_row, config, points)
 
 
 def _shatter_row(config: dict, row: dict) -> None:

@@ -65,8 +65,9 @@ class Disorder:
     lineage: Lineage
 
     def __post_init__(self):
-        if self.entries.shape != (self.n,) * self.p:
-            raise ValueError("entries must have shape (n,) * p")
+        if (self.entries.shape != (self.n,) * self.p
+                or (self.lineage.n, self.lineage.p) != (self.n, self.p)):
+            raise ValueError("entries and lineage must have shape (n,) * p")
 
 
 def sample_disorder(n: int, p: int, seed: int) -> Disorder:

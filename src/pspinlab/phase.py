@@ -12,9 +12,9 @@ beta^2 xi'(q)(1-q) = q (Crisanti & Sommers, Z. Phys. B 87, 1992):
   beta_c^2 q^p + q + log(1-q) = 0.
 
 h is taken in log space and q_c is found as u = -log(1-q_c), so no power
-overflows and 1 - q_c never rounds away: against a 60-digit reference,
-beta_c is within 4e-15 relative (1e-13 above p = 1e18) and beta_d within
-1.4e-15 for p from 3 to P_MAX = 1e300; q_c itself rounds to 1 from 1e15 on.
+overflows and 1 - q_c = e^{-u} never rounds away: against a 60-digit
+reference, beta_c is within 4e-15 relative (1e-13 above p = 1e18) and
+beta_d within 1.4e-15 for p from 3 to P_MAX = 1e300.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ P_MAX = 10**300  # largest p: below e^709 / 709, so beta_c's root u < 709
 
 
 def beta_c(p: int) -> tuple[float, float]:
-    """Static boundary for the pure p-spin model and the minimizing q.
+    """Static boundary for the pure p-spin model and 1 - q at its minimizer.
 
     Bisects the objective's stationarity equation in u = -log(1-q),
     g(u) = expm1(u) - (p-1) expm1(-u) - p u = 0, down to adjacent floats.
@@ -47,7 +47,7 @@ def beta_c(p: int) -> tuple[float, float]:
             lo = u
         else:
             hi = u
-    return _plateau_beta(p, math.log1p(-math.exp(-u)), -u), -math.expm1(-u)
+    return _plateau_beta(p, math.log1p(-math.exp(-u)), -u), math.exp(-u)
 
 
 def beta_d_pure(p: int) -> float:

@@ -36,13 +36,13 @@ def test_phase_command(tmp_path):
     assert header["command"] == "phase"
     # phase draws nothing at random, so it takes no seed
     assert "seed" not in header and "version" in header
-    assert cols == ["p", "beta_d", "beta_c", "argmin_q_c", "error"]
+    # no phase row can fail once both ends pass the p rule: no error column
+    assert cols == ["p", "beta_d", "beta_c", "one_minus_q_c"]
     assert len(rows) == 3
     assert float(rows[0]["beta_d"]) == pytest.approx(1.15470054, abs=1e-8)
     for row in rows:
         assert float(row["beta_d"]) < float(row["beta_c"])
         assert 1.0 < float(row["beta_d"]) < 2.0
-        assert row["error"] == ""
 
 
 def test_rerun_header_reproduces_body(tmp_path):
@@ -430,7 +430,9 @@ def test_phase_row_above_the_expm1_range(tmp_path):
     assert [row["p"] for row in rows] == [p]
     assert float(rows[0]["beta_c"]) == pytest.approx(22.12997318257317,
                                                      rel=1e-13)
-    assert rows[0]["error"] == ""
+    # an mpmath value; q_c itself would read 1.0
+    assert float(rows[0]["one_minus_q_c"]) == pytest.approx(
+        2.046099902188166615121e-213, rel=1e-13)
 
 
 def test_stdout_output(capsys):
@@ -438,6 +440,42 @@ def test_stdout_output(capsys):
     text = capsys.readouterr().out
     assert text.startswith("# {")
     assert "beta_d" in text
+
+
+def test_phase_makes_each_row_as_it_is_written(monkeypatch):
+    # the rows of p = 3..1000 are not made up front: the first costs one
+    # beta_c call
+    calls = []
+    beta_c = cli.phase.beta_c
+
+    def counted(p):
+        calls.append(p)
+        return beta_c(p)
+
+    monkeypatch.setattr(cli.phase, "beta_c", counted)
+    rows = cli._run_phase({"p_min": 3, "p_max": 1000})
+    first = next(iter(rows))
+    assert calls == [3]
+    assert first == cli._phase_row(3)
+
+
+def test_empty_exception_message_names_its_type(monkeypatch, capsys):
+    def run(config):
+        raise MemoryError()
+
+    monkeypatch.setattr(cli, "_run_phase", run)
+    assert run_cli(["phase"]) == 2
+    assert capsys.readouterr().err == "error: MemoryError\n"
+
+
+def test_out_that_cannot_be_opened_exits_2(tmp_path, capsys):
+    # a dangling symlink into a missing directory passes the config checks,
+    # and opening it fails
+    out = tmp_path / "o.csv"
+    out.symlink_to(tmp_path / "missing" / "target.csv")
+    assert run_cli(["phase", "--p-max", "3", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
 
 
 @pytest.mark.parametrize("args, key", [
@@ -690,7 +728,9 @@ def test_empty_out_rejected_before_work(tmp_path, capsys, monkeypatch,
         calls.append(a)
         raise RuntimeError("work started")
 
-    monkeypatch.setattr(cli, "map_parallel", record)
+    # phase rows call beta_c, with no worker pool
+    for owner, name in [(cli, "map_parallel"), (cli.phase, "beta_c")]:
+        monkeypatch.setattr(owner, name, record)
     args = ["phase", "--p-max", "3"]
     if use_config:
         cfg = tmp_path / "cfg.json"
@@ -829,6 +869,16 @@ def test_every_config_key_is_read(tmp_path, monkeypatch, args):
     command = args[0]
     keys = set(cli.COMMON) | set(cli.DEFAULTS[command])
     assert keys - read == UNREAD.get(command, set())
+
+
+@pytest.mark.parametrize("args", SMALL_RUNS, ids=lambda args: args[0])
+def test_stdout_body_matches_out_body(tmp_path, capsys, args):
+    out = tmp_path / "o.csv"
+    assert run_cli(args + ["--out", str(out)]) == 0
+    assert run_cli(args) == 0
+    header, body = capsys.readouterr().out.split("\r\n", 1)
+    assert json.loads(header.lstrip("#"))["out"] is None
+    assert body.encode() == out.read_bytes().split(b"\r\n", 1)[1]
 
 
 @pytest.mark.parametrize("args", SMALL_RUNS, ids=lambda args: args[0])

@@ -27,11 +27,10 @@ CLOSED_REL = 1e-12
 # bodies. The bound (on beta = frac * beta_c too) keeps that search's
 # TOL / (2 beta_c) < 1e-10 with room, far above any last-bit rounding
 BETA_REL = 1e-9
-# argmin_q_c = 1 - e^{-u} at that root, where the beta_c objective is
-# flat: the golden-section minimizer that bisection replaced put it up to
-# 1.4e-8 relative away (at p = 3; 3e-10 to 4e-9 at p = 4-10), so the
-# bound is about 70 times the largest such move
-ARGMIN_REL = 1e-6
+# one_minus_q_c = e^{-u} at that root: a last-bit difference in expm1 or
+# exp can move the bisected u by a few of its ulps, which moves e^{-u} by
+# as much relative (below 1e-15 at these p), so the closed-form bound holds
+# with room
 # solver values: the stopping rule (objective stagnation below 1e-10
 # relative, KKT violation below TOL_KKT = 1e-7) admits any iterate near the
 # minimum; a run to 1e-13 stagnation and 1e-10 KKT moves these bodies'
@@ -50,7 +49,7 @@ TOLERANCE = {
     "q_under": ("rel", CLOSED_REL), "q_bar": ("rel", CLOSED_REL),
     "hb_q_under": ("rel", CLOSED_REL), "hb_q_bar": ("rel", CLOSED_REL),
     "beta": ("rel", BETA_REL), "beta_c": ("rel", BETA_REL),
-    "beta_d": ("rel", CLOSED_REL), "argmin_q_c": ("rel", ARGMIN_REL),
+    "beta_d": ("rel", CLOSED_REL), "one_minus_q_c": ("rel", CLOSED_REL),
     "value": ("abs", VALUE_ABS), "band_free_energy": ("abs", VALUE_ABS),
     "kkt_residual": ("abs", TOL_KKT),
     "weight": ("abs", MEASURE_ABS), "derivative": ("abs", MEASURE_ABS),

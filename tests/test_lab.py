@@ -38,9 +38,13 @@ def test_entry_moments():
     assert abs(d.entries.mean()) < 4.0 / np.sqrt(16 ** 3)
 
 
-@pytest.mark.parametrize("shape", [(4, 4), (4, 4, 3), (4, 4, 4, 4)])
-def test_disorder_rejects_entries_of_another_shape(shape):
-    lineage = lab.Lineage(n=4, p=3, seed=0)
+@pytest.mark.parametrize("shape, lineage_np", [
+    ((4, 4), (4, 3)), ((4, 4, 3), (4, 3)), ((4, 4, 4, 4), (4, 3)),
+    # replay would build a (5, 5) tensor from this lineage
+    ((4, 4, 4), (5, 2)),
+], ids=["shape0", "shape1", "shape2", "lineage"])
+def test_disorder_rejects_entries_of_another_shape(shape, lineage_np):
+    lineage = lab.Lineage(*lineage_np, seed=0)
     with pytest.raises(ValueError, match=r"shape \(n,\) \* p"):
         lab.Disorder(n=4, p=3, entries=np.zeros(shape), lineage=lineage)
 

@@ -36,7 +36,8 @@ def test_beta_d_bounded_and_monotone_to_sqrt_e():
 
 
 def test_beta_c_against_brute_force():
-    bc, q = phase.beta_c(3)
+    bc, one_minus_q = phase.beta_c(3)
+    q = 1.0 - one_minus_q
     bc_oracle, q_oracle = brute_force_beta_c(3)
     assert bc == pytest.approx(bc_oracle, abs=1e-6)
     assert q == pytest.approx(0.645, abs=5e-3)
@@ -75,10 +76,10 @@ def test_beta_c_satisfies_both_identities(p):
     # at the objective's stationary point q_c, beta_c^2 q^p + q + log(1-q)
     # = 0 (the complexity vanishes) and beta_c^2 = 1 / (p q^{p-2} (1-q))
     # (the plateau function). The first is stationary in q, so rounding
-    # the returned q moves it only to second order; the second moves by
-    # that rounding over 1 - q, measured below 4e-13 at these p
-    bc, q = phase.beta_c(p)
-    log_1mq = math.log1p(-q)
+    # q = 1 - (returned 1 - q) moves it only to second order; the second
+    # moves by that rounding over 1 - q, measured below 4e-13 at these p
+    bc, one_minus_q = phase.beta_c(p)
+    q, log_1mq = 1.0 - one_minus_q, math.log(one_minus_q)
     sigma = bc * bc * math.exp(p * math.log(q)) + q + log_1mq
     assert abs(sigma) <= 1e-12 * abs(log_1mq)
     plateau = math.expm1(2.0 * math.log(bc) + math.log(p)
@@ -107,7 +108,7 @@ def test_phase_scan_invariants(tmp_path):
         beta_d, beta_c = float(row["beta_d"]), float(row["beta_c"])
         assert beta_d < beta_c
         assert 1.0 < beta_d < 2.0
-        assert 0.0 < float(row["argmin_q_c"]) < 1.0
+        assert 0.0 < float(row["one_minus_q_c"]) < 1.0
 
 
 def test_input_validation():
@@ -126,7 +127,9 @@ def test_beta_c_bits_below_the_expm1_range(p, want):
     # where expm1 does not overflow at any midpoint, evaluating g there
     # gave the same sign (the first midpoint at 3e205 is u = 709.69), so
     # beta_c keeps the bits it had when it evaluated g at every midpoint
-    assert phase.beta_c(p) == (want, 1.0)
+    bc, one_minus_q = phase.beta_c(p)
+    assert bc == want
+    assert_one_minus_q_c(p, one_minus_q)
 
 
 @pytest.mark.parametrize("p, want", [
@@ -138,11 +141,43 @@ def test_beta_c_above_the_expm1_range(p, want):
     # from p = 3.2e205 on the bracket's first midpoint 1.5 log(p - 1)
     # passes u = 709.78, where expm1 overflows; there g > 0 without it.
     # Each want is an 80-digit mpmath bisection of the same equation
-    bc, q = phase.beta_c(p)
+    bc, one_minus_q = phase.beta_c(p)
     assert bc == pytest.approx(want, rel=1e-13)
-    assert q == 1.0
+    assert_one_minus_q_c(p, one_minus_q)
     assert phase.beta_d_pure(p) == pytest.approx(math.sqrt(math.e),
                                                  rel=1e-15)
+
+
+# 1 - q_c = e^{-u} at the root u of g(u) = expm1(u) - (p-1) expm1(-u)
+# - p u, from an mpmath bisection at 60 + digits(p) digits
+ONE_MINUS_Q_C = {
+    3: 0.3549925486654156017661,
+    10**9: 4.375923623618505941752e-11,
+    10**15: 2.691511570505192509564e-17,
+    10**18: 2.260598532524007016415e-20,
+    10**100: 4.260451826546212728642e-103,
+    10**200: 2.147487392391095326176e-203,
+    10**205: 2.095566748632418060326e-208,
+    3 * 10**205: 6.96914437009561785943e-209,
+    10**210: 2.046099902188166615121e-213,
+    10**250: 1.721137682367931446445e-253,
+    phase.P_MAX: 1.43611856162011769148e-303,
+}
+
+
+def assert_one_minus_q_c(p, got):
+    # the bisection stops at adjacent floats, and its sign test is rounded,
+    # so u lies a few ulps from the root (2.5 at most over 900 p from 3 to
+    # 1e300); e^{-u} carries that absolute error in u as relative error
+    want = ONE_MINUS_Q_C[p]
+    assert got == pytest.approx(want, rel=4 * math.ulp(-math.log(want)))
+
+
+@pytest.mark.parametrize("p", [3, 10**9, 10**15, 10**18, phase.P_MAX])
+def test_one_minus_q_c_against_mpmath(p):
+    # q_c itself reads 0.9999999999562408 at p = 1e9 (1 - q_c to 4e-7
+    # relative) and rounds to 1 from 1e15 on; 1 - q_c keeps every digit
+    assert_one_minus_q_c(p, phase.beta_c(p)[1])
 
 
 @pytest.mark.parametrize("p", [phase.P_MAX + 1, 10**320])
