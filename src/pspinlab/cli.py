@@ -49,8 +49,9 @@ DEFAULTS = {
 
 COLUMNS = {
     "phase": ["p", "beta_d", "beta_c", "one_minus_q_c"],
-    "parisi": ["location", "weight", "value", "kkt_residual", "error"],
-    "fp": ["q", "value", "rs_bound", "derivative", "band_free_energy",
+    "parisi": ["location", "weight", "value", "kkt_residual", "gap",
+               "error"],
+    "fp": ["q", "value", "rs_bound", "derivative", "band_free_energy", "gap",
            "error"],
     "shatter-scan": ["p", "beta", "beta_c", "q_under", "q_bar", "n_points",
                      "hb_q_under", "hb_q_bar", "hb_window", "hb_n_points",
@@ -289,16 +290,13 @@ def _phase_row(p: int) -> dict:
 
 
 def _run_parisi(config: dict) -> list[dict]:
-    """One row per atom of the minimizing measure. An atom's location is
-    resolved only to the solver grid: at 1RSB-like points one atom's mass
-    can split across neighbouring grid nodes (at the default m = 512,
-    the pure p = 3 model at beta = 1.5 has atoms at 0.72997 and 0.7329, with
-    weights 0.024 and 0.310)."""
+    """One row per atom of the minimizing measure, each with the solve's
+    value, KKT residual and Frank-Wolfe gap."""
     _check_solver(config, "band_q")
     xi = mixtures.band_mixture(config["p"], config["band_q"])
     res = parisi.minimize_cs(xi, config["beta"], config["m"])
     return [{"location": t, "weight": w, "value": res.value,
-             "kkt_residual": res.kkt_residual,
+             "kkt_residual": res.kkt_residual, "gap": res.gap,
              "error": parisi._solve_error(res)}
             for t, w in zip(res.measure.locations.tolist(),
                             res.measure.weights.tolist())]
@@ -320,7 +318,7 @@ def _fp_row(config: dict, row: dict) -> None:
                                config["m"])
     row.update({"value": pt.value, "rs_bound": pt.rs_bound,
                 "derivative": pt.derivative,
-                "band_free_energy": pt.band_free_energy,
+                "band_free_energy": pt.band_free_energy, "gap": pt.gap,
                 "error": parisi._solve_error(pt)})
 
 

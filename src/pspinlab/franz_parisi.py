@@ -20,8 +20,10 @@ minimizer zeta_q:
 
 An increasing window of V on a grid accumulating at 1 is the numerical
 signature of shattering; detection requires a run of at least three grid
-points whose every step in V exceeds 10 times the scan's largest KKT
-residual, a noise floor that does not bound the values' error.
+points whose every step V_{i+1} - V_i exceeds gap_i + gap_{i+1}, the
+Frank-Wolfe gaps of the two band solves. Each gap bounds how far that
+solve's value lies above the minimum, so such a step is a rise of the
+potential itself, not of the solver's error.
 """
 
 from __future__ import annotations
@@ -52,17 +54,17 @@ class FpPoint:
     rs_bound: float
     derivative: float
     band_free_energy: float
-    kkt_residual: float
+    gap: float
     converged: bool
 
 
 @dataclass(frozen=True)
 class FpWindow:
     """A window scan: the first longest run of at least MIN_WINDOW_POINTS
-    grid points whose every step in value exceeds 10 times the largest KKT
-    residual (a noise floor, not a bound on the values' error), then the
-    potential, RS bound, envelope derivative and KKT residual at every
-    grid point ``q``."""
+    grid points whose every step in value exceeds the sum of the two
+    points' gaps, then the potential, RS bound, envelope derivative and
+    the band solve's Frank-Wolfe gap (a bound on its value's error) at
+    every grid point ``q``."""
 
     q_under: float
     q_bar: float
@@ -71,7 +73,7 @@ class FpWindow:
     value: np.ndarray
     rs_bound: np.ndarray
     derivative: np.ndarray
-    kkt_residual: np.ndarray
+    gap: np.ndarray
 
     @property
     def exists(self) -> bool:
@@ -92,7 +94,7 @@ def fp_value(p: int, beta: float, q: float, m: int = DEFAULT_M) -> FpPoint:
         rs_bound=fp_rs_bound(p, beta, q),
         derivative=_envelope_derivative(xi_q, beta, q, res),
         band_free_energy=res.value,
-        kkt_residual=res.kkt_residual,
+        gap=res.gap,
         converged=res.converged,
     )
 
@@ -110,8 +112,8 @@ def find_window(p: int, beta: float, q_grid: np.ndarray,
                 m: int = DEFAULT_M) -> FpWindow:
     """Scan the potential on a strictly increasing grid inside (0, 1) and
     return every point solved, with the first longest run of at least
-    MIN_WINDOW_POINTS points whose every step in value exceeds 10 times
-    the largest KKT residual (``_window``). If any solve did not converge,
+    MIN_WINDOW_POINTS points whose every step in value exceeds the sum of
+    its two points' gaps (``_window``). If any solve did not converge,
     a ScanError names their count and the first failed q, and no points
     are returned."""
     q_grid = np.array(q_grid, dtype=float)
@@ -127,12 +129,11 @@ def find_window(p: int, beta: float, q_grid: np.ndarray,
     if failed:
         raise ScanError(f"{len(failed)} of {len(q_grid)} window grid points "
                         f"did not converge, first at q = {failed[0]!r}")
-    value, rs_bound, derivative, kkt_residual = (
+    value, rs_bound, derivative, gap = (
         np.array([getattr(pt, name) for pt in points])
-        for name in ("value", "rs_bound", "derivative", "kkt_residual"))
-    return FpWindow(*_window(q_grid, value, kkt_residual), q=q_grid,
-                    value=value, rs_bound=rs_bound, derivative=derivative,
-                    kkt_residual=kkt_residual)
+        for name in ("value", "rs_bound", "derivative", "gap"))
+    return FpWindow(*_window(q_grid, value, gap), q=q_grid, value=value,
+                    rs_bound=rs_bound, derivative=derivative, gap=gap)
 
 
 def window_grid(p: int, n: int = 48, v_max: float = 5.0,
@@ -170,12 +171,12 @@ def _envelope_derivative(xi_q: MixtureFn, beta: float, q: float,
 
 
 def _window(q: np.ndarray, value: np.ndarray,
-            kkt_residual: np.ndarray) -> tuple[float, float, int]:
-    """(q_under, q_bar, n_points) of the longest run of grid
-    points whose every step in value exceeds 10 times the largest KKT
-    residual, the first of equal longest runs; a run of fewer than
-    MIN_WINDOW_POINTS points is no window (NaN edges, 0 points)."""
-    rises = np.diff(value) > 10.0 * np.max(kkt_residual)
+            gap: np.ndarray) -> tuple[float, float, int]:
+    """(q_under, q_bar, n_points) of the longest run of grid points whose
+    every step V_{i+1} - V_i exceeds gap_i + gap_{i+1}, the first of equal
+    longest runs; a run of fewer than MIN_WINDOW_POINTS points is no
+    window (NaN edges, 0 points)."""
+    rises = np.diff(value) > gap[:-1] + gap[1:]
     # a run of rises over steps start .. stop - 1 spans points start .. stop
     edges = np.flatnonzero(np.diff(np.concatenate(([False], rises, [False]))))
     starts, stops = edges[::2], edges[1::2]

@@ -178,9 +178,11 @@ def test_fp_row_error_sets_exit_code(tmp_path, monkeypatch):
 
 def test_parisi_solve_that_does_not_converge_sets_exit_code(tmp_path,
                                                            monkeypatch):
+    # with certification made impossible the grid solve answers, and its
     # convergence is tested only after iteration 5, so a 3-iteration budget
     # cannot converge; the rows are still written, each with the error the
     # fp rows of an unconverged solve carry
+    monkeypatch.setattr(cli.parisi, "GAP_TOL", -1.0)
     monkeypatch.setattr(cli.parisi, "MAX_ITER", 3)
     out = tmp_path / "parisi.csv"
     assert run_cli(["parisi", "--beta", "1.5", "--m", "64",
@@ -195,8 +197,10 @@ def test_parisi_solve_that_does_not_converge_sets_exit_code(tmp_path,
 
 def test_window_scan_that_does_not_converge_sets_exit_code(tmp_path,
                                                            monkeypatch):
-    # a 3-iteration budget cannot converge, so every point of the main
-    # scan fails; the row names the count and the first failed q
+    # with certification made impossible, a 3-iteration budget of the grid
+    # solve cannot converge, so every point of the main scan fails; the row
+    # names the count and the first failed q
+    monkeypatch.setattr(cli.parisi, "GAP_TOL", -1.0)
     monkeypatch.setattr(cli.parisi, "MAX_ITER", 3)
     out = tmp_path / "shatter.csv"
     assert run_cli(["shatter-scan", "--p-list", "6", "--beta-fracs", "0.9",
@@ -210,25 +214,39 @@ def test_window_scan_that_does_not_converge_sets_exit_code(tmp_path,
 
 
 def test_parisi_command(tmp_path):
-    # one row per atom of the minimizing measure: delta_0 in the replica
-    # symmetric phase, two atoms (1RSB) at beta = 1.5
-    for beta, locations, weights in [("0.8", [0.0], [1.0]),
-                                     ("1.5", [0.0, 0.734], [0.6675, 0.3325])]:
-        out = tmp_path / f"parisi_{beta}.csv"
-        assert run_cli(["parisi", "--p", "3", "--beta", beta, "--m", "64",
-                        "--out", str(out)]) == 0
-        _, cols, rows = read_csv(out)
-        assert cols == ["location", "weight", "value", "kkt_residual",
-                        "error"]
-        got_loc = [float(r["location"]) for r in rows]
-        got_w = [float(r["weight"]) for r in rows]
-        assert got_loc == pytest.approx(locations, abs=1e-3)
-        assert got_w == pytest.approx(weights, abs=1e-4)
-        assert sum(got_w) == pytest.approx(1.0, abs=1e-12)
-        assert all(r["error"] == "" for r in rows)
-    _, _, rows = read_csv(tmp_path / "parisi_0.8.csv")
+    # one row per atom of the certified minimizing measure, whatever m is
+    for args, locations, weights in [
+            # delta_0 in the replica symmetric phase
+            (["--beta", "0.8"], [0.0], [1.0]),
+            # two atoms (1RSB) at beta = 1.5; the grid solve wrote three at
+            # m = 512
+            (["--beta", "1.5"], [0.0, 0.731949], [0.665399, 0.334601]),
+            # a 1RSB-like band point; the grid solve wrote four at m = 64
+            (["--p", "128", "--band-q", "0.9901", "--beta", "2.45299"],
+             [0.375028, 0.794825], [0.333710, 0.666290]),
+            # low temperature, well inside the fixed endpoint; the grid
+            # solve spends its whole budget there and exits 1
+            (["--beta", "300"], [0.0, 0.998853], [0.002087, 0.997913])]:
+        for m in ("64", "512"):
+            out = tmp_path / f"parisi_{m}.csv"
+            assert run_cli(["parisi", *args, "--m", m,
+                            "--out", str(out)]) == 0
+            _, cols, rows = read_csv(out)
+            assert cols == ["location", "weight", "value", "kkt_residual",
+                            "gap", "error"]
+            got_loc = [float(r["location"]) for r in rows]
+            got_w = [float(r["weight"]) for r in rows]
+            assert got_loc == pytest.approx(locations, abs=1e-6)
+            assert got_w == pytest.approx(weights, abs=1e-6)
+            assert sum(got_w) == pytest.approx(1.0, abs=1e-12)
+            for r in rows:
+                assert r["error"] == ""
+                assert 0.0 <= float(r["gap"]) <= cli.parisi.GAP_TOL
+    out = tmp_path / "parisi_rs.csv"
+    assert run_cli(["parisi", "--beta", "0.8", "--out", str(out)]) == 0
+    _, _, rows = read_csv(out)
     assert [(r["location"], r["weight"]) for r in rows] == [("0.0", "1.0")]
-    assert float(rows[0]["value"]) == pytest.approx(0.32, abs=1e-5)
+    assert float(rows[0]["value"]) == pytest.approx(0.32, abs=1e-15)
 
 
 def test_chaos_command(tmp_path):

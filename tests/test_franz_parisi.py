@@ -7,7 +7,7 @@ from pspinlab import franz_parisi as fp
 from pspinlab.errors import ScanError
 from pspinlab.mixtures import band_mixture
 from pspinlab.parisi import minimize_cs, rs_value
-from pspinlab.phase import beta_c
+from pspinlab.phase import beta_c, beta_d_pure
 
 
 def test_rs_bound_values():
@@ -65,20 +65,39 @@ def test_value_diverges_near_one():
     assert pt.value < -4.0  # log(1 - q^2)/2 dominates
 
 
-def test_envelope_matches_closed_form_at_delta_zero():
-    # small q keeps the band minimizer at delta_0, where the expectation
-    # term reduces to q^{2p-2}
+def test_envelope_matches_closed_form_at_one_atom():
+    # small q keeps the band minimizer at one atom t, the root of the
+    # plateau equation beta^2 xi_q'(t) (1 - t)^2 = t next to 0: xi_q'(0) > 0
+    # at q > 0, so the atom sits above 0 (here at t = 0.00122). There the
+    # expectation term is (1 - t) xi_q'(t), and the band free energy is the
+    # RS value at t
     p, beta, q = 3, 0.5, 0.2
+    b2, q2 = beta * beta, q * q
     res = minimize_cs(band_mixture(p, q), beta)
-    assert res.measure.locations[0] == 0.0
-    assert res.measure.weights[0] > 1.0 - 1e-9
+    [t] = res.measure.locations.tolist()
+    assert res.measure.weights.tolist() == [1.0]
+    base = q2 + (1.0 - q2) * t
+    dxi = p * (1.0 - q2) * base ** (p - 1)
+    assert b2 * dxi * (1.0 - t) ** 2 == pytest.approx(t, abs=1e-12)
+    assert 0.0012 < t < 0.0013
     got = fp.fp_value(p, beta, q).derivative
-    b2 = beta * beta
-    closed = -b2 * p * q ** (2 * p - 1) + b2 * p * q ** (p - 1) - q / (1 - q * q)
+    closed = (-b2 * q * (1.0 - t) * dxi / (1.0 - q2)
+              + b2 * p * q ** (p - 1) - q / (1.0 - q2))
     assert got == pytest.approx(closed, abs=1e-12)
-    # the band free energy is the RS value at delta_0
     assert fp.fp_value(p, beta, q).band_free_energy == pytest.approx(
-        0.5 * beta * beta * (1.0 - q ** (2 * p)), abs=1e-12)
+        0.5 * (b2 * (1.0 - base ** p) + t / (1.0 - t) + math.log1p(-t)),
+        abs=1e-12)
+
+
+@pytest.mark.parametrize("p", [3, 4, 6, 20, 128, 1024])
+def test_potential_starts_to_rise_at_the_dynamical_boundary(p):
+    # at beta_d(p) the derivative vanishes at q_d = (p - 2)/(p - 1), and
+    # its sign there follows beta: negative just below beta_d, positive
+    # just above it (the grid solve read +2.7e-6 to +2.2e-3 at the onset)
+    beta_d, q_d = beta_d_pure(p), (p - 2) / (p - 1)
+    assert abs(fp.fp_value(p, beta_d, q_d).derivative) <= 1e-8
+    assert fp.fp_value(p, 0.999 * beta_d, q_d).derivative < 0.0
+    assert fp.fp_value(p, 1.001 * beta_d, q_d).derivative > 0.0
 
 
 def test_derivative_matches_finite_differences():
@@ -181,7 +200,7 @@ def test_find_window_collects_failed_points(monkeypatch):
         def __init__(self, q):
             self.q = q
             self.value = 0.0
-            self.kkt_residual = 1e-3
+            self.gap = 1e-3
             self.converged = self.q < grid[5]  # fail beyond the 5th point
 
     monkeypatch.setattr(fp, "fp_value",
@@ -195,11 +214,11 @@ def test_find_window_collects_failed_points(monkeypatch):
                               f"{float(grid[5])!r}")
 
 
-def _window_of(values, kkt=1e-12, q=None):
+def _window_of(values, gap=1e-12, q=None):
     values = np.asarray(values, dtype=float)
     if q is None:
         q = np.linspace(0.5, 0.9, len(values))
-    return fp._window(q, values, np.broadcast_to(kkt, values.shape))
+    return fp._window(q, values, np.broadcast_to(gap, values.shape))
 
 
 def test_window_detection_on_synthetic_values():
@@ -213,14 +232,16 @@ def test_window_rule_cases():
     q = np.linspace(0.5, 0.9, 8)
     # a flat step ends a run: points 0-4 rise, 4 -> 5 is flat
     assert _window_of([0, 1, 2, 3, 4, 4, 5, 6]) == (q[0], q[4], 5)
-    # a step of exactly 10 max KKT (0.125 -> 1.25) ends a run; one just
-    # above it does not
-    kkt = np.full(8, 0.01)
-    kkt[3] = 0.125
+    # a step of exactly the sum of its two points' gaps (0.5 + 0.75) ends a
+    # run; one just above it does not, and a larger gap elsewhere in the
+    # scan does not raise the bar
+    gap = np.full(8, 0.01)
+    gap[[0, 1]] = 0.5, 0.75
+    gap[5] = 1.9
     steps = np.array([1.25, 2.0, 2.0, 2.0, 2.0, 2.0, 2.0])
-    assert _window_of(np.r_[0.0, np.cumsum(steps)], kkt) == (q[1], q[7], 7)
+    assert _window_of(np.r_[0.0, np.cumsum(steps)], gap) == (q[1], q[7], 7)
     steps[0] = np.nextafter(1.25, 2.0)
-    assert _window_of(np.r_[0.0, np.cumsum(steps)], kkt) == (q[0], q[7], 8)
+    assert _window_of(np.r_[0.0, np.cumsum(steps)], gap) == (q[0], q[7], 8)
     # of two equal longest runs the first is reported
     assert _window_of([0, 1, 2, 3, 0, 1, 2, 3]) == (q[0], q[3], 4)
     # a 2-point rise is no window
@@ -245,5 +266,5 @@ def test_derivative_sign_agrees_with_the_window(p, n):
     assert changes[0] in (under - 1, under) and changes[1] in (bar - 1, bar)
     steady = np.setdiff1d(np.arange(len(d) - 1), changes)
     assert np.array_equal(sign[steady], np.sign(np.diff(win.value))[steady])
-    for arr in (win.value, win.rs_bound, win.kkt_residual):
+    for arr in (win.value, win.rs_bound, win.gap):
         assert arr.shape == win.q.shape

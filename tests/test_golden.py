@@ -14,7 +14,7 @@ from pathlib import Path
 import pytest
 
 from pspinlab import cli
-from pspinlab.parisi import TOL_KKT
+from pspinlab.parisi import GAP_TOL
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -31,27 +31,29 @@ BETA_REL = 1e-9
 # exp can move the bisected u by a few of its ulps, which moves e^{-u} by
 # as much relative (below 1e-15 at these p), so the closed-form bound holds
 # with room
-# solver values: the stopping rule (objective stagnation below 1e-10
-# relative, KKT violation below TOL_KKT = 1e-7) admits any iterate near the
-# minimum; a run to 1e-13 stagnation and 1e-10 KKT moves these bodies'
-# values by 1.1e-12, and a change of solver moved window values by 1.1e-8,
-# so TOL_KKT bounds the spread with room to spare
-VALUE_ABS = TOL_KKT
-# atom weights and the envelope derivative read the minimizer itself,
-# which is flatter than its value: the same tighter run moves weights by
-# 1.8e-10 and derivatives by 3.1e-7, so 30 times the larger
-MEASURE_ABS = 1e-5
+# solver values: every body here is answered by the atomic solve, whose
+# gap is at most GAP_TOL, and no measure's value lies below the minimum,
+# so two certified runs' values differ by at most GAP_TOL
+VALUE_ABS = GAP_TOL
+# atom locations and weights and the envelope derivative read the minimizer
+# itself, which the gap bounds only through its value; the Newton solve
+# converges far past that bound (moving beta by 1 to 5 ulps moves these
+# bodies' locations and weights by at most 2.4e-14 and their derivatives
+# by 1.8e-15), so a hundredth of GAP_TOL leaves four orders of margin
+MEASURE_ABS = GAP_TOL / 100
 
 EXACT = {"p", "n_points", "hb_window", "hb_n_points", "error"}
 TOLERANCE = {
-    "q": ("rel", CLOSED_REL), "location": ("rel", CLOSED_REL),
+    "q": ("rel", CLOSED_REL), "location": ("abs", MEASURE_ABS),
     "rs_bound": ("rel", CLOSED_REL),
     "q_under": ("rel", CLOSED_REL), "q_bar": ("rel", CLOSED_REL),
     "hb_q_under": ("rel", CLOSED_REL), "hb_q_bar": ("rel", CLOSED_REL),
     "beta": ("rel", BETA_REL), "beta_c": ("rel", BETA_REL),
     "beta_d": ("rel", CLOSED_REL), "one_minus_q_c": ("rel", CLOSED_REL),
     "value": ("abs", VALUE_ABS), "band_free_energy": ("abs", VALUE_ABS),
-    "kkt_residual": ("abs", TOL_KKT),
+    # the largest component of the atomic gradient (below 2e-14 here),
+    # and the gap, each at most GAP_TOL
+    "kkt_residual": ("abs", GAP_TOL), "gap": ("abs", GAP_TOL),
     "weight": ("abs", MEASURE_ABS), "derivative": ("abs", MEASURE_ABS),
 }
 
@@ -59,8 +61,7 @@ CASES = [
     ("phase_defaults", ["phase"]),
     ("parisi_defaults", ["parisi"]),
     ("parisi_beta1.5_m64", ["parisi", "--beta", "1.5", "--m", "64"]),
-    # a band solve that pools in its projection and backtracks in its line
-    # search: 54 iterations, 9 backtracking trials, 4 atoms
+    # a 1RSB-like band solve: two atoms, where the grid solve wrote four
     ("parisi_band_p128_m64",
      ["parisi", "--p", "128", "--band-q", "0.9901", "--beta", "2.45299",
       "--m", "64"]),

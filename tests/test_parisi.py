@@ -306,7 +306,8 @@ def test_projection_equals_public_isotonic_fit_bit_for_bit(monkeypatch):
 
     with monkeypatch.context() as patch:
         patch.setattr(parisi._CsProblem, "project", recording)
-        minimize_cs(band_mixture(128, 0.9901), 2.4529900038181776)
+        parisi._grid_solve(band_mixture(128, 0.9901), 2.4529900038181776,
+                           make_grid(512))
     assert len(inputs) > 144  # one per iteration, plus the KKT checks
     pooled = 0
     for v in hand + inputs:
@@ -402,7 +403,8 @@ def test_minimize_slow_window_point_reproduces_reference_iterates():
     # come from the spectral projected gradient loop, so any drift in the
     # iterates shows up here. The accelerated projected gradient it replaced
     # took 193 iterations to 2.1403499758487587.
-    res = minimize_cs(band_mixture(128, 0.9901), 2.4529900038181776)
+    res = parisi._grid_solve(band_mixture(128, 0.9901), 2.4529900038181776,
+                             make_grid(512))
     assert res.converged
     assert res.iterations == 144
     assert res.value == 2.1403499756977853
@@ -435,12 +437,130 @@ def test_minimize_matches_previous_solver_values(label, make_xi, beta,
     # same minimum: the measured spread is below 2e-10. A kernel change that
     # keeps every floating-point operation must also keep the iterates, so
     # the iteration count and the value are exact
-    res = minimize_cs(make_xi(), beta)
+    res = parisi._grid_solve(make_xi(), beta, make_grid(512))
     assert res.converged
     assert res.kkt_residual < parisi.TOL_KKT
     assert abs(res.value - reference) <= 5e-8
     assert res.iterations == iterations
     assert res.value == value
+
+
+@pytest.mark.parametrize("label, make_xi, beta, reference, iterations, value",
+                         APG_PANEL, ids=[row[0] for row in APG_PANEL])
+def test_minimize_falls_back_to_the_grid_solve(monkeypatch, label, make_xi,
+                                               beta, reference, iterations,
+                                               value):
+    # the atomic answer is certified and lies below the grid's, by no more
+    # than the grid answer's own gap; with certification made impossible,
+    # minimize_cs returns the grid solve's answer bit for bit, with its gap
+    xi = make_xi()
+    atomic = minimize_cs(xi, beta)
+    assert atomic.converged and atomic.gap <= parisi.GAP_TOL
+    assert len(atomic.measure.locations) <= parisi.MAX_ATOMS
+    monkeypatch.setattr(parisi, "GAP_TOL", -1.0)
+    res = minimize_cs(xi, beta)
+    assert res.converged
+    assert (res.iterations, res.value) == (iterations, value)
+    grid = parisi._grid_solve(xi, beta, make_grid(512))
+    for got, want in [(res.measure.locations, grid.measure.locations),
+                      (res.measure.weights, grid.measure.weights)]:
+        np.testing.assert_array_equal(got, want)
+    assert (res.kkt_residual, res.gap) == (grid.kkt_residual, grid.gap)
+    assert 0.0 < res.gap <= 1e-4
+    assert 0.0 < res.value - atomic.value <= res.gap
+
+
+# G on a dense uniform mesh: the certificate's lower bound on min G must lie
+# at or below the least value there, to rounding. G at a node is a suffix
+# sum over the mesh intervals above it; over 400k intervals it moves by up
+# to 6e-12 against the certificate's mesh, so the rounding allowance is
+# 1e-10, a hundredth of GAP_TOL
+DENSE_NODES = 400_000
+DENSE_ROUNDING = 1e-10
+
+
+@pytest.mark.parametrize("label, make_xi, beta",
+                         [row[:3] for row in APG_PANEL],
+                         ids=[row[0] for row in APG_PANEL])
+@pytest.mark.parametrize("solve", ["atomic", "grid"])
+def test_certificate_bound_lies_below_a_dense_mesh_minimum(label, make_xi,
+                                                           beta, solve):
+    xi = make_xi()
+    res = (minimize_cs(xi, beta) if solve == "atomic"
+           else parisi._grid_solve(xi, beta, make_grid(512)))
+    b2 = beta * beta
+    gap, lower, _ = parisi._fw_bound(xi, b2, res.measure)
+    loc, w = res.measure.locations, res.measure.weights
+    mesh = np.union1d(np.linspace(0.0, parisi.Q_TOP, DENSE_NODES), loc)
+    G = parisi._g_nodes(xi, b2, loc, w, mesh)[0]
+    assert lower <= G.min() + DENSE_ROUNDING
+    expected = w @ G[np.searchsorted(mesh, loc)]
+    assert gap == pytest.approx(max(expected - min(lower, 0.0), 0.0),
+                                abs=DENSE_ROUNDING)
+    assert res.gap == gap
+
+
+@pytest.mark.parametrize("label, make_xi, beta",
+                         [row[:3] for row in APG_PANEL],
+                         ids=[row[0] for row in APG_PANEL])
+def test_gap_bounds_the_value_rise_of_a_perturbed_measure(label, make_xi,
+                                                          beta):
+    # the gap of any measure bounds its value minus the minimum, so it is
+    # at least its value's rise above the certified answer
+    xi = make_xi()
+    best = minimize_cs(xi, beta)
+    rng = np.random.default_rng(11)
+    for _ in range(6):
+        k = int(rng.integers(1, 4))
+        loc = np.sort(rng.uniform(0.0, 0.995, k))
+        w = rng.dirichlet(np.ones(k))
+        w[-1] = 1.0 - w[:-1].sum()
+        for zeta in (ParisiMeasure(loc, w),
+                     ParisiMeasure(best.measure.locations
+                                   + rng.uniform(0.0, 1e-3),
+                                   best.measure.weights)):
+            rise = cs_functional(zeta, xi, beta, q_top=parisi.Q_TOP) \
+                - best.value
+            assert rise > 0.0
+            assert parisi._fw_gap(xi, beta, zeta) >= rise
+
+
+def test_gap_is_zero_at_the_rs_atom():
+    # pure p = 3 at beta = 1: g <= 0 and G is convex on [0, Q_TOP], so the
+    # certificate's bound is G(0) itself
+    assert parisi._fw_gap(MixtureFn(3), 1.0, ParisiMeasure(0.0, 1.0)) == 0.0
+    res = minimize_cs(MixtureFn(3), 1.0)
+    assert res.gap == 0.0
+    assert (res.measure.locations.tolist(), res.measure.weights.tolist()) \
+        == ([0.0], [1.0])
+
+
+def test_low_temperature_solve_is_certified():
+    # the grid solve spends its 20000-iteration budget at beta = 300; the
+    # atomic solve finds the two atoms well inside the fixed endpoint
+    res = minimize_cs(MixtureFn(3), 300.0)
+    assert res.converged and res.gap <= parisi.GAP_TOL
+    np.testing.assert_allclose(res.measure.locations, [0.0, 0.998853],
+                               rtol=0, atol=1e-6)
+    np.testing.assert_allclose(res.measure.weights, [0.0021, 0.9979],
+                               rtol=0, atol=1e-4)
+    assert res.measure.q_hat < parisi.Q_TOP
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_segment_tail_matches_its_series(m):
+    # sum_{n >= m} r^(n-m)/n: the series below the cut at r = 0.1, the
+    # closed form above it, against the series summed exactly; the array
+    # form agrees entry by entry. Just above the cut the closed form
+    # cancels to about 3e-14 relative at m = 3, which sets both tolerances
+    r = np.concatenate([[0.0, 1e-12, 1e-3], np.nextafter(0.1, [0.0, 1.0]),
+                        np.linspace(0.11, 0.5, 40)])
+    want = [math.fsum(x ** (n - m) / n for n in range(m, m + 400))
+            for x in r.tolist()]
+    got = [parisi._tail(x, m) for x in r.tolist()]
+    np.testing.assert_allclose(got, want, rtol=4e-14, atol=0)
+    np.testing.assert_allclose(parisi._tail_array(r, m), got, rtol=4e-14,
+                               atol=0)
 
 
 def test_minimize_budget_exhaustion_returns_best_iterate(monkeypatch):
@@ -461,7 +581,7 @@ def test_minimize_budget_exhaustion_returns_best_iterate(monkeypatch):
 
     monkeypatch.setattr(parisi, "MAX_ITER", 3)
     monkeypatch.setattr(parisi, "deque", RecordingDeque)
-    res = minimize_cs(MixtureFn(3), 5.0)
+    res = parisi._grid_solve(MixtureFn(3), 5.0, make_grid(512))
     assert not res.converged
     assert res.iterations == 3
     assert len(accepted) == 4  # the start and one per iteration
@@ -492,7 +612,8 @@ def test_minimize_window_scan_iteration_budget(monkeypatch):
     beta = 0.95 * 2.5820947408612396
     panel = 1.0 - np.exp(np.linspace(math.log(0.0099), math.log(0.05 / 128),
                                      48))
-    iterations = sum(minimize_cs(band_mixture(128, q), beta).iterations
+    iterations = sum(parisi._grid_solve(band_mixture(128, q), beta,
+                                        make_grid(512)).iterations
                      for q in panel)
     assert iterations <= 0.95 * 3140
     assert len(evaluations) <= 0.75 * 7072
@@ -533,26 +654,34 @@ def two_atom_value(params, xi, beta):
 
 
 def test_minimize_matches_two_atom_oracle_in_rsb_phase():
+    # the atomic solve reaches the oracle's minimum and its minimizer: the
+    # atom at 0 with weight x, and the atom at q1
     from scipy.optimize import minimize as sp_minimize
 
     for p, beta in [(3, 1.5), (4, 2.0)]:
         xi = MixtureFn(p)
-        best = np.inf
+        best = None
         for x0 in (0.1, 0.4, 0.8):
             for q0 in (0.5, 0.8, 0.95):
                 r = sp_minimize(two_atom_value, [x0, q0], args=(xi, beta),
                                 method="Nelder-Mead",
                                 options=dict(xatol=1e-13, fatol=1e-15,
                                              maxiter=8000))
-                best = min(best, float(r.fun))
+                if best is None or r.fun < best.fun:
+                    best = r
+        (x, q1), value = best.x, float(best.fun)
         res = minimize_cs(xi, beta, 1024)
         assert res.converged
-        assert best - 1e-9 <= res.value <= best + 5e-6
+        assert abs(res.value - value) <= 1e-9
+        np.testing.assert_allclose(res.measure.locations, [0.0, q1],
+                                   rtol=0, atol=1e-6)
+        np.testing.assert_allclose(res.measure.weights, [x, 1.0 - x],
+                                   rtol=0, atol=1e-6)
 
 
 def test_minimize_grid_refinement():
-    v1 = minimize_cs(MixtureFn(3), 1.3, 512).value
-    v2 = minimize_cs(MixtureFn(3), 1.3, 1024).value
+    v1 = parisi._grid_solve(MixtureFn(3), 1.3, make_grid(512)).value
+    v2 = parisi._grid_solve(MixtureFn(3), 1.3, make_grid(1024)).value
     assert abs(v1 - v2) < 1e-6
 
 
@@ -602,6 +731,7 @@ def test_beta_rule_rejects_before_any_solve(monkeypatch, beta):
         raise RuntimeError("solve started")
 
     monkeypatch.setattr(parisi, "_CsProblem", no_solve)
+    monkeypatch.setattr(parisi, "_atomic_solve", no_solve)
     for call in (lambda: minimize_cs(MixtureFn(3), beta),
                  lambda: cs_functional(ParisiMeasure(0.0, 1.0), MixtureFn(3),
                                        beta),
