@@ -33,13 +33,13 @@ from .lab.samplers import _check_range
 COMMON = {"out": None}
 DEFAULTS = {
     "phase": {"p_min": 3, "p_max": 10},
-    "parisi": {"p": 3, "band_q": 0.0, "beta": 1.0, "m": parisi.DEFAULT_M},
+    "parisi": {"p": 3, "band_q": 0.0, "beta": 1.0},
     "fp": {"p": 3, "beta": 1.0, "q_min": 0.0, "q_max": 0.99, "n_q": 50,
-           "m": parisi.DEFAULT_M, "threads": 1},
+           "threads": 1},
     "shatter-scan": {"p_list": "128,256,512,1024,2048",
                      "beta_fracs": "0.85,0.9,0.95", "n_q": 48,
                      "n_q_half": franz_parisi.MIN_GRID_POINTS,
-                     "m": parisi.DEFAULT_M, "threads": 1, "seed": 0},
+                     "threads": 1, "seed": 0},
     "simulate": {"n": 16, "p": 3, "beta": 1.0, "step": 0.01, "n_steps": 1000,
                  "record_every": 10, "n_traj": 8, "seed": 0, "threads": 1},
     "chaos": {"n": 16, "p": 3, "beta": 1.0, "epsilons": "0,0.25,0.5,1",
@@ -49,8 +49,7 @@ DEFAULTS = {
 
 COLUMNS = {
     "phase": ["p", "beta_d", "beta_c", "one_minus_q_c"],
-    "parisi": ["location", "weight", "value", "kkt_residual", "gap",
-               "error"],
+    "parisi": ["location", "weight", "value", "gap", "error"],
     "fp": ["q", "value", "rs_bound", "derivative", "band_free_energy", "gap",
            "error"],
     "shatter-scan": ["p", "beta", "beta_c", "q_under", "q_bar", "n_points",
@@ -235,10 +234,9 @@ def _check_key(key: str, check, *args) -> None:
 
 
 def _check_solver(config: dict, *q_keys: str) -> None:
-    """beta, m, p, then each overlap in ``q_keys``, by their owners' rules;
+    """beta, p, then each overlap in ``q_keys``, by their owners' rules;
     a bad ``p`` is not reported against an overlap key."""
     _check_key("beta", parisi._check_beta, config["beta"])
-    _check_key("m", parisi.make_grid, config["m"])
     _check_key("p", mixtures.band_mixture, config["p"], 0.0)
     for key in q_keys:
         _check_key(key, mixtures.band_mixture, config["p"], config[key])
@@ -291,12 +289,11 @@ def _phase_row(p: int) -> dict:
 
 def _run_parisi(config: dict) -> list[dict]:
     """One row per atom of the minimizing measure, each with the solve's
-    value, KKT residual and Frank-Wolfe gap."""
+    value and Frank-Wolfe gap."""
     _check_solver(config, "band_q")
     xi = mixtures.band_mixture(config["p"], config["band_q"])
-    res = parisi.minimize_cs(xi, config["beta"], config["m"])
-    return [{"location": t, "weight": w, "value": res.value,
-             "kkt_residual": res.kkt_residual, "gap": res.gap,
+    res = parisi.minimize_cs(xi, config["beta"])
+    return [{"location": t, "weight": w, "value": res.value, "gap": res.gap,
              "error": parisi._solve_error(res)}
             for t, w in zip(res.measure.locations.tolist(),
                             res.measure.weights.tolist())]
@@ -314,8 +311,7 @@ def _run_fp(config: dict) -> list[dict]:
 
 
 def _fp_row(config: dict, row: dict) -> None:
-    pt = franz_parisi.fp_value(config["p"], config["beta"], row["q"],
-                               config["m"])
+    pt = franz_parisi.fp_value(config["p"], config["beta"], row["q"])
     row.update({"value": pt.value, "rs_bound": pt.rs_bound,
                 "derivative": pt.derivative,
                 "band_free_energy": pt.band_free_energy, "gap": pt.gap,
@@ -325,7 +321,6 @@ def _fp_row(config: dict, row: dict) -> None:
 def _run_shatter(config: dict) -> list[dict]:
     for key in ("n_q", "n_q_half"):
         _check_range(key, config[key], franz_parisi.MIN_GRID_POINTS)
-    _check_key("m", parisi.make_grid, config["m"])
     fracs = _comma_list(config, "beta_fracs", float)
     for frac in fracs:  # beta = frac * beta_c has the sign of frac
         _check_key("beta_fracs", parisi._check_beta, frac)
@@ -339,13 +334,13 @@ def _run_shatter(config: dict) -> list[dict]:
 
 
 def _shatter_row(config: dict, row: dict) -> None:
-    p, beta, m = row["p"], row["beta"], config["m"]
+    p, beta = row["p"], row["beta"]
     win = franz_parisi.find_window(
-        p, beta, franz_parisi.window_grid(p, n=config["n_q"]), m)
+        p, beta, franz_parisi.window_grid(p, n=config["n_q"]))
     row.update({"q_under": win.q_under, "q_bar": win.q_bar,
                 "n_points": win.n_points})
     hb = franz_parisi.find_window(
-        p, beta, franz_parisi.half_band_grid(p, n=config["n_q_half"]), m)
+        p, beta, franz_parisi.half_band_grid(p, n=config["n_q_half"]))
     row.update({"hb_q_under": hb.q_under, "hb_q_bar": hb.q_bar,
                 "hb_window": hb.exists, "hb_n_points": hb.n_points})
 

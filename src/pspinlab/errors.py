@@ -18,7 +18,7 @@ class ScanError(RuntimeError):
 
 
 class TruncationWarning(UserWarning):
-    """Minimizer support reached the fixed solver grid endpoint
+    """Minimizer support reached the solver's fixed endpoint
     ``parisi.Q_TOP``, so the value is that of a truncated measure."""
 
 

@@ -35,7 +35,7 @@ import numpy as np
 
 from .errors import ScanError
 from .mixtures import MixtureFn, band_mixture, evaluate
-from .parisi import DEFAULT_M, MinimizeResult, minimize_cs
+from .parisi import MinimizeResult, minimize_cs
 from .phase import _check_p
 
 __all__ = ["FpPoint", "FpWindow", "fp_value", "fp_rs_bound", "find_window",
@@ -80,13 +80,12 @@ class FpWindow:
         return self.n_points >= MIN_WINDOW_POINTS
 
 
-def fp_value(p: int, beta: float, q: float, m: int = DEFAULT_M) -> FpPoint:
+def fp_value(p: int, beta: float, q: float) -> FpPoint:
     """Potential at overlap q via the band free energy, plus all per-point
-    fields (RS bound, envelope derivative, solver diagnostics); the band
-    solve runs on ``m`` grid intervals."""
+    fields (RS bound, envelope derivative, solver diagnostics)."""
     xi_q = band_mixture(p, q)
     p, q = xi_q.p, float(q)
-    res = minimize_cs(xi_q, beta, m)
+    res = minimize_cs(xi_q, beta)
     value = res.value + beta * beta * q ** p + 0.5 * math.log1p(-q * q)
     return FpPoint(
         q=q,
@@ -108,8 +107,7 @@ def fp_rs_bound(p: int, beta: float, q: float) -> float:
             + beta * beta * (q ** p - a ** p))
 
 
-def find_window(p: int, beta: float, q_grid: np.ndarray,
-                m: int = DEFAULT_M) -> FpWindow:
+def find_window(p: int, beta: float, q_grid: np.ndarray) -> FpWindow:
     """Scan the potential on a strictly increasing grid inside (0, 1) and
     return every point solved, with the first longest run of at least
     MIN_WINDOW_POINTS points whose every step in value exceeds the sum of
@@ -124,7 +122,7 @@ def find_window(p: int, beta: float, q_grid: np.ndarray,
     if q_grid[0] <= 0.0 or q_grid[-1] >= 1.0:
         raise ValueError("window grid must lie inside (0, 1)")
 
-    points = [fp_value(p, beta, q, m) for q in q_grid]
+    points = [fp_value(p, beta, q) for q in q_grid]
     failed = [float(q) for q, pt in zip(q_grid, points) if not pt.converged]
     if failed:
         raise ScanError(f"{len(failed)} of {len(q_grid)} window grid points "

@@ -31,27 +31,20 @@ w_i (Jaggi, ICML 2013),
 bounds its value minus the minimum of P from above. ``_fw_gap`` computes
 it with a rigorous lower bound on min G, for any atomic measure.
 
-``minimize_cs`` answers in one of two ways. The atomic solve
-(``_atomic_solve``) takes Newton steps on the locations and CDF levels of
-at most ``MAX_ATOMS`` atoms, inserting an atom where G is least, and
-answers when its gap is at most ``GAP_TOL`` and every atom lies below
-q_top: at these models the minimizer has one or two atoms (the one-step
-RSB form of Crisanti & Sommers, Z. Phys. B 87, 1992). Otherwise the grid
-solve (``_grid_solve``) runs projected gradient with isotonic projection
-on the CDF values of a fixed grid 0 = g_0 < ... < g_m = q_top, which
-converges globally, and its answer carries its own gap; mass at q_top is
-flagged by ``TruncationWarning``.
+``minimize_cs`` is one solve, ``_atomic_solve``: Newton steps on the
+locations and CDF levels of at most ``MAX_ATOMS`` atoms, with an atom
+inserted where G is least while the gap exceeds ``GAP_TOL``. At these
+models the minimizer has one or two atoms (the one-step RSB form of
+Crisanti & Sommers, Z. Phys. B 87, 1992). Both ends of [0, q_top] are
+bounds that the Newton steps hold; an atom at q_top means the
+minimizer's support may reach past the endpoint, which
+``TruncationWarning`` flags.
 """
 
 from __future__ import annotations
 
-import importlib.machinery
-import importlib.util
 import math
-import os
-import sys
 import warnings
-from collections import deque
 from dataclasses import dataclass
 from typing import Callable
 
@@ -61,23 +54,17 @@ from .errors import TruncationWarning
 from .mixtures import MixtureFn, evaluate
 
 __all__ = ["ParisiMeasure", "MinimizeResult", "cs_functional", "rs_value",
-           "minimize_cs", "make_grid"]
+           "minimize_cs"]
 
 Q_TOP = 1.0 - 1e-4  # fixed endpoint q_top of every solve
-DEFAULT_M = 512  # grid intervals of a grid solve unless the caller sets m
-MAX_ITER = 20000  # iteration budget of the grid solve
-TOL_REL = 1e-10  # relative objective stagnation the grid solve requires
-TOL_KKT = 1e-7  # max KKT violation the grid solve requires
-SPG_MEMORY = 10  # accepted values the nonmonotone line search looks back on
-SPG_SIGMA = 1e-4  # sufficient-decrease fraction of the line search
-SPG_ALPHA = (1e-10, 1e10)  # clamp of the Barzilai-Borwein step
-GAP_TOL = 1e-8  # Frank-Wolfe gap at which the atomic solve answers
+GAP_TOL = 1e-8  # Frank-Wolfe gap at which a solve counts as converged
 MAX_ATOMS = 3  # most atoms of an atomic solve
 MERGE_DIST = 1e-6  # atoms closer than this merge into one
 W_MIN = 1e-12  # an atom of smaller weight merges into its neighbour
 NEAR_DIST = 1e-3  # an argmin of G this near an atom asks for Newton steps
 NEWTON_STEPS = 60  # Newton-step budget of one atomic solve
-NEWTON_TOL = 1e-15  # largest step, in any coordinate, of a converged solve
+NEWTON_TOL = 1e-15  # largest relative step of a converged solve
+REL_FLOOR = 1e-3  # a coordinate below it measures its step against it
 STALL_SIZE = 1e-6  # below it rounding hides a step's decrease in P
 CERT_NODES = 4096  # most mesh nodes a certificate bisects up to
 
@@ -121,12 +108,10 @@ class ParisiMeasure:
 class MinimizeResult:
     """A solve's value and minimizing measure, with ``gap``, its
     Frank-Wolfe gap: the value lies at most ``gap`` above the minimum over
-    measures on [0, Q_TOP]. From the atomic solve, ``iterations`` counts
-    Newton steps, ``kkt_residual`` is the largest absolute component of
-    the gradient in the atom locations and CDF levels, and ``converged``
-    means certified (gap <= GAP_TOL). From the grid solve, the three
-    describe its projected-gradient iterations, and an atom sits at each
-    grid node where the solved CDF jumps."""
+    measures on [0, Q_TOP], and ``converged`` means gap <= GAP_TOL.
+    ``iterations`` counts Newton steps, and ``kkt_residual`` is the largest
+    absolute component of the gradient in the atom locations and CDF
+    levels, over those not held at a bound."""
 
     value: float
     measure: ParisiMeasure
@@ -193,21 +178,12 @@ def cs_functional(zeta: ParisiMeasure, xi: MixtureFn, beta: float,
     return 0.5 * (first + integral + math.log1p(-q_top))
 
 
-def make_grid(m: int) -> np.ndarray:
-    """Optimization grid of m intervals: uniform on [0, 0.9) plus geometric
-    accumulation of 1 - g from 0.9 toward Q_TOP; band mixtures at large p
-    need resolution near 1. Both parts increase and the first lies below
-    the second, so their concatenation is sorted."""
-    if m < 16:
-        raise ValueError(f"grid needs at least 16 intervals, got {m!r}")
-    m_u = int(0.6 * m)
-    uniform = np.linspace(0.0, 0.9, m_u, endpoint=False)
-    geo = 1.0 - np.exp(np.linspace(math.log(0.1), math.log(1.0 - Q_TOP),
-                                   m + 1 - m_u))
-    return np.concatenate([uniform, geo])
-
-
-_MESH = make_grid(64)  # start and certificate mesh of the atomic solve
+# start and certificate mesh of the atomic solve, 64 intervals: uniform on
+# [0, 0.9), then geometric in 1 - t from 0.1 down to 1 - Q_TOP, since band
+# mixtures at large p need resolution near 1
+_MESH = np.concatenate([
+    np.linspace(0.0, 0.9, 38, endpoint=False),
+    1.0 - np.exp(np.linspace(math.log(0.1), math.log(1.0 - Q_TOP), 27))])
 
 
 def _check_beta(beta) -> None:
@@ -215,138 +191,69 @@ def _check_beta(beta) -> None:
         raise ValueError(f"beta must be positive and finite, got {beta!r}")
 
 
-def minimize_cs(xi: MixtureFn, beta: float,
-                m: int = DEFAULT_M) -> MinimizeResult:
-    """Minimize the functional over measures on [0, Q_TOP].
+def minimize_cs(xi: MixtureFn, beta: float) -> MinimizeResult:
+    """Minimize the functional over measures on [0, Q_TOP] by the atomic
+    solve (``_atomic_solve``), certified by the Frank-Wolfe gap
+    ``_fw_gap``.
 
-    The atomic solve (``_atomic_solve``) answers first: Newton steps on
-    at most ``MAX_ATOMS`` atom locations and CDF levels, certified by the
-    Frank-Wolfe gap ``_fw_gap``. Its answer is returned when the gap is at
-    most ``GAP_TOL`` and every atom lies below ``Q_TOP``; ``iterations``
-    then counts Newton steps and ``kkt_residual`` is the largest absolute
-    component of the atomic gradient. Otherwise the grid solve
-    (``_grid_solve``) minimizes over monotone CDF vectors on
-    ``make_grid(m)`` and its answer is returned with its own gap. Both
-    paths need the compiled PAVA kernel, which loads before either runs,
-    so a solve without it fails the same way whichever path would answer.
+    A solve that does not certify (gap above ``GAP_TOL``) still returns
+    its last measure and gap, with converged=False. An atom at ``Q_TOP``
+    warns with ``TruncationWarning``: the minimizer's support may reach
+    past the endpoint, and the value is then that of a truncated measure.
+    At p = 3 the top atom lies at 0.99989 at beta = 3000 and at Q_TOP at
+    beta = 1e4.
     """
     _check_beta(beta)
-    grid = make_grid(m)
-    _pava_kernel()
-    return _atomic_solve(xi, beta) or _grid_solve(xi, beta, grid)
-
-
-def _grid_solve(xi: MixtureFn, beta: float,
-                grid: np.ndarray) -> MinimizeResult:
-    """Minimize the discretized functional over monotone CDF vectors on
-    ``grid``, then certify the answer by ``_fw_gap``.
-
-    Spectral projected gradient (Birgin, Martinez & Raydan 2000) with
-    projection onto {0 <= x_0 <= ... <= x_{m-1} <= 1} given by clipped
-    isotonic regression. The step is the Barzilai-Borwein ratio s.s / s.y of
-    the last two iterates and gradients; the line search is nonmonotone
-    (Armijo against the largest of the last ``SPG_MEMORY`` accepted values)
-    and halves the step until a trial passes. Every trial is one
-    ``value_grad`` call, and the accepted trial's gradient is kept, so an
-    accepted first trial costs one gradient and one projection. Convergence
-    requires both objective stagnation below ``TOL_REL`` and max KKT
-    violation below ``TOL_KKT``; on budget exhaustion the best iterate is
-    returned with converged=False. Mass on the grid's top node ``Q_TOP``
-    warns with ``TruncationWarning``: the value is then that of a truncated
-    measure. The budget runs out at low temperature (p = 3: beta = 300 at
-    m = 512, KKT 1e-3; 1000 at m = 64).
-    """
-    prob = _CsProblem(xi, beta, grid)
-
-    x = np.ones(len(grid) - 1)  # delta_0 start: exact in the RS phase
-    fx, gx = prob.value_grad(x)
-    best_x, best_f = x, fx
-    recent = deque([fx], maxlen=SPG_MEMORY)
-    alpha = 1.0
-    converged = False
-    it = 0
-    for it in range(1, MAX_ITER + 1):
-        d = prob.project(x - alpha * gx)
-        d -= x
-        slope, f_ref, lam = SPG_SIGMA * float(gx @ d), max(recent), 1.0
-        xn = x + d
-        fxn, gxn = prob.value_grad(xn)
-        while fxn > f_ref + lam * slope and lam > 1e-18:
-            lam *= 0.5
-            xn = x + lam * d
-            fxn, gxn = prob.value_grad(xn)
-        s, y = xn - x, gxn - gx
-        rel = abs(fx - fxn) / max(abs(fxn), 1.0)
-        x, fx, gx = xn, fxn, gxn
-        recent.append(fx)
-        if fx < best_f:
-            best_x, best_f = x, fx
-        sy = float(s @ y)
-        alpha = (min(max(float(s @ s) / sy, SPG_ALPHA[0]), SPG_ALPHA[1])
-                 if sy > 0 else SPG_ALPHA[1])
-        if rel < TOL_REL and it > 5:
-            kkt = _kkt_residual(prob, x, gx)
-            if kkt < TOL_KKT:
-                converged = True
-                break
-
-    if not converged:
-        x, fx = best_x, best_f
-        kkt = _kkt_residual(prob, x, prob.value_grad(x)[1])
-    jumps = np.diff(np.clip(x, 0.0, 1.0), prepend=0.0, append=1.0)
-    atoms = jumps > 0
-    measure = ParisiMeasure(grid[atoms], jumps[atoms])
-    boundary_mass = jumps[-1]  # weight of the atom at q_top, if any
-    if boundary_mass > 1e-6:
-        warnings.warn("minimizer support reached the fixed grid endpoint "
-                      f"{Q_TOP} (boundary mass {boundary_mass:.2e}); the "
-                      "value is truncated", TruncationWarning, stacklevel=3)
-    return MinimizeResult(value=float(fx), measure=measure, kkt_residual=kkt,
-                          converged=converged, iterations=it,
-                          gap=_fw_gap(xi, beta, measure))
+    res = _atomic_solve(xi, beta)
+    if res.measure.q_hat >= Q_TOP:
+        warnings.warn("minimizer support reached the fixed endpoint "
+                      f"{Q_TOP} (mass {res.measure.weights[-1]:.2e}); the "
+                      "value is truncated", TruncationWarning, stacklevel=2)
+    return res
 
 
 # --------------------------
 # atomic solve and its certificate
 # --------------------------
 
-def _atomic_solve(xi: MixtureFn, beta: float) -> MinimizeResult | None:
-    """Newton solve over measures of at most MAX_ATOMS atoms below Q_TOP;
-    None unless its answer is certified (gap <= GAP_TOL).
+def _atomic_solve(xi: MixtureFn, beta: float) -> MinimizeResult:
+    """Newton solve over measures of at most MAX_ATOMS atoms in [0, Q_TOP],
+    with its gap.
 
     The start is the best single atom on ``_MESH``. While the gap exceeds
     GAP_TOL, an atom goes in at the certificate's argmin of G, with the
     weight that minimizes P on the segment from the current measure to the
     new atom (P is convex there), and Newton steps then move every
     location and CDF level; an argmin within NEAR_DIST of an atom asks for
-    more Newton steps instead. Atoms closer than MERGE_DIST merge.
+    more Newton steps instead. Atoms closer than MERGE_DIST merge. The
+    solve stops at its last measure when the Newton steps stall or run out
+    of budget, when an argmin near an atom no longer moves it, or when
+    MAX_ATOMS atoms do not certify.
     """
     b2 = beta * beta
     ends = evaluate(xi, np.array([Q_TOP, 1.0])).tolist()
     s, c = [float(_MESH[np.argmin(rs_value(_MESH[:-1], xi, beta))])], []
     steps = 0
     for _ in range(2 * MAX_ATOMS):
-        s, c, taken, terms = _newton(xi, b2, ends, s, c,
-                                     NEWTON_STEPS - steps)
+        s, c, taken, terms, done = _newton(xi, b2, ends, s, c,
+                                           NEWTON_STEPS - steps)
         steps += taken
-        if s is None:
-            return None
         measure = ParisiMeasure(s, np.diff(c + [1.0], prepend=0.0))
         gap, _, t_min = _fw_bound(xi, b2, measure)
-        if gap <= GAP_TOL:
-            return MinimizeResult(value=terms[0], measure=measure,
-                                  kkt_residual=max(map(abs, terms[1])),
-                                  converged=True, iterations=steps, gap=gap)
-        if t_min == Q_TOP:
-            return None  # the minimizer needs mass at the endpoint
+        if gap <= GAP_TOL or not done:
+            break
         if min(abs(t_min - t) for t in s) < NEAR_DIST:
             if taken:
                 continue  # the atoms are still moving: more Newton steps
-            return None
+            break
         if len(s) == MAX_ATOMS:
-            return None
+            break
         s, c = _insert_atom(xi, b2, ends, s, c, t_min)
-    return None
+    grad = terms[1]
+    return MinimizeResult(
+        value=terms[0], measure=measure,
+        kkt_residual=max((abs(grad[i]) for i in _free(s, grad)), default=0.0),
+        converged=gap <= GAP_TOL, iterations=steps, gap=gap)
 
 
 def _xi_at(xi: MixtureFn, s: list) -> tuple[list, list, list]:
@@ -465,32 +372,34 @@ def _tail_array(r: np.ndarray, m: int) -> np.ndarray:
 
 
 def _newton(xi, b2, ends, s, c, budget):
-    """Newton steps on (s, c) from the given atoms until a step is below
-    NEWTON_TOL, or below STALL_SIZE and over half the last (rounding then
-    sets the steps): (s, c, steps taken, ``_atom_terms`` there), or s None
-    when the budget runs out or no step length descends.
+    """Newton steps on (s, c) from the given atoms: (s, c, steps taken,
+    ``_atom_terms`` there, whether the steps converged). They converge once
+    a step is below NEWTON_TOL relative to each coordinate (to REL_FLOOR
+    for a coordinate below it), or below STALL_SIZE and over half the last
+    (rounding then sets the steps); they stop unconverged when the budget
+    runs out or no step length descends.
 
     A step goes at most to where a weight or the gap between two atoms
     reaches 0, where ``_cleaned`` merges that atom into its neighbour, and
     it is halved until P falls enough (untested below STALL_SIZE, where
-    rounding hides the fall) and the top atom stays below Q_TOP.
-    The bound s_0 >= 0 is held active while it binds.
+    rounding hides the fall). The locations are clipped to [0, Q_TOP], and
+    a bound is held active while it binds (``_free``).
     """
     terms = _atom_terms(b2, ends, s, c, _xi_at(xi, s))
     last = math.inf
     for taken in range(budget + 1):
         value, grad, H, _ = terms
         k = len(s)
-        free = [i for i in range(2 * k - 1)
-                if i or s[0] > 0.0 or grad[0] < 0.0]
+        free = _free(s, grad)
         d = [0.0] * (2 * k - 1)
         for i, di in zip(free, _descent_step([[H[i][j] for j in free]
                                                for i in free],
                                               [-grad[i] for i in free])):
             d[i] = di
-        size = max(map(abs, d))
+        size = max(abs(di) / max(abs(x), REL_FLOOR)
+                   for di, x in zip(d, s + c))
         if size < NEWTON_TOL or 0.5 * last <= size < STALL_SIZE:
-            return s, c, taken, terms
+            return s, c, taken, terms, True
         last = size
         if taken == budget:
             break
@@ -498,17 +407,24 @@ def _newton(xi, b2, ends, s, c, budget):
         slope = sum(gi * di for gi, di in zip(grad, d))
         for _ in range(60):  # alpha down to 1e-18
             s_new, c_new = _cleaned(*_moved(s, c, d, alpha, k))
-            if s_new[-1] < Q_TOP:
-                terms = _atom_terms(b2, ends, s_new, c_new,
-                                    _xi_at(xi, s_new))
-                if (size * alpha < STALL_SIZE
-                        or terms[0] <= value + 1e-4 * alpha * slope):
-                    break
+            trial = _atom_terms(b2, ends, s_new, c_new, _xi_at(xi, s_new))
+            if (size * alpha < STALL_SIZE
+                    or trial[0] <= value + 1e-4 * alpha * slope):
+                break
             alpha *= 0.5
         else:
             break
-        s, c = s_new, c_new
-    return None, None, taken, None
+        s, c, terms = s_new, c_new, trial
+    return s, c, taken, terms, False
+
+
+def _free(s, grad):
+    """The variables not held at a bound: s_0 at 0 is held while dP/ds_0
+    >= 0, and the top atom at Q_TOP while its dP/ds <= 0."""
+    k = len(s)
+    return [i for i in range(2 * k - 1)
+            if not (i == 0 and s[0] <= 0.0 and grad[0] >= 0.0
+                    or i == k - 1 and s[-1] >= Q_TOP and grad[i] <= 0.0)]
 
 
 def _descent_step(A, b):
@@ -547,8 +463,8 @@ def _cholesky(A, shift):
 
 
 def _moved(s, c, d, alpha, k):
-    """The step alpha d, with the locations projected onto s >= 0."""
-    return ([max(si + alpha * di, 0.0) for si, di in zip(s, d)],
+    """The step alpha d, with the locations projected onto [0, Q_TOP]."""
+    return ([min(max(si + alpha * di, 0.0), Q_TOP) for si, di in zip(s, d)],
             [ci + alpha * di for ci, di in zip(c, d[k:])])
 
 
@@ -574,7 +490,8 @@ def _cleaned(s, c):
     for x, wi in zip(s[1:], w[1:]):
         if min(wi, out_w[-1]) < W_MIN or x - out_s[-1] < MERGE_DIST:
             total = out_w[-1] + wi
-            out_s[-1] = (out_w[-1] * out_s[-1] + wi * x) / total
+            # rounding must not lift the mean above x, which may be Q_TOP
+            out_s[-1] = min((out_w[-1] * out_s[-1] + wi * x) / total, x)
             out_w[-1] = total
         else:
             out_s.append(x)
@@ -685,169 +602,3 @@ def _g_nodes(xi, b2, loc, w, nodes):
     G = 0.5 * (b2 * (x0[-1] - x0) - suffix)
     g = 0.5 * (b2 * evaluate(xi, nodes, 1) - inv)
     return G, g, phi, evaluate(xi, nodes, 2)
-
-
-# --------------------------
-# discretized objective
-# --------------------------
-
-_PAVA_MODULE = "scipy.optimize._pava_pybind"
-
-
-def _pava_kernel() -> Callable:
-    """scipy's compiled pool-adjacent-violators kernel, ``pava``.
-
-    Importing it by name would first run ``scipy/optimize/__init__.py``,
-    hundreds of modules the kernel does not use (about 0.6 s and 49 MB on a
-    2-core shared host), so its extension file is found in scipy's
-    ``optimize/`` directory and loaded by itself, without executing scipy.
-    It is registered in ``sys.modules``
-    under its full name: later solves skip the search, and a later
-    ``import scipy.optimize`` reuses the same module object.
-    """
-    module = sys.modules.get(_PAVA_MODULE)
-    if module is None:
-        scipy = importlib.util.find_spec("scipy")
-        spec = scipy and importlib.machinery.FileFinder(
-            os.path.join(scipy.submodule_search_locations[0], "optimize"),
-            (importlib.machinery.ExtensionFileLoader,
-             importlib.machinery.EXTENSION_SUFFIXES)).find_spec(_PAVA_MODULE)
-        if spec is None:
-            raise ModuleNotFoundError(
-                "the band solver needs scipy >= 1.12 for its compiled PAVA "
-                f"kernel {_PAVA_MODULE}, which was not found",
-                name=_PAVA_MODULE)
-        module = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(module)
-        sys.modules[_PAVA_MODULE] = module
-    return module.pava
-
-
-class _CsProblem:
-    """Value and analytic gradient of the fixed-endpoint objective.
-
-    With x the CDF on grid[:-1] (grid[-1] pinned to CDF 1), lengths
-    L_j = g_{j+1} - g_j and phi_j = (1 - q_top) + sum_{i >= j} x_i L_i:
-
-        2 P(x) = beta^2 (x . dxi + xi(1) - xi(q_top)) + log(1 - q_top)
-                 + sum_j (L_j / phi_{j+1}) f(u_j),    u_j = x_j L_j / phi_{j+1},
-
-    where f(u) = log(1+u)/u. Differentiating, a shift of x_k moves phi_j for
-    all j <= k in lockstep, and d seg_j / d(common phi shift) collapses to
-    -L_j / (phi_j phi_{j+1}) with no cancellation. ``project`` maps a
-    vector onto the feasible CDFs.
-
-    Scratch buffers for phi, ratio, u, ratio^2, the gradient prefix and the
-    projection's weights and blocks, and the views of phi and the prefix
-    that ``value_grad`` reads, are made once and overwritten by every call;
-    none leaves a call. ``value_grad`` returns a fresh gradient, which the
-    solver keeps, and its value as a Python float: the value and every
-    scalar of the solver's line search are Python floats, the same IEEE
-    operations as on numpy scalars without their dispatch.
-    """
-
-    def __init__(self, xi: MixtureFn, beta: float, grid: np.ndarray):
-        # the kernel's extension file loads on the first solve, alone: not
-        # the scipy.optimize package, and not when pspinlab is imported
-        self._pava = _pava_kernel()
-        self.L = np.diff(grid)
-        self.neg_L_head = -self.L[:-1]
-        xg = evaluate(xi, np.append(grid, 1.0))  # one call gives xi(1) too
-        self.dxi = np.diff(xg[:-1])
-        self.b2 = float(beta * beta)
-        self.b2_dxi = self.b2 * self.dxi
-        self.const = float(self.b2 * (xg[-1] - xg[-2])
-                           + math.log1p(-grid[-1]))
-        self.phi_end = 1.0 - grid[-1]
-        m = len(self.L)
-        phi = np.full(m + 1, self.phi_end)  # phi_m stays phi_end
-        # views of phi: phi_j for j < m, the same reversed (its partial sums
-        # from the top), phi_{j+1}, and the pairs (phi_j, phi_{j+1}) for
-        # j < m - 1 that the gradient prefix reads
-        self._phi_head, self._phi_rev = phi[:-1], phi[-2::-1]
-        self._phi_next = phi[1:]
-        self._phi_lo, self._phi_mid = phi[:-2], phi[1:-1]
-        self._ratio, self._u, self._ratio_sq, self._prefix = np.zeros((4, m))
-        self._shift = self._prefix[1:]  # prefix_0 stays 0
-        self._w = np.ones(m)  # PAVA weights, refilled every call
-        self._r = np.full(m + 1, -1, dtype=np.intp)  # PAVA blocks
-
-    def project(self, v: np.ndarray) -> np.ndarray:
-        """Euclidean projection of ``v`` onto the monotone chain intersected
-        with [0, 1], written into ``v`` and returned: ``v`` is consumed, so
-        it must be a fresh contiguous float64 vector (both callers pass one).
-
-        Clipping the unconstrained isotonic fit is exact for box bounds. The
-        fit is scipy's compiled pool-adjacent-violators kernel, the routine
-        that ``scipy.optimize.isotonic_regression`` wraps, loaded from its
-        extension file alone (``_pava_kernel``; the solver never imports the
-        ``scipy.optimize`` package) and called on the problem's weight and
-        block buffers without that wrapper's copies; it pools in place and
-        leaves block weights in ``w``, so ``w`` is reset to ones first. Its
-        module name is private, so a test pins this projection bit for bit
-        against the public function.
-        """
-        self._w.fill(1.0)
-        self._pava(v, self._w, self._r)
-        return np.minimum(np.maximum(v, 0.0, out=v), 1.0, out=v)
-
-    def value_grad(self, x: np.ndarray) -> tuple[float, np.ndarray]:
-        np.multiply(x, self.L, out=self._phi_head)
-        np.add.accumulate(self._phi_rev, out=self._phi_rev)
-        self._phi_head += self.phi_end
-        ratio = np.divide(self.L, self._phi_next, out=self._ratio)
-        f, grad = _logratio(np.multiply(x, ratio, out=self._u))
-        f *= ratio  # f and grad are fresh arrays
-        value = 0.5 * (self.b2 * float(x @ self.dxi) + float(f.sum())
-                       + self.const)
-        grad *= np.multiply(ratio, ratio, out=self._ratio_sq)  # dseg
-        grad += self.b2_dxi
-        # prefix_k = sum_{j < k} shift_j, shift_j = -L_j / (phi_j phi_{j+1})
-        shift = np.multiply(self._phi_lo, self._phi_mid, out=self._shift)
-        np.divide(self.neg_L_head, shift, out=shift)
-        np.add.accumulate(shift, out=shift)
-        prefix = self._prefix
-        prefix *= self.L
-        grad += prefix
-        grad *= 0.5
-        return value, grad
-
-
-def _logratio(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """f(u) = log(1+u)/u and f'(u), from one log1p pass.
-
-    Series replace the closed forms where those fail: f below 1e-6 (0/0 at
-    u = 0) and f' below 1e-4 (cancellation). The closed forms divide by a
-    safe denominator, equal to u (or u^2) wherever they are kept, and are
-    computed in place in the two returned arrays and one temporary. The
-    series run only over the span u[z:j], one Python float at a time: j is
-    one past the last u < 1e-4, and the z leading exact zeros take the
-    series' exact values at 0 (f = 1, f' = -1/2) by a slice fill. These are
-    the IEEE operations of the series masked over every entry, in the same
-    order, so the bits are equal. In the solver the small entries are a
-    prefix, and the span is empty in most calls and a few entries long in
-    nearly all the rest.
-    """
-    lg = np.log1p(u)
-    f = np.maximum(u, 1e-6)
-    np.divide(lg, f, out=f)
-    df = np.add(u, 1.0)
-    np.divide(u, df, out=df)
-    df -= lg
-    df /= np.maximum(np.multiply(u, u, out=lg), 1e-8, out=lg)
-    (small,) = (u < 1e-4).nonzero()
-    j = int(small[-1]) + 1 if small.size else 0
-    (nonzero,) = u[:j].nonzero()
-    z = int(nonzero[0]) if nonzero.size else j
-    f[:z] = 1.0
-    df[:z] = -0.5
-    for i, s in enumerate(u[z:j].tolist(), z):
-        if s < 1e-4:
-            df[i] = -0.5 + 2.0 * s / 3.0 - 0.75 * s * s
-            if s < 1e-6:
-                f[i] = 1.0 - 0.5 * s + s * s / 3.0
-    return f, df
-
-
-def _kkt_residual(prob: _CsProblem, x: np.ndarray, grad: np.ndarray) -> float:
-    return float(abs(x - prob.project(x - grad)).max())

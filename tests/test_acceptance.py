@@ -242,11 +242,11 @@ def test_criterion_07_finite_n_laws():
     assert abs(energies.mean() - beta_spike) <= 3 * se
 
     # band restriction has the band-mixture covariance
-    from scipy.linalg import null_space
-
     q_band, n_band = 0.5, 4000
     sigma = lab.random_configuration(n, 23)
-    basis = null_space(sigma.reshape(1, -1))  # orthonormal, n x (n-1)
+    # the right singular vectors of sigma as a row, less the first, are an
+    # orthonormal basis of its complement, n x (n-1)
+    basis = np.linalg.svd(sigma.reshape(1, -1))[2][1:].T
     rng = np.random.default_rng(29)
     t1 = rng.standard_normal(n - 1)
     t1 *= math.sqrt(n) / np.linalg.norm(t1)

@@ -130,7 +130,7 @@ def test_config_value_types_checked(tmp_path, capsys, command, cfg, key,
 
 def test_int_accepted_for_float_config_value(tmp_path):
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"q_min": 0, "n_q": 2, "m": 64}))
+    cfg.write_text(json.dumps({"q_min": 0, "n_q": 2}))
     assert run_cli(["fp", "--config", str(cfg)]) == 0
 
 
@@ -148,7 +148,7 @@ def test_flags_override_config(tmp_path):
 def test_fp_command_rows(tmp_path):
     out = tmp_path / "fp.csv"
     assert run_cli(["fp", "--p", "3", "--beta", "1.0", "--q-min", "0",
-                    "--q-max", "0.6", "--n-q", "4", "--m", "128",
+                    "--q-max", "0.6", "--n-q", "4",
                     "--out", str(out)]) == 0
     _, _, rows = read_csv(out)
     assert float(rows[0]["value"]) == pytest.approx(0.5, abs=1e-5)
@@ -161,15 +161,15 @@ def test_fp_row_error_sets_exit_code(tmp_path, monkeypatch):
     # comes from a solve that raises at one overlap
     fp_value = cli.franz_parisi.fp_value
 
-    def fails_at_top(p, beta, q, m):
+    def fails_at_top(p, beta, q):
         if q > 0.8:
             raise RuntimeError("solve failed")
-        return fp_value(p, beta, q, m)
+        return fp_value(p, beta, q)
 
     monkeypatch.setattr(cli.franz_parisi, "fp_value", fails_at_top)
     out = tmp_path / "fp.csv"
     assert run_cli(["fp", "--p", "3", "--q-min", "0.5", "--q-max", "0.9",
-                    "--n-q", "3", "--m", "128", "--out", str(out)]) == 1
+                    "--n-q", "3", "--out", str(out)]) == 1
     _, _, rows = read_csv(out)
     assert rows[-1]["error"] == "solve failed"
     for row in rows[:-1]:  # run continued despite the bad point
@@ -178,15 +178,12 @@ def test_fp_row_error_sets_exit_code(tmp_path, monkeypatch):
 
 def test_parisi_solve_that_does_not_converge_sets_exit_code(tmp_path,
                                                            monkeypatch):
-    # with certification made impossible the grid solve answers, and its
-    # convergence is tested only after iteration 5, so a 3-iteration budget
-    # cannot converge; the rows are still written, each with the error the
+    # with certification made impossible the solve does not converge; the
+    # rows of its last measure are still written, each with the error the
     # fp rows of an unconverged solve carry
     monkeypatch.setattr(cli.parisi, "GAP_TOL", -1.0)
-    monkeypatch.setattr(cli.parisi, "MAX_ITER", 3)
     out = tmp_path / "parisi.csv"
-    assert run_cli(["parisi", "--beta", "1.5", "--m", "64",
-                    "--out", str(out)]) == 1
+    assert run_cli(["parisi", "--beta", "1.5", "--out", str(out)]) == 1
     _, cols, rows = read_csv(out)
     assert cols[-1] == "error" and "converged" not in cols
     assert rows
@@ -197,14 +194,12 @@ def test_parisi_solve_that_does_not_converge_sets_exit_code(tmp_path,
 
 def test_window_scan_that_does_not_converge_sets_exit_code(tmp_path,
                                                            monkeypatch):
-    # with certification made impossible, a 3-iteration budget of the grid
-    # solve cannot converge, so every point of the main scan fails; the row
-    # names the count and the first failed q
+    # with certification made impossible no solve converges, so every point
+    # of the main scan fails; the row names the count and the first failed q
     monkeypatch.setattr(cli.parisi, "GAP_TOL", -1.0)
-    monkeypatch.setattr(cli.parisi, "MAX_ITER", 3)
     out = tmp_path / "shatter.csv"
     assert run_cli(["shatter-scan", "--p-list", "6", "--beta-fracs", "0.9",
-                    "--n-q", "32", "--n-q-half", "32", "--m", "64",
+                    "--n-q", "32", "--n-q-half", "32",
                     "--out", str(out)]) == 1
     _, _, rows = read_csv(out)
     assert len(rows) == 1
@@ -214,34 +209,29 @@ def test_window_scan_that_does_not_converge_sets_exit_code(tmp_path,
 
 
 def test_parisi_command(tmp_path):
-    # one row per atom of the certified minimizing measure, whatever m is
+    # one row per atom of the certified minimizing measure
     for args, locations, weights in [
             # delta_0 in the replica symmetric phase
             (["--beta", "0.8"], [0.0], [1.0]),
-            # two atoms (1RSB) at beta = 1.5; the grid solve wrote three at
-            # m = 512
+            # two atoms (1RSB) at beta = 1.5
             (["--beta", "1.5"], [0.0, 0.731949], [0.665399, 0.334601]),
-            # a 1RSB-like band point; the grid solve wrote four at m = 64
+            # a 1RSB-like band point
             (["--p", "128", "--band-q", "0.9901", "--beta", "2.45299"],
              [0.375028, 0.794825], [0.333710, 0.666290]),
-            # low temperature, well inside the fixed endpoint; the grid
-            # solve spends its whole budget there and exits 1
+            # low temperature, well inside the fixed endpoint
             (["--beta", "300"], [0.0, 0.998853], [0.002087, 0.997913])]:
-        for m in ("64", "512"):
-            out = tmp_path / f"parisi_{m}.csv"
-            assert run_cli(["parisi", *args, "--m", m,
-                            "--out", str(out)]) == 0
-            _, cols, rows = read_csv(out)
-            assert cols == ["location", "weight", "value", "kkt_residual",
-                            "gap", "error"]
-            got_loc = [float(r["location"]) for r in rows]
-            got_w = [float(r["weight"]) for r in rows]
-            assert got_loc == pytest.approx(locations, abs=1e-6)
-            assert got_w == pytest.approx(weights, abs=1e-6)
-            assert sum(got_w) == pytest.approx(1.0, abs=1e-12)
-            for r in rows:
-                assert r["error"] == ""
-                assert 0.0 <= float(r["gap"]) <= cli.parisi.GAP_TOL
+        out = tmp_path / "parisi.csv"
+        assert run_cli(["parisi", *args, "--out", str(out)]) == 0
+        _, cols, rows = read_csv(out)
+        assert cols == ["location", "weight", "value", "gap", "error"]
+        got_loc = [float(r["location"]) for r in rows]
+        got_w = [float(r["weight"]) for r in rows]
+        assert got_loc == pytest.approx(locations, abs=1e-6)
+        assert got_w == pytest.approx(weights, abs=1e-6)
+        assert sum(got_w) == pytest.approx(1.0, abs=1e-12)
+        for r in rows:
+            assert r["error"] == ""
+            assert 0.0 <= float(r["gap"]) <= cli.parisi.GAP_TOL
     out = tmp_path / "parisi_rs.csv"
     assert run_cli(["parisi", "--beta", "0.8", "--out", str(out)]) == 0
     _, _, rows = read_csv(out)
@@ -320,7 +310,7 @@ def test_chaos_rejects_bad_epsilons(tmp_path, capsys, monkeypatch, epsilons):
 def test_fp_rows_negative_near_one(tmp_path):
     out = tmp_path / "fp.csv"
     assert run_cli(["fp", "--p", "3", "--beta", "1.0", "--q-min", "0.995",
-                    "--q-max", "0.999", "--n-q", "3", "--m", "128",
+                    "--q-max", "0.999", "--n-q", "3",
                     "--out", str(out)]) == 0
     _, _, rows = read_csv(out)
     assert all(float(r["value"]) < 0.0 for r in rows)
@@ -330,7 +320,7 @@ def test_shatter_scan_deep_rs_has_no_window(tmp_path):
     out = tmp_path / "scan.csv"
     # beta = 0.414 * beta_c(3) ~ 0.5, far inside the RS phase
     assert run_cli(["shatter-scan", "--p-list", "3", "--beta-fracs", "0.414",
-                    "--n-q", "32", "--m", "128", "--out", str(out)]) == 0
+                    "--n-q", "32", "--out", str(out)]) == 0
     _, _, rows = read_csv(out)
     assert rows[0]["n_points"] == "0"
     # the half-band scan runs at every p; deep in the RS phase it finds none
@@ -343,7 +333,7 @@ def test_shatter_scan_small_p_half_band_window(tmp_path):
     # window inside [1 - 1/40, 1)
     out = tmp_path / "scan.csv"
     assert run_cli(["shatter-scan", "--p-list", "20", "--beta-fracs", "0.9",
-                    "--n-q", "32", "--n-q-half", "32", "--m", "64",
+                    "--n-q", "32", "--n-q-half", "32",
                     "--out", str(out)]) == 0
     _, _, [row] = read_csv(out)
     assert row["error"] == ""
@@ -352,9 +342,9 @@ def test_shatter_scan_small_p_half_band_window(tmp_path):
 
 
 @pytest.mark.parametrize("args", [
-    ["fp", "--n-q", "4", "--m", "64"],
+    ["fp", "--n-q", "4"],
     ["shatter-scan", "--p-list", "6,20", "--beta-fracs", "0.9",
-     "--n-q", "32", "--n-q-half", "32", "--m", "64"],
+     "--n-q", "32", "--n-q-half", "32"],
 ], ids=["fp", "shatter-scan"])
 def test_threads_do_not_change_output(tmp_path, args):
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"
@@ -379,9 +369,9 @@ def test_lab_threads_do_not_change_output(tmp_path, args):
 
 
 @pytest.mark.parametrize("args, text", [
-    # minimizer support above the solver grid's fixed endpoint triggers a
+    # minimizer support at the solver's fixed endpoint triggers a
     # truncation warning
-    (["parisi", "--p", "3", "--beta", "10000", "--m", "64"], "endpoint"),
+    (["parisi", "--p", "3", "--beta", "10000"], "endpoint"),
     (["chaos", "--n", "4", "--beta", "1.5", "--epsilons", "0,1",
       "--n-samples", "2", "--n-disorders", "1", "--burn-in", "10",
       "--thin", "1"], "static boundary"),
@@ -500,12 +490,12 @@ def test_out_that_cannot_be_opened_exits_2(tmp_path, capsys):
     (["chaos", "--n", "4", "--beta", "nan", "--epsilons", "0,1",
       "--n-samples", "2", "--n-disorders", "2", "--burn-in", "10",
       "--thin", "1"], "beta"),
-    (["fp", "--q-max", "inf", "--n-q", "2", "--m", "64"], "q_max"),
-    (["fp", "--beta", "nan", "--n-q", "2", "--m", "64"], "beta"),
+    (["fp", "--q-max", "inf", "--n-q", "2"], "q_max"),
+    (["fp", "--beta", "nan", "--n-q", "2"], "beta"),
     (["simulate", "--n", "4", "--beta", "nan", "--n-steps", "10",
       "--n-traj", "2"], "beta"),
     (["shatter-scan", "--p-list", "3", "--beta-fracs", "nan",
-      "--n-q", "32", "--m", "64"], "beta_fracs"),
+      "--n-q", "32"], "beta_fracs"),
 ])
 def test_non_finite_flags_rejected(tmp_path, capsys, args, key):
     out = tmp_path / "o.csv"
@@ -520,7 +510,7 @@ def test_non_finite_json_values_rejected(tmp_path, capsys, text, key):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(text)
     out = tmp_path / "o.csv"
-    assert run_cli(["fp", "--config", str(cfg), "--n-q", "2", "--m", "64",
+    assert run_cli(["fp", "--config", str(cfg), "--n-q", "2",
                     "--out", str(out)]) == 2
     assert repr(key) in capsys.readouterr().err
     assert not out.exists()
@@ -549,12 +539,12 @@ def test_empty_inputs_rejected(tmp_path, capsys, args, key):
 
 
 @pytest.mark.parametrize("args, key", [
-    (["fp", "--n-q", "2", "--m", "8"], "m"),
-    (["fp", "--n-q", "2", "--m", "15"], "m"),
-    (["parisi", "--m", "-1"], "m"),
-    (["parisi", "--m", "8"], "m"),
-    (["shatter-scan", "--p-list", "128", "--beta-fracs", "0.9",
-      "--m", "8"], "m"),
+    (["fp", "--n-q", "2", "--beta", "-0.5"], "beta"),
+    (["fp", "--n-q", "2", "--q-min", "-1.0"], "q_min"),
+    (["parisi", "--band-q", "-1.0"], "band_q"),
+    (["fp", "--n-q", "2", "--p", "0"], "p"),
+    (["shatter-scan", "--p-list", "128", "--beta-fracs", "-0.9"],
+     "beta_fracs"),
     (["parisi", "--beta", "-1"], "beta"),
     (["fp", "--q-min", "1.0"], "q_min"),
     (["fp", "--beta", "0"], "beta"),
@@ -581,7 +571,7 @@ def test_empty_inputs_rejected(tmp_path, capsys, args, key):
     (["shatter-scan", "--p-list", "6", "--beta-fracs", "0.9,0.90"],
      "beta_fracs"),  # equal once parsed
     # one q written n_q times, and q descending
-    (["fp", "--q-min", "0.5", "--q-max", "0.5", "--n-q", "3", "--m", "64"],
+    (["fp", "--q-min", "0.5", "--q-max", "0.5", "--n-q", "3"],
      "q_max"),
     (["fp", "--q-min", "0.5", "--q-max", "0.1"], "q_max"),
     # beyond phase.P_MAX = 1e300, checked before any row is made
@@ -667,9 +657,9 @@ def test_bad_tensor_keys_rejected_before_work(tmp_path, capsys, monkeypatch,
     assert not out.exists()
 
 
-# runs in a fresh interpreter, since this test process has scipy loaded;
-# prints one [step, exit status, scipy modules loaded so far] triple per
-# step
+# runs in a fresh interpreter, since this test process may have scipy
+# loaded; prints one [step, exit status, scipy modules loaded so far]
+# triple per step
 STARTUP_SCRIPT = r"""
 import json, sys
 
@@ -686,7 +676,7 @@ runs = [
     ("simulate", ["simulate", "--n", "6", "--n-steps", "20",
                   "--record-every", "10", "--n-traj", "2"]),
     ("help", ["--help"]),
-    ("config error", ["fp", "--m", "8"]),
+    ("config error", ["fp", "--beta", "0"]),
     ("chaos", ["chaos", "--n", "4", "--beta", "1.5", "--epsilons", "0,1",
                "--n-samples", "2", "--n-disorders", "2", "--burn-in", "10",
                "--thin", "1"]),
@@ -695,8 +685,8 @@ runs = [
                              "1.18", "--epsilons", "0,1", "--n-samples", "8",
                              "--n-disorders", "1", "--burn-in", "10",
                              "--thin", "1"]),
-    # last, since each step lists every scipy module loaded before it ends
-    ("parisi", ["parisi", "--m", "64"]),
+    ("parisi", ["parisi"]),
+    ("fp", ["fp", "--n-q", "2"]),
 ]
 for name, argv in runs:
     try:
@@ -708,31 +698,51 @@ print(json.dumps(steps))
 """
 
 
-def test_startup_does_not_load_scipy(tmp_path):
+def _run_fresh(script, *args):
+    """The last stdout line of ``script`` run in a fresh interpreter on
+    this checkout's package, parsed as JSON."""
     src = str(Path(pspinlab.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         [src] + [p for p in [os.environ.get("PYTHONPATH")] if p])}
-    proc = subprocess.run(
-        [sys.executable, "-c", STARTUP_SCRIPT, str(tmp_path / "o.csv")],
-        env=env, capture_output=True, text=True, timeout=300)
+    proc = subprocess.run([sys.executable, "-c", script, *args], env=env,
+                          capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+def test_startup_does_not_load_scipy(tmp_path):
     steps = {name: (status, loaded) for name, status, loaded
-             in json.loads(proc.stdout.splitlines()[-1])}
-    for name in ("import", "band mixture", "phase", "simulate", "help",
-                 "config error", "chaos", "chaos in the window"):
-        assert steps[name][1] == [], f"{name} loaded scipy"
+             in _run_fresh(STARTUP_SCRIPT, str(tmp_path / "o.csv"))}
+    for name, (status, loaded) in steps.items():
+        assert loaded == [], f"{name} loaded scipy"
     assert [steps[name][0] for name in (
         "phase", "simulate", "help", "config error", "chaos",
-        "chaos in the window")] == [0, 0, 0, 2, 0, 0]
-    # the solver commands load scipy's PAVA kernel on first use, and only
-    # its extension file: neither scipy nor scipy.optimize is imported
-    status, loaded = steps["parisi"]
-    assert status == 0 and loaded == ["scipy.optimize._pava_pybind"]
+        "chaos in the window", "parisi", "fp")] == [0, 0, 0, 2, 0, 0, 0, 0]
+
+
+# runs in a fresh interpreter in which importing scipy fails (a None entry
+# in sys.modules makes ``import scipy`` raise ImportError), set before
+# pspinlab is imported; prints the exit status of each solver command
+NO_SCIPY_SCRIPT = r"""
+import json, sys
+
+sys.modules["scipy"] = None
+from pspinlab import cli
+
+runs = [["parisi"], ["fp", "--n-q", "2"],
+        ["shatter-scan", "--p-list", "6", "--beta-fracs", "0.9",
+         "--n-q", "32", "--n-q-half", "32"]]
+print(json.dumps([cli.main(argv + ["--out", sys.argv[1]]) for argv in runs]))
+"""
+
+
+def test_solver_commands_run_without_scipy(tmp_path):
+    assert _run_fresh(NO_SCIPY_SCRIPT, str(tmp_path / "o.csv")) == [0, 0, 0]
 
 
 def test_out_in_missing_directory_rejected(tmp_path, capsys):
     out = tmp_path / "missing" / "o.csv"
-    assert run_cli(["fp", "--n-q", "2", "--m", "64", "--out", str(out)]) == 2
+    assert run_cli(["fp", "--n-q", "2", "--out", str(out)]) == 2
     assert "'out'" in capsys.readouterr().err
     assert not out.parent.exists()
 
@@ -800,7 +810,7 @@ def test_phase_header_with_tol_key_rejected(tmp_path, capsys):
 
 @pytest.mark.parametrize("command", ["parisi", "fp", "shatter-scan"])
 def test_solver_q_max_key_rejected(tmp_path, capsys, command):
-    # the solver grid's endpoint is the constant parisi.Q_TOP: a JSON
+    # the band solve's endpoint is the constant parisi.Q_TOP: a JSON
     # config or an old header holding the key is rejected by name, and
     # the flag is unknown
     header = {"command": command, "solver_q_max": 0.9999}
@@ -815,10 +825,26 @@ def test_solver_q_max_key_rejected(tmp_path, capsys, command):
     assert "--solver-q-max" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["parisi", "fp", "shatter-scan"])
+def test_grid_size_key_rejected(tmp_path, capsys, command):
+    # the band solve has no grid: a JSON config or an old header holding
+    # its size m is rejected by name, and the flag is unknown
+    header = {"command": command, "m": 512}
+    for text in (json.dumps(header), "# " + json.dumps(header) + "\r\nx\r\n"):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(text)
+        assert run_cli([command, "--config", str(cfg)]) == 2
+        assert "unknown config keys ['m']" in capsys.readouterr().err
+    with pytest.raises(SystemExit) as exc:
+        run_cli([command, "--m", "512"])
+    assert exc.value.code == 2
+    assert "--m" in capsys.readouterr().err
+
+
 def test_fp_single_point_may_set_q_max_to_q_min(tmp_path):
     out = tmp_path / "o.csv"
     assert run_cli(["fp", "--q-min", "0.5", "--q-max", "0.5", "--n-q", "1",
-                    "--m", "64", "--out", str(out)]) == 0
+                    "--out", str(out)]) == 0
     _, _, rows = read_csv(out)
     assert [row["q"] for row in rows] == ["0.5"]
 
@@ -854,10 +880,10 @@ UNREAD = {"shatter-scan": {"seed"}}
 # one small run of each command
 SMALL_RUNS = [
     ["phase", "--p-max", "3"],
-    ["parisi", "--m", "64"],
-    ["fp", "--n-q", "2", "--m", "64"],
+    ["parisi"],
+    ["fp", "--n-q", "2"],
     ["shatter-scan", "--p-list", "6", "--beta-fracs", "0.9", "--n-q", "32",
-     "--n-q-half", "32", "--m", "64"],
+     "--n-q-half", "32"],
     ["simulate", "--n", "8", "--n-steps", "60", "--record-every", "20",
      "--n-traj", "3"],
     ["chaos", "--n", "6", "--epsilons", "0,0.5", "--n-samples", "3",

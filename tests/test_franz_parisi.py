@@ -93,7 +93,7 @@ def test_envelope_matches_closed_form_at_one_atom():
 def test_potential_starts_to_rise_at_the_dynamical_boundary(p):
     # at beta_d(p) the derivative vanishes at q_d = (p - 2)/(p - 1), and
     # its sign there follows beta: negative just below beta_d, positive
-    # just above it (the grid solve read +2.7e-6 to +2.2e-3 at the onset)
+    # just above it
     beta_d, q_d = beta_d_pure(p), (p - 2) / (p - 1)
     assert abs(fp.fp_value(p, beta_d, q_d).derivative) <= 1e-8
     assert fp.fp_value(p, 0.999 * beta_d, q_d).derivative < 0.0
@@ -145,9 +145,9 @@ def test_no_window_in_deep_rs():
 
 def test_small_p_window_on_the_v_grid():
     # the grid reaches down to q = 1/2 at p = 6, where the window lies
-    # (about q in [0.66, 0.85] at m = 64)
+    # (q in [0.66, 0.85])
     beta = 0.9 * beta_c(6)[0]
-    win = fp.find_window(6, beta, fp.window_grid(6, n=32), 64)
+    win = fp.find_window(6, beta, fp.window_grid(6, n=32))
     assert win.exists
     assert 0.5 < win.q_under < win.q_bar < 0.99
 
@@ -204,7 +204,7 @@ def test_find_window_collects_failed_points(monkeypatch):
             self.converged = self.q < grid[5]  # fail beyond the 5th point
 
     monkeypatch.setattr(fp, "fp_value",
-                        lambda p, beta, q, m: Point(q))
+                        lambda p, beta, q: Point(q))
     with pytest.raises(ScanError) as err:
         fp.find_window(100, 1.0, grid)
     # the message, which reaches a shatter-scan row's error column, names
@@ -254,7 +254,7 @@ def test_derivative_sign_agrees_with_the_window(p, n):
     # the scan's stored envelope derivatives tell the same story as its
     # values: positive inside the window, changing sign only next to its
     # edges, and elsewhere of the sign of the potential's grid steps
-    win = fp.find_window(p, 0.9 * beta_c(p)[0], fp.window_grid(p, n), 64)
+    win = fp.find_window(p, 0.9 * beta_c(p)[0], fp.window_grid(p, n))
     assert win.exists
     under, bar = np.searchsorted(win.q, [win.q_under, win.q_bar])
     assert (win.q[under], win.q[bar]) == (win.q_under, win.q_bar)

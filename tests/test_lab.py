@@ -418,9 +418,11 @@ def test_assignment_matches_brute_force(kind):
 @pytest.mark.parametrize("m", [1, 2, 16, 64, 257])
 def test_w2_matches_scipy_reference(m):
     # scipy's cdist and linear_sum_assignment, the path the numpy solver
-    # replaced, kept here as the reference
-    from scipy.optimize import linear_sum_assignment
-    from scipy.spatial.distance import cdist
+    # replaced, kept here as the reference where scipy is installed (the
+    # package does not need it)
+    linear_sum_assignment = pytest.importorskip(
+        "scipy.optimize").linear_sum_assignment
+    cdist = pytest.importorskip("scipy.spatial.distance").cdist
     n = 16
     a = np.array([lab.random_configuration(n, i) for i in range(m)])
     b = np.array([lab.random_configuration(n, 10_000 + i) for i in range(m)])
