@@ -73,7 +73,7 @@ def main(argv=None) -> int:
         return 2
     try:
         config = _resolve_config(args)
-        # a runner checks its keys before it returns, so before out opens
+        # the runner has checked its keys by the time out opens
         n_errors = _write_output(config, _run_command(config))
     except Exception as exc:
         print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
@@ -134,13 +134,6 @@ def _resolve_config(args: argparse.Namespace) -> dict:
     if "threads" in resolved:
         _check_range("threads", resolved["threads"], 1)
     out = resolved["out"]
-    if out == "":
-        raise ValueError("config key 'out' must name a file, got ''")
-    if out is not None and not os.path.isdir(os.path.dirname(out) or "."):
-        raise ValueError(f"config key 'out' names a file in a missing "
-                         f"directory: {out!r}")
-    if out is not None and os.path.isdir(out):
-        raise ValueError(f"config key 'out' names a directory: {out!r}")
     # a replayed header carries the out of the run that wrote it
     if (args.config is not None and out is not None and os.path.exists(out)
             and os.path.samefile(out, args.config)):
@@ -179,10 +172,18 @@ def _load_config_file(path: str) -> dict:
 
 def _write_output(config: dict, rows) -> int:
     """Write the header, then each row as ``rows`` yields it, to ``out``
-    or to stdout (left open); return the number of rows with an error."""
+    (an error naming the key where it cannot be opened) or to stdout (left
+    open); return the number of rows with an error. Where a row or the
+    close raises, the error stays the run's, and a regular file at out
+    (through a link, the file it names) is removed, so a failed run leaves
+    none; a device such as /dev/null stays."""
     out = config["out"]
-    with (contextlib.nullcontext(sys.stdout) if out is None
-          else open(out, "w", encoding="utf-8", newline="")) as fh:
+    try:
+        fh = (sys.stdout if out is None
+              else open(out, "w", encoding="utf-8", newline=""))
+    except OSError as exc:
+        raise ValueError(f"config key 'out': {exc}") from None
+    try:
         fh.write("# " + json.dumps(config, sort_keys=True) + "\r\n")
         writer = csv.writer(fh, lineterminator="\r\n")
         cols = COLUMNS[config["command"]]
@@ -191,6 +192,16 @@ def _write_output(config: dict, rows) -> int:
         for row in rows:
             writer.writerow([_fmt(row.get(c)) for c in cols])
             n_errors += bool(row.get("error"))
+        if out is not None:
+            fh.close()
+    except BaseException:
+        if out is not None:
+            with contextlib.suppress(OSError):
+                fh.close()
+            if os.path.isfile(out):
+                with contextlib.suppress(OSError):
+                    os.remove(os.path.realpath(out))
+        raise
     return n_errors
 
 
@@ -260,7 +271,7 @@ def _point_row(fn, config: dict, row: dict) -> dict:
 
 
 def _run_command(config: dict):
-    return {
+    rows = {
         "phase": _run_phase,
         "parisi": _run_parisi,
         "fp": _run_fp,
@@ -268,6 +279,10 @@ def _run_command(config: dict):
         "simulate": _run_simulate,
         "chaos": _run_chaos,
     }[config["command"]](config)
+    # a runner checks its keys, then stops at a bare yield before its work
+    first = next(rows)
+    assert first is None, "a runner yields None once its keys are checked"
+    return rows
 
 
 def _run_phase(config: dict):
@@ -276,9 +291,10 @@ def _run_phase(config: dict):
         raise ValueError(f"config key 'p_max' must be >= p_min "
                          f"{config['p_min']}, got {config['p_max']}")
     _check_key("p_max", phase._check_p, config["p_max"])
+    yield
     # both ends pass the p rule, so no row can fail; each is made as it is
     # written, so memory does not grow with the range
-    return map(_phase_row, range(config["p_min"], config["p_max"] + 1))
+    yield from map(_phase_row, range(config["p_min"], config["p_max"] + 1))
 
 
 def _phase_row(p: int) -> dict:
@@ -287,27 +303,29 @@ def _phase_row(p: int) -> dict:
             "one_minus_q_c": one_minus_q}
 
 
-def _run_parisi(config: dict) -> list[dict]:
+def _run_parisi(config: dict):
     """One row per atom of the minimizing measure, each with the solve's
     value and Frank-Wolfe gap."""
     _check_solver(config, "band_q")
+    yield
     xi = mixtures.band_mixture(config["p"], config["band_q"])
     res = parisi.minimize_cs(xi, config["beta"])
-    return [{"location": t, "weight": w, "value": res.value, "gap": res.gap,
-             "error": parisi._solve_error(res)}
-            for t, w in zip(res.measure.locations.tolist(),
-                            res.measure.weights.tolist())]
+    yield from ({"location": t, "weight": w, "value": res.value,
+                 "gap": res.gap, "error": parisi._solve_error(res)}
+                for t, w in zip(res.measure.locations.tolist(),
+                                res.measure.weights.tolist()))
 
 
-def _run_fp(config: dict) -> list[dict]:
+def _run_fp(config: dict):
     _check_range("n_q", config["n_q"], 1)
     _check_solver(config, "q_min", "q_max")
     q_min, q_max = config["q_min"], config["q_max"]
     if q_max < q_min or (q_max == q_min and config["n_q"] > 1):
         raise ValueError(f"config key 'q_max' must be above q_min {q_min} "
                          f"(or equal to it when n_q is 1), got {q_max}")
+    yield
     qs = np.linspace(q_min, q_max, config["n_q"])
-    return _point_rows(_fp_row, config, [{"q": q} for q in qs.tolist()])
+    yield from _point_rows(_fp_row, config, [{"q": q} for q in qs.tolist()])
 
 
 def _fp_row(config: dict, row: dict) -> None:
@@ -318,7 +336,7 @@ def _fp_row(config: dict, row: dict) -> None:
                 "error": parisi._solve_error(pt)})
 
 
-def _run_shatter(config: dict) -> list[dict]:
+def _run_shatter(config: dict):
     for key in ("n_q", "n_q_half"):
         _check_range(key, config[key], franz_parisi.MIN_GRID_POINTS)
     fracs = _comma_list(config, "beta_fracs", float)
@@ -327,10 +345,11 @@ def _run_shatter(config: dict) -> list[dict]:
     p_list = _comma_list(config, "p_list", int)
     for p in p_list:
         _check_key("p_list", phase._check_p, p)
+    yield
     bcs = [phase.beta_c(p)[0] for p in p_list]
     points = [{"p": p, "beta": frac * bc, "beta_c": bc}
               for p, bc in zip(p_list, bcs) for frac in fracs]
-    return _point_rows(_shatter_row, config, points)
+    yield from _point_rows(_shatter_row, config, points)
 
 
 def _shatter_row(config: dict, row: dict) -> None:
@@ -345,24 +364,29 @@ def _shatter_row(config: dict, row: dict) -> None:
                 "hb_window": hb.exists, "hb_n_points": hb.n_points})
 
 
-def _run_simulate(config: dict) -> list[dict]:
+def _run_simulate(config: dict):
     _check_budget(config["n"], config["p"])
     cfg = LangevinConfig(config["beta"], config["step"], config["n_steps"],
                          config["record_every"])
     _check_range("n_traj", config["n_traj"], 1)
     _check_range("seed", config["seed"], 0)
+    yield
     d = sample_disorder(config["n"], config["p"], seed=config["seed"])
     curve = correlation_curve(d, cfg, config["n_traj"], seed=config["seed"],
                               threads=config["threads"])
-    return [{"t": t, "corr": c, "stderr": s} for t, c, s in curve]
+    yield from ({"t": t, "corr": c, "stderr": s} for t, c, s in curve)
 
 
-def _run_chaos(config: dict) -> list[dict]:
-    eps = _comma_list(config, "epsilons", float)
-    return chaos_scan(config["n"], config["p"], config["beta"], eps,
+def _run_chaos(config: dict):
+    # chaos_scan checks every key, warns once and returns its rows as one
+    # list, so they are made before out opens
+    rows = chaos_scan(config["n"], config["p"], config["beta"],
+                      _comma_list(config, "epsilons", float),
                       config["n_samples"], config["n_disorders"],
                       seed=config["seed"], burn_in=config["burn_in"],
                       thin=config["thin"], threads=config["threads"])
+    yield
+    yield from rows
 
 
 if __name__ == "__main__":

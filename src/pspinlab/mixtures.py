@@ -4,7 +4,8 @@ A mixture function encodes the covariance of a Gaussian Hamiltonian on the
 sphere, E[H(s1) H(s2)] = N xi(<s1,s2>/N). Restricting the pure p-spin model
 xi(t) = t^p to the sub-sphere at overlap q from a planted direction
 produces the band mixture above, and q = 0 is the pure model itself. The
-band is stored as (p, q^2) and evaluated in closed form.
+band is stored as (p, q^2); ``_closed_forms`` gives xi, xi' and xi'' in
+closed form in one pass, and ``evaluate`` is its checked front.
 """
 
 from __future__ import annotations
@@ -51,26 +52,24 @@ def evaluate(xi: MixtureFn, t, order: int = 0):
     t_arr = np.asarray(t, dtype=float)
     if np.any(np.abs(t_arr) > 1.0):
         raise ValueError("mixture argument outside [-1, 1]")
-    p, q2 = xi.p, xi.q2
-    base = q2 + (1.0 - q2) * t_arr
-    if order == 0:
-        out = _value(p, q2, t_arr, base)
-    else:
-        falling = p if order == 1 else p * (p - 1)
-        out = falling * (1.0 - q2) ** order * base ** (p - order)
+    out = _closed_forms(xi, t_arr)[order]
     return out if t_arr.ndim else float(out)
 
 
-def _value(p: int, q2: float, t: np.ndarray, base: np.ndarray) -> np.ndarray:
-    """base^p - q2^p without subtracting the two powers where base > 0:
-    there it is q2^p expm1(p log1p((1 - q2) t / q2)), which keeps the small
-    differences of xi between nearby t that the band solver reads."""
+def _closed_forms(xi: MixtureFn, t: np.ndarray):
+    """(xi, xi', xi'') at the float array t, unchecked. Where base > 0,
+    xi = base^p - q2^p is q2^p expm1(p log1p((1 - q2) t / q2)), and each
+    order takes its own power of base: both keep the small differences of
+    xi between nearby t that the band solver reads."""
+    p, q2 = xi.p, xi.q2
+    base = q2 + (1.0 - q2) * t
     bottom = q2 ** p
-    if bottom < _TINY:  # the pure model, or q2^p below the normal range
-        return base ** p - bottom
-    positive = base > 0.0  # base <= 0 only at negative t
-    log_ratio = np.log1p((1.0 - q2) * t / q2, where=positive,
-                         out=np.zeros_like(base))
-    # p log_ratio <= -log(q2^p) < 709, so expm1 stays finite
-    return np.where(positive, bottom * np.expm1(p * log_ratio),
-                    base ** p - bottom)
+    value = base ** p - bottom
+    if bottom >= _TINY:  # else the pure model, or q2^p below normal range
+        positive = base > 0.0  # base <= 0 only at negative t
+        log_ratio = np.log1p((1.0 - q2) * t / q2, where=positive,
+                             out=np.zeros_like(base))
+        # p log_ratio <= -log(q2^p) < 709, so expm1 stays finite
+        value = np.where(positive, bottom * np.expm1(p * log_ratio), value)
+    return (value, p * (1.0 - q2) * base ** (p - 1),
+            p * (p - 1) * (1.0 - q2) ** 2 * base ** (p - 2))

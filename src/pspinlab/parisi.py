@@ -28,8 +28,8 @@ w_i (Jaggi, ICML 2013),
 
     gap = sum_i w_i G(s_i) - min(0, min_s G(s)),   G(s) = Int_s^{q_top} g,
 
-bounds its value minus the minimum of P from above. ``_fw_gap`` computes
-it with a rigorous lower bound on min G, for any atomic measure.
+bounds its value minus the minimum of P from above. ``_fw_bound``
+computes it with a rigorous lower bound on min G, for any atomic measure.
 
 ``minimize_cs`` is one solve, ``_atomic_solve``: Newton steps on the
 locations and CDF levels of at most ``MAX_ATOMS`` atoms, with an atom
@@ -51,7 +51,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import TruncationWarning
-from .mixtures import MixtureFn, evaluate
+from .mixtures import MixtureFn, _TINY, _closed_forms, evaluate
 
 __all__ = ["ParisiMeasure", "MinimizeResult", "cs_functional", "rs_value",
            "minimize_cs"]
@@ -194,7 +194,7 @@ def _check_beta(beta) -> None:
 def minimize_cs(xi: MixtureFn, beta: float) -> MinimizeResult:
     """Minimize the functional over measures on [0, Q_TOP] by the atomic
     solve (``_atomic_solve``), certified by the Frank-Wolfe gap
-    ``_fw_gap``.
+    ``_fw_bound``.
 
     A solve that does not certify (gap above ``GAP_TOL``) still returns
     its last measure and gap, with converged=False. An atom at ``Q_TOP``
@@ -257,10 +257,18 @@ def _atomic_solve(xi: MixtureFn, beta: float) -> MinimizeResult:
 
 
 def _xi_at(xi: MixtureFn, s: list) -> tuple[list, list, list]:
-    """xi, xi' and xi'' at the atoms, as lists."""
-    t = np.array(s)
-    return (evaluate(xi, t).tolist(), evaluate(xi, t, 1).tolist(),
-            evaluate(xi, t, 2).tolist())
+    """xi, xi' and xi'' at the atoms, as lists: ``mixtures._closed_forms``
+    in Python floats, since numpy's set-up outweighs the work at one to
+    three atoms (which lie in [0, Q_TOP], so base > 0 where q2 > 0).
+    libm's pow, log1p and expm1 and numpy's differ in the last bit."""
+    p, q2 = xi.p, xi.q2
+    a, bottom = 1.0 - q2, q2 ** p
+    c1, c2 = p * a, p * (p - 1) * a ** 2
+    base = [q2 + a * t for t in s]
+    return ([bottom * math.expm1(p * math.log1p(a * t / q2)) for t in s]
+            if bottom >= _TINY else [b ** p - bottom for b in base],
+            [c1 * b ** (p - 1) for b in base],
+            [c2 * b ** (p - 2) for b in base])
 
 
 def _atom_terms(b2: float, ends: list, s: list, c: list, xs: tuple):
@@ -530,22 +538,11 @@ def _insert_atom(xi, b2, ends, s, c, t):
     return _cleaned(s_new, [b + lam * dj for b, dj in zip(base, direction)])
 
 
-def _fw_gap(xi: MixtureFn, beta: float, measure: ParisiMeasure) -> float:
-    """Frank-Wolfe gap of an atomic measure on [0, Q_TOP]: an upper bound
-    on its value minus the minimum of P over measures on [0, Q_TOP].
-
-    P is convex in the CDF x, its first variation is g, and the extreme
-    points of the feasible CDFs are the suffix indicators 1{t >= s}, so
-    gap = sum_i w_i G(s_i) - min(0, min_s G(s)), G(s) = int_s^{Q_TOP} g.
-    ``_fw_bound`` bounds min G from below, so the gap is an upper bound.
-    """
-    return _fw_bound(xi, beta * beta, measure)[0]
-
-
 def _fw_bound(xi: MixtureFn, b2: float, measure: ParisiMeasure):
-    """(the gap, the lower bound on min G over [0, Q_TOP] it uses, the mesh
-    node where G is least). The gap is taken as 0 where rounding puts it
-    below (the weights sum to 1 only to rounding).
+    """(the Frank-Wolfe gap of an atomic measure at b2 = beta^2, the lower
+    bound on min G over [0, Q_TOP] it uses, the mesh node where G is
+    least). The gap (module docstring) is taken as 0 where rounding puts
+    it below (the weights sum to 1 only to rounding).
 
     G is exact at the nodes of ``_MESH`` joined with the atoms. On a mesh
     interval [a, b], x is constant, phi falls and xi'' rises, so
@@ -586,7 +583,8 @@ def _fw_bound(xi: MixtureFn, b2: float, measure: ParisiMeasure):
 
 def _g_nodes(xi, b2, loc, w, nodes):
     """G, g, phi and xi'' at ``nodes`` (sorted, from 0 to Q_TOP, holding
-    every atom) for the measure with atoms ``loc`` and weights ``w``."""
+    every atom) for atoms ``loc`` of weights ``w``, the mixture read in
+    one ``_closed_forms`` pass."""
     L = np.diff(nodes)
     level = np.concatenate(([0.0], np.cumsum(w)))[
         np.searchsorted(loc, nodes[:-1], side="right")]
@@ -598,7 +596,6 @@ def _g_nodes(xi, b2, loc, w, nodes):
     # int over each interval of I: L I(a) + (L/phi_a)^2 _tail(r, 2)
     part = L * inv[:-1] + a * a * _tail_array(level * a, 2)
     suffix = np.concatenate((np.cumsum(part[::-1])[::-1], [0.0]))
-    x0 = evaluate(xi, nodes)
+    x0, x1, x2 = _closed_forms(xi, nodes)
     G = 0.5 * (b2 * (x0[-1] - x0) - suffix)
-    g = 0.5 * (b2 * evaluate(xi, nodes, 1) - inv)
-    return G, g, phi, evaluate(xi, nodes, 2)
+    return G, 0.5 * (b2 * x1 - inv), phi, x2

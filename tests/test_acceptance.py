@@ -180,7 +180,7 @@ def test_criterion_06_shattering_window():
     config = dict(cli.DEFAULTS["shatter-scan"])
     config.update({"command": "shatter-scan", "seed": 0, "out": None,
                    "threads": 1, "version": "test"})
-    rows = cli._run_shatter(config)
+    rows = list(cli._run_command(config))
     assert all(not r["error"] for r in rows)
     # a window starts inside its grid, not at the grid's first point
     for r in rows:

@@ -3,6 +3,7 @@ import importlib
 import json
 import os
 import pkgutil
+import stat
 import subprocess
 import sys
 import warnings
@@ -451,8 +452,8 @@ def test_stdout_output(capsys):
 
 
 def test_phase_makes_each_row_as_it_is_written(monkeypatch):
-    # the rows of p = 3..1000 are not made up front: the first costs one
-    # beta_c call
+    # the rows of p = 3..1000 are not made up front: the key checks cost no
+    # beta_c call, and the first row costs one
     calls = []
     beta_c = cli.phase.beta_c
 
@@ -461,10 +462,22 @@ def test_phase_makes_each_row_as_it_is_written(monkeypatch):
         return beta_c(p)
 
     monkeypatch.setattr(cli.phase, "beta_c", counted)
-    rows = cli._run_phase({"p_min": 3, "p_max": 1000})
-    first = next(iter(rows))
+    rows = cli._run_command({"command": "phase", "p_min": 3, "p_max": 1000})
+    assert calls == []
+    first = next(rows)
     assert calls == [3]
     assert first == cli._phase_row(3)
+
+
+def test_a_runner_without_its_bare_yield_fails_loudly(monkeypatch):
+    # a runner stops at a bare yield once its keys are checked; one that
+    # yields a row there would lose it to the priming, so it is refused
+    def run(config):
+        yield {"p": 3}
+
+    monkeypatch.setattr(cli, "_run_phase", run)
+    with pytest.raises(AssertionError):
+        cli._run_command({"command": "phase"})
 
 
 def test_empty_exception_message_names_its_type(monkeypatch, capsys):
@@ -484,6 +497,109 @@ def test_out_that_cannot_be_opened_exits_2(tmp_path, capsys):
     assert run_cli(["phase", "--p-max", "3", "--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "Traceback" not in err
+
+
+def test_out_is_opened_before_the_scan_solves(tmp_path, capsys, monkeypatch):
+    # the key checks pass, so the scan would solve its row; out opens first
+    # and fails, so no solve starts
+    calls = []
+    minimize_cs = cli.franz_parisi.minimize_cs
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return minimize_cs(*args, **kwargs)
+
+    monkeypatch.setattr(cli.franz_parisi, "minimize_cs", counted)
+    out = tmp_path / "o.csv"
+    out.symlink_to(tmp_path / "missing" / "target.csv")
+    assert run_cli(["shatter-scan", "--p-list", "128", "--beta-fracs", "0.9",
+                    "--out", str(out)]) == 2
+    assert "config key 'out'" in capsys.readouterr().err
+    assert calls == []
+
+
+@pytest.mark.parametrize("args, key", [
+    (["phase", "--p-min", "2"], "p_min"),
+    (["parisi", "--band-q", "1.5"], "band_q"),
+    (["fp", "--n-q", "0"], "n_q"),
+    (["shatter-scan", "--p-list", "2"], "p_list"),
+    (["simulate", "--n-traj", "0"], "n_traj"),
+    (["chaos", "--n-samples", "0"], "n_samples"),
+])
+def test_rejected_key_leaves_an_existing_out(tmp_path, capsys, args, key):
+    # every command checks its keys before out opens, so a bad key leaves
+    # the file that was there
+    out = tmp_path / "old.csv"
+    out.write_text("old\n")
+    assert run_cli(args + ["--out", str(out)]) == 2
+    assert f"config key {key!r}" in capsys.readouterr().err
+    assert out.read_text() == "old\n"
+
+
+SIMULATE = ["simulate", "--n", "6", "--n-steps", "20", "--record-every",
+            "10", "--n-traj", "2"]
+
+
+@pytest.fixture
+def failing_work(monkeypatch):
+    # simulate's work raises once out is open, where out is a regular file
+    def fails(*args, **kwargs):
+        raise RuntimeError("work failed")
+
+    monkeypatch.setattr(cli, "correlation_curve", fails)
+
+
+def test_work_that_raises_leaves_no_file(tmp_path, capsys, monkeypatch):
+    # out opens before the work starts; the work then raises, and the file
+    # goes with it
+    def fails(*args, **kwargs):
+        assert out.exists()
+        raise RuntimeError("work failed")
+
+    monkeypatch.setattr(cli, "correlation_curve", fails)
+    out = tmp_path / "o.csv"
+    assert run_cli(SIMULATE + ["--out", str(out)]) == 2
+    assert capsys.readouterr().err == "error: work failed\n"
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_failed_run_through_a_link_removes_the_file_it_names(
+        tmp_path, capsys, failing_work):
+    # the run wrote the link's target, so the target goes; the link stays
+    target = tmp_path / "target.csv"
+    target.write_text("old\n")
+    out = tmp_path / "o.csv"
+    out.symlink_to(target)
+    assert run_cli(SIMULATE + ["--out", str(out)]) == 2
+    assert capsys.readouterr().err == "error: work failed\n"
+    assert out.is_symlink() and not target.exists()
+
+
+def test_failed_run_leaves_an_out_that_is_not_a_regular_file(
+        tmp_path, capsys, failing_work):
+    # a named pipe, like /dev/null, is written to but never removed
+    pipe = tmp_path / "pipe"
+    os.mkfifo(pipe)
+    reader = os.open(pipe, os.O_RDONLY | os.O_NONBLOCK)
+    try:
+        assert run_cli(SIMULATE + ["--out", str(pipe)]) == 2
+        assert os.read(reader, 2) == b"# "
+    finally:
+        os.close(reader)
+    assert capsys.readouterr().err == "error: work failed\n"
+    assert stat.S_ISFIFO(os.stat(pipe).st_mode)
+
+
+def test_clean_up_error_does_not_replace_the_run_error(
+        tmp_path, capsys, monkeypatch, failing_work):
+    def refused(path):
+        raise PermissionError(f"cannot remove {path}")
+
+    monkeypatch.setattr(cli.os, "remove", refused)
+    out = tmp_path / "o.csv"
+    assert run_cli(SIMULATE + ["--out", str(out)]) == 2
+    assert capsys.readouterr().err == "error: work failed\n"
+    assert out.exists()
 
 
 @pytest.mark.parametrize("args, key", [

@@ -4,6 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
+from pspinlab import mixtures
 from pspinlab.franz_parisi import half_band_grid, window_grid
 from pspinlab.mixtures import MixtureFn, band_mixture, evaluate
 
@@ -200,3 +201,30 @@ def test_vectorized_evaluation():
     assert vals[0] == 0.0
     scalars = np.array([evaluate(xi, float(t)) for t in ts])
     np.testing.assert_allclose(vals, scalars, rtol=0, atol=0)
+
+
+# p in {3, 4, 128, 1024, 2048} at q^2 = 0, and q^2 on both sides of the
+# q2^p < tiny branch of the value: q2^p underflows at p = 2048, q = 0.5,
+# and the expm1 form is taken at p = 128, q = 0.99
+ONE_PASS_CASES = [(3, 0.0), (4, 0.0), (128, 0.0), (1024, 0.0), (2048, 0.0),
+                  (3, 0.5), (128, 0.99), (1024, 0.999), (2048, 0.5),
+                  (2048, 0.9995)]
+
+
+@pytest.mark.parametrize("p, q", ONE_PASS_CASES)
+def test_one_pass_equals_evaluate_bit_for_bit(p, q):
+    # the three closed forms of one pass are evaluate's, and each
+    # derivative keeps its own power of base, in the operation order of
+    # falling * (1 - q2)^order * base^(p - order)
+    xi = band_mixture(p, q)
+    assert (xi.q2 ** p < mixtures._TINY) == ((p, q) == (2048, 0.5)
+                                             or q == 0.0)
+    t = np.concatenate([T_GRID, -T_GRID[1:]])
+    forms = mixtures._closed_forms(xi, t)
+    base = xi.q2 + (1.0 - xi.q2) * t
+    for order in (0, 1, 2):
+        np.testing.assert_array_equal(forms[order], evaluate(xi, t, order))
+    for order, falling in ((1, p), (2, p * (p - 1))):
+        np.testing.assert_array_equal(
+            forms[order],
+            falling * (1.0 - xi.q2) ** order * base ** (p - order))

@@ -133,6 +133,39 @@ def test_objective_gradient_matches_finite_differences():
             rtol=1e-5, atol=1e-7)
 
 
+# p in {3, 4, 128, 1024, 2048} at q^2 = 0, and q^2 on both sides of the
+# q2^p < tiny branch of the value: base^p - q2^p at p = 2048, q = 0.5, the
+# expm1 form at p = 128, q = 0.99 and at the other q > 0 here
+FLOAT_PATH_CASES = [(3, 0.0), (4, 0.0), (128, 0.0), (1024, 0.0), (2048, 0.0),
+                    (2048, 0.5), (128, 0.99), (3, 0.5), (128, 0.3),
+                    (1024, 0.999), (2048, 0.9), (2048, 0.9995)]
+
+
+@pytest.mark.parametrize("p, q", FLOAT_PATH_CASES)
+def test_float_path_at_the_atoms_agrees_with_evaluate(p, q):
+    # _xi_at takes the closed forms in Python floats, through libm, whose
+    # pow, log1p and expm1 differ from numpy's in the last bit on some
+    # inputs. Each form agrees to 4 ulp relative, with an absolute floor of
+    # 4 subnormal steps where it underflows, save that the expm1 form of
+    # the value magnifies a last-bit move of its argument
+    # y = p log1p((1 - q2) t / q2) by the condition number 1 + y of e^y
+    # (256 ulp at p = 2048, q = 0.9), so its 4 ulp are times 1 + y
+    t = parisi._MESH
+    assert t[0] == 0.0 and t[-1] == parisi.Q_TOP
+    xi = band_mixture(p, q)
+    got = parisi._xi_at(xi, t.tolist())
+    expm1_form = xi.q2 ** p >= np.finfo(float).tiny
+    assert expm1_form == ((p, q) != (2048, 0.5) and q > 0.0)
+    y = p * np.log1p((1.0 - xi.q2) * t / xi.q2) if expm1_form else 0.0 * t
+    for order in (0, 1, 2):
+        want = evaluate(xi, t, order)
+        cond = 1.0 + y if order == 0 else 1.0
+        tol = 4 * np.finfo(float).eps * cond * np.abs(want) + 4 * 5e-324
+        assert np.all(np.abs(np.array(got[order]) - want) <= tol)
+    # t = 0 gives xi = 0 and, at q = 0, xi' = 0 exactly
+    assert got[0][0] == 0.0 and (q > 0.0 or got[1][0] == 0.0)
+
+
 # (label, mixture, beta, value and Frank-Wolfe gap of the projected-gradient
 # solve on a 512-interval grid that answered these window points before the
 # atomic solve did). Each grid value is that of a feasible measure, so the
@@ -176,7 +209,7 @@ def test_uncertified_solve_returns_its_last_measure(monkeypatch, label,
     res = minimize_cs(xi, beta)
     assert not res.converged
     assert len(res.measure.locations) <= parisi.MAX_ATOMS
-    assert res.gap == parisi._fw_gap(xi, beta, res.measure)
+    assert res.gap == parisi._fw_bound(xi, beta * beta, res.measure)[0]
     assert res.value == pytest.approx(
         cs_functional(res.measure, xi, beta, q_top=parisi.Q_TOP), abs=1e-12)
     assert res.value <= certified.value + certified.gap + 1e-12
@@ -252,13 +285,14 @@ def test_gap_bounds_the_value_rise_of_a_perturbed_measure(label, make_xi,
             rise = cs_functional(zeta, xi, beta, q_top=parisi.Q_TOP) \
                 - best.value
             assert rise > 0.0
-            assert parisi._fw_gap(xi, beta, zeta) >= rise
+            assert parisi._fw_bound(xi, beta * beta, zeta)[0] >= rise
 
 
 def test_gap_is_zero_at_the_rs_atom():
     # pure p = 3 at beta = 1: g <= 0 and G is convex on [0, Q_TOP], so the
     # certificate's bound is G(0) itself
-    assert parisi._fw_gap(MixtureFn(3), 1.0, ParisiMeasure(0.0, 1.0)) == 0.0
+    assert parisi._fw_bound(MixtureFn(3), 1.0,
+                            ParisiMeasure(0.0, 1.0))[0] == 0.0
     res = minimize_cs(MixtureFn(3), 1.0)
     assert res.gap == 0.0
     assert (res.measure.locations.tolist(), res.measure.weights.tolist()) \
