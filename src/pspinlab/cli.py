@@ -23,7 +23,8 @@ import numpy as np
 
 from . import __version__, franz_parisi, mixtures, parisi, phase
 from .lab import LangevinConfig
-from .lab.observables import chaos_scan, correlation_curve, map_parallel
+from .lab.observables import (_chaos_rows, _check_chaos, correlation_curve,
+                              map_parallel)
 from .lab.disorder import _check_budget, sample_disorder
 from .lab.samplers import _check_range
 
@@ -378,15 +379,16 @@ def _run_simulate(config: dict):
 
 
 def _run_chaos(config: dict):
-    # chaos_scan checks every key, warns once and returns its rows as one
-    # list, so they are made before out opens
-    rows = chaos_scan(config["n"], config["p"], config["beta"],
-                      _comma_list(config, "epsilons", float),
-                      config["n_samples"], config["n_disorders"],
-                      seed=config["seed"], burn_in=config["burn_in"],
-                      thin=config["thin"], threads=config["threads"])
+    # chaos_scan's key check, with its one static-boundary warning, then
+    # its rows without a second check
+    args = (config["n"], config["p"], config["beta"])
+    eps = _check_chaos(*args, _comma_list(config, "epsilons", float),
+                       config["n_samples"], config["burn_in"], config["thin"],
+                       config["n_disorders"], config["seed"])
     yield
-    yield from rows
+    yield from _chaos_rows(*args, eps, config["n_samples"],
+                           config["n_disorders"], config["burn_in"],
+                           config["thin"], config["seed"], config["threads"])
 
 
 if __name__ == "__main__":

@@ -23,7 +23,10 @@ signature of shattering; detection requires a run of at least three grid
 points whose every step V_{i+1} - V_i exceeds gap_i + gap_{i+1}, the
 Frank-Wolfe gaps of the two band solves. Each gap bounds how far that
 solve's value lies above the minimum, so such a step is a rise of the
-potential itself, not of the solver's error.
+potential itself, not of the solver's error. A scan's band solves form a
+chain: each point's solve starts from the certified minimizer of the
+point before it, since neighbouring points have nearly the same one- or
+two-atom minimizer.
 """
 
 from __future__ import annotations
@@ -35,7 +38,7 @@ import numpy as np
 
 from .errors import ScanError
 from .mixtures import MixtureFn, band_mixture, evaluate
-from .parisi import MinimizeResult, minimize_cs
+from .parisi import MinimizeResult, ParisiMeasure, minimize_cs
 from .phase import _check_p
 
 __all__ = ["FpPoint", "FpWindow", "fp_value", "fp_rs_bound", "find_window",
@@ -47,7 +50,8 @@ MIN_GRID_POINTS = 32  # fewest points a window scan accepts
 
 @dataclass(frozen=True)
 class FpPoint:
-    """Potential, RS bound, envelope derivative and band free energy at q."""
+    """Potential, RS bound, envelope derivative and band free energy at q,
+    with the band solve's gap, convergence and minimizing ``measure``."""
 
     q: float
     value: float
@@ -56,6 +60,7 @@ class FpPoint:
     band_free_energy: float
     gap: float
     converged: bool
+    measure: ParisiMeasure
 
 
 @dataclass(frozen=True)
@@ -80,12 +85,15 @@ class FpWindow:
         return self.n_points >= MIN_WINDOW_POINTS
 
 
-def fp_value(p: int, beta: float, q: float) -> FpPoint:
+def fp_value(p: int, beta: float, q: float,
+             start: ParisiMeasure | None = None) -> FpPoint:
     """Potential at overlap q via the band free energy, plus all per-point
-    fields (RS bound, envelope derivative, solver diagnostics)."""
+    fields (RS bound, envelope derivative, solver diagnostics). ``start``
+    goes to ``minimize_cs``: the measure its Newton steps start from, with
+    the cold start as the fallback."""
     xi_q = band_mixture(p, q)
     p, q = xi_q.p, float(q)
-    res = minimize_cs(xi_q, beta)
+    res = minimize_cs(xi_q, beta, start=start)
     value = res.value + beta * beta * q ** p + 0.5 * math.log1p(-q * q)
     return FpPoint(
         q=q,
@@ -95,6 +103,7 @@ def fp_value(p: int, beta: float, q: float) -> FpPoint:
         band_free_energy=res.value,
         gap=res.gap,
         converged=res.converged,
+        measure=res.measure,
     )
 
 
@@ -111,9 +120,11 @@ def find_window(p: int, beta: float, q_grid: np.ndarray) -> FpWindow:
     """Scan the potential on a strictly increasing grid inside (0, 1) and
     return every point solved, with the first longest run of at least
     MIN_WINDOW_POINTS points whose every step in value exceeds the sum of
-    its two points' gaps (``_window``). If any solve did not converge,
-    a ScanError names their count and the first failed q, and no points
-    are returned."""
+    its two points' gaps (``_window``). The solves form a chain: each
+    point's ``fp_value`` starts from the measure of the point before it,
+    and the first point, or one after a point that did not converge,
+    starts cold. If any solve did not converge, a ScanError names their
+    count and the first failed q, and no points are returned."""
     q_grid = np.array(q_grid, dtype=float)
     if len(q_grid) < MIN_GRID_POINTS:
         raise ValueError(f"window grid needs at least {MIN_GRID_POINTS} points")
@@ -122,7 +133,11 @@ def find_window(p: int, beta: float, q_grid: np.ndarray) -> FpWindow:
     if q_grid[0] <= 0.0 or q_grid[-1] >= 1.0:
         raise ValueError("window grid must lie inside (0, 1)")
 
-    points = [fp_value(p, beta, q) for q in q_grid]
+    points, start = [], None
+    for q in q_grid:
+        pt = fp_value(p, beta, q, start=start)
+        points.append(pt)
+        start = pt.measure if pt.converged else None
     failed = [float(q) for q, pt in zip(q_grid, points) if not pt.converged]
     if failed:
         raise ScanError(f"{len(failed)} of {len(q_grid)} window grid points "

@@ -153,8 +153,18 @@ def chaos_scan(n: int, p: int, beta: float, epsilons, n_samples: int,
     is checked before the first draw, an error naming the ``chaos`` config
     key (the argument of the same name) at fault, and the static-boundary
     warning is given once per scan."""
-    eps = sorted(_check_chaos(n, p, beta, epsilons, n_samples, burn_in,
-                              thin, n_disorders, seed))
+    eps = _check_chaos(n, p, beta, epsilons, n_samples, burn_in, thin,
+                       n_disorders, seed)
+    return _chaos_rows(n, p, beta, eps, n_samples, n_disorders, burn_in,
+                       thin, seed, threads)
+
+
+def _chaos_rows(n: int, p: int, beta: float, eps: list[float],
+                n_samples: int, n_disorders: int, burn_in: int, thin: int,
+                seed: int, threads: int) -> list[dict]:
+    """``chaos_scan``'s rows for inputs that ``_check_chaos`` has passed
+    (``eps`` its return value)."""
+    eps = sorted(eps)
     per_disorder = map_parallel(
         functools.partial(_one_disorder, n, p, beta, eps, n_samples, seed,
                           burn_in, thin), range(n_disorders), threads)

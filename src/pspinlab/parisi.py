@@ -35,7 +35,10 @@ computes it with a rigorous lower bound on min G, for any atomic measure.
 locations and CDF levels of at most ``MAX_ATOMS`` atoms, with an atom
 inserted where G is least while the gap exceeds ``GAP_TOL``. At these
 models the minimizer has one or two atoms (the one-step RSB form of
-Crisanti & Sommers, Z. Phys. B 87, 1992). Both ends of [0, q_top] are
+Crisanti & Sommers, Z. Phys. B 87, 1992). The Newton steps start from a
+given measure, such as a neighbouring window point's certified answer,
+or else from the best single atom on a mesh, which is also the fallback
+when a given start does not certify. Both ends of [0, q_top] are
 bounds that the Newton steps hold; an atom at q_top means the
 minimizer's support may reach past the endpoint, which
 ``TruncationWarning`` flags.
@@ -45,7 +48,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
@@ -81,13 +84,14 @@ class ParisiMeasure:
         w = np.atleast_1d(np.asarray(self.weights, dtype=float))
         if loc.shape != w.shape or loc.ndim != 1 or loc.size == 0:
             raise ValueError("locations and weights must be matching 1-d vectors")
-        if np.any(np.diff(loc) <= 0):
-            raise ValueError("atom locations must be strictly increasing")
-        if loc[0] < 0.0 or loc[-1] >= 1.0:
+        # each check is written so that NaN fails it
+        if not np.all((0.0 <= loc) & (loc < 1.0)):
             raise ValueError("atom locations must lie in [0, 1)")
-        if np.any(w <= 0):
-            raise ValueError("atom weights must be positive")
-        if abs(w.sum() - 1.0) > 1e-12:
+        if not np.all(np.diff(loc) > 0):
+            raise ValueError("atom locations must be strictly increasing")
+        if not np.all((0.0 < w) & (w < math.inf)):
+            raise ValueError("atom weights must be positive and finite")
+        if not abs(w.sum() - 1.0) <= 1e-12:
             raise ValueError(f"weights must sum to 1, got {w.sum()!r}")
         object.__setattr__(self, "locations", loc.copy())
         object.__setattr__(self, "weights", w.copy())
@@ -109,9 +113,10 @@ class MinimizeResult:
     """A solve's value and minimizing measure, with ``gap``, its
     Frank-Wolfe gap: the value lies at most ``gap`` above the minimum over
     measures on [0, Q_TOP], and ``converged`` means gap <= GAP_TOL.
-    ``iterations`` counts Newton steps, and ``kkt_residual`` is the largest
-    absolute component of the gradient in the atom locations and CDF
-    levels, over those not held at a bound."""
+    ``iterations`` counts Newton steps, those of a start that did not
+    certify and of the cold restart after it included, and
+    ``kkt_residual`` is the largest absolute component of the gradient in
+    the atom locations and CDF levels, over those not held at a bound."""
 
     value: float
     measure: ParisiMeasure
@@ -191,10 +196,17 @@ def _check_beta(beta) -> None:
         raise ValueError(f"beta must be positive and finite, got {beta!r}")
 
 
-def minimize_cs(xi: MixtureFn, beta: float) -> MinimizeResult:
+def minimize_cs(xi: MixtureFn, beta: float,
+                start: ParisiMeasure | None = None) -> MinimizeResult:
     """Minimize the functional over measures on [0, Q_TOP] by the atomic
     solve (``_atomic_solve``), certified by the Frank-Wolfe gap
     ``_fw_bound``.
+
+    ``start``, a measure of at most MAX_ATOMS atoms (a neighbouring
+    solve's answer, say), is where the Newton steps begin; without one,
+    or where the solve from it does not certify, they begin cold from the
+    best single atom on ``_MESH``. The answer is certified either way, so
+    a start changes the steps taken, not what a converged answer means.
 
     A solve that does not certify (gap above ``GAP_TOL``) still returns
     its last measure and gap, with converged=False. An atom at ``Q_TOP``
@@ -204,7 +216,10 @@ def minimize_cs(xi: MixtureFn, beta: float) -> MinimizeResult:
     beta = 1e4.
     """
     _check_beta(beta)
-    res = _atomic_solve(xi, beta)
+    if start is not None and start.locations.size > MAX_ATOMS:
+        raise ValueError(f"start has {start.locations.size} atoms, more "
+                         f"than MAX_ATOMS = {MAX_ATOMS}")
+    res = _atomic_solve(xi, beta, start)
     if res.measure.q_hat >= Q_TOP:
         warnings.warn("minimizer support reached the fixed endpoint "
                       f"{Q_TOP} (mass {res.measure.weights[-1]:.2e}); the "
@@ -216,23 +231,41 @@ def minimize_cs(xi: MixtureFn, beta: float) -> MinimizeResult:
 # atomic solve and its certificate
 # --------------------------
 
-def _atomic_solve(xi: MixtureFn, beta: float) -> MinimizeResult:
+def _atomic_solve(xi: MixtureFn, beta: float,
+                  start: ParisiMeasure | None = None) -> MinimizeResult:
     """Newton solve over measures of at most MAX_ATOMS atoms in [0, Q_TOP],
-    with its gap.
-
-    The start is the best single atom on ``_MESH``. While the gap exceeds
-    GAP_TOL, an atom goes in at the certificate's argmin of G, with the
-    weight that minimizes P on the segment from the current measure to the
-    new atom (P is convex there), and Newton steps then move every
-    location and CDF level; an argmin within NEAR_DIST of an atom asks for
-    more Newton steps instead. Atoms closer than MERGE_DIST merge. The
-    solve stops at its last measure when the Newton steps stall or run out
-    of budget, when an argmin near an atom no longer moves it, or when
-    MAX_ATOMS atoms do not certify.
+    with its gap: from ``start`` (its locations clipped to Q_TOP), and
+    where that does not certify, or with no start, from the best single
+    atom on ``_MESH``. A cold restart after a start counts the steps of
+    both in ``iterations``.
     """
     b2 = beta * beta
     ends = evaluate(xi, np.array([Q_TOP, 1.0])).tolist()
-    s, c = [float(_MESH[np.argmin(rs_value(_MESH[:-1], xi, beta))])], []
+    if start is not None:
+        warm = _solve_from(xi, b2, ends, *_cleaned(
+            [min(t, Q_TOP) for t in start.locations.tolist()],
+            np.cumsum(start.weights)[:-1].tolist()))
+        if warm.converged:
+            return warm
+    s = float(_MESH[np.argmin(rs_value(_MESH[:-1], xi, beta))])
+    res = _solve_from(xi, b2, ends, [s], [])
+    if start is None:
+        return res
+    return replace(res, iterations=warm.iterations + res.iterations)
+
+
+def _solve_from(xi, b2, ends, s, c) -> MinimizeResult:
+    """The atomic solve from atoms ``s`` with CDF levels ``c``, on its own
+    budget of NEWTON_STEPS. While the gap exceeds GAP_TOL, an atom goes in
+    at the certificate's argmin of G, with the weight that minimizes P on
+    the segment from the current measure to the new atom (P is convex
+    there), and Newton steps then move every location and CDF level; an
+    argmin within NEAR_DIST of an atom asks for more Newton steps instead.
+    Atoms closer than MERGE_DIST merge. The solve stops at its last
+    measure when the Newton steps stall or run out of budget, when an
+    argmin near an atom no longer moves it, or when MAX_ATOMS atoms do
+    not certify.
+    """
     steps = 0
     for _ in range(2 * MAX_ATOMS):
         s, c, taken, terms, done = _newton(xi, b2, ends, s, c,

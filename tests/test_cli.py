@@ -518,6 +518,25 @@ def test_out_is_opened_before_the_scan_solves(tmp_path, capsys, monkeypatch):
     assert calls == []
 
 
+def test_chaos_opens_out_before_it_draws(tmp_path, capsys, monkeypatch):
+    # chaos checks its keys, then opens out, which fails, so no disorder
+    # is drawn
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        raise AssertionError("a disorder was drawn")
+
+    monkeypatch.setattr(observables, "sample_disorder", counted)
+    out = tmp_path / "o.csv"
+    out.symlink_to(tmp_path / "missing" / "target.csv")
+    assert run_cli(["chaos", "--n", "4", "--epsilons", "0,1",
+                    "--n-samples", "2", "--n-disorders", "2",
+                    "--out", str(out)]) == 2
+    assert "config key 'out'" in capsys.readouterr().err
+    assert calls == []
+
+
 @pytest.mark.parametrize("args, key", [
     (["phase", "--p-min", "2"], "p_min"),
     (["parisi", "--band-q", "1.5"], "band_q"),

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -202,9 +203,10 @@ def test_find_window_collects_failed_points(monkeypatch):
             self.value = 0.0
             self.gap = 1e-3
             self.converged = self.q < grid[5]  # fail beyond the 5th point
+            self.measure = None
 
     monkeypatch.setattr(fp, "fp_value",
-                        lambda p, beta, q: Point(q))
+                        lambda p, beta, q, start=None: Point(q))
     with pytest.raises(ScanError) as err:
         fp.find_window(100, 1.0, grid)
     # the message, which reaches a shatter-scan row's error column, names
@@ -268,3 +270,50 @@ def test_derivative_sign_agrees_with_the_window(p, n):
     assert np.array_equal(sign[steady], np.sign(np.diff(win.value))[steady])
     for arr in (win.value, win.rs_bound, win.gap):
         assert arr.shape == win.q.shape
+
+
+# perfbench shatter's seed-1 beta fraction, round(uniform(0.85, 0.95), 4)
+# from random.Random(1)
+SHATTER_SEED_1_FRAC = 0.8634
+
+
+@pytest.mark.parametrize("p", [128, 1024, 2048])
+@pytest.mark.parametrize("grid", ["main", "half band"])
+def test_chained_scan_agrees_with_cold_solves(p, grid):
+    # each point of a scan starts from its neighbour's answer; solved cold
+    # one by one, the points have the same values to their gaps and the
+    # same window
+    beta = SHATTER_SEED_1_FRAC * beta_c(p)[0]
+    q = fp.window_grid(p, 48) if grid == "main" else fp.half_band_grid(p)
+    win = fp.find_window(p, beta, q)
+    cold = [fp.fp_value(p, beta, qi) for qi in q]
+    value = np.array([pt.value for pt in cold])
+    gap = np.array([pt.gap for pt in cold])
+    assert all(pt.converged for pt in cold)
+    assert np.all(np.abs(win.value - value)
+                  <= np.maximum(win.gap, gap) + 1e-12)
+    assert (win.q_under, win.q_bar, win.n_points) == fp._window(q, value, gap)
+
+
+def test_scan_chains_each_start_from_the_point_before(monkeypatch):
+    # the first point starts cold, each later one from the measure of the
+    # point before it, and a point after one that did not converge cold
+    grid = fp.window_grid(100, n=32)
+    fp_value = fp.fp_value
+    starts, points = [], []
+
+    def recorded(p, beta, q, start=None):
+        pt = fp_value(p, beta, q, start=start)
+        if q == grid[3]:
+            pt = dataclasses.replace(pt, converged=False)
+        starts.append(start)
+        points.append(pt)
+        return pt
+
+    monkeypatch.setattr(fp, "fp_value", recorded)
+    with pytest.raises(ScanError):
+        fp.find_window(100, 1.0, grid)
+    assert len(starts) == len(grid)
+    assert starts[0] is None and starts[4] is None
+    assert all(starts[i] is points[i - 1].measure
+               for i in range(1, len(grid)) if i != 4)

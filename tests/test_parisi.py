@@ -9,6 +9,7 @@ from pspinlab.franz_parisi import fp_value, half_band_grid, window_grid
 from pspinlab.mixtures import MixtureFn, band_mixture, evaluate
 from pspinlab.parisi import (ParisiMeasure, cs_functional, minimize_cs,
                              rs_value)
+from pspinlab.phase import beta_c
 
 
 def random_measure(rng, n_atoms=None, q_top=0.95):
@@ -464,6 +465,93 @@ def test_measure_validation():
         ParisiMeasure([0.2, 0.5], [1.2, -0.2])  # negative weight
     with pytest.raises(ValueError, match="matching 1-d vectors"):
         ParisiMeasure([0.2, 0.5], [1.0])  # shapes differ
+
+
+@pytest.mark.parametrize("locations, weights", [
+    ([math.nan], [1.0]),
+    ([0.5], [math.nan]),
+    ([0.2, math.nan], [0.5, 0.5]),
+    ([math.inf], [1.0]),
+    ([0.5], [math.inf]),
+    ([0.2, 0.5], [math.inf, -math.inf]),
+])
+def test_measure_rejects_nan_and_inf(locations, weights):
+    # every check is one that NaN fails, so no entry slips through it
+    with pytest.raises(ValueError):
+        ParisiMeasure(locations, weights)
+
+
+def test_start_with_too_many_atoms_is_rejected(monkeypatch):
+    def no_solve(*args, **kwargs):
+        raise RuntimeError("solve started")
+
+    monkeypatch.setattr(parisi, "_atomic_solve", no_solve)
+    k = parisi.MAX_ATOMS + 1
+    start = ParisiMeasure(np.linspace(0.1, 0.9, k), np.full(k, 1.0 / k))
+    with pytest.raises(ValueError, match="start"):
+        minimize_cs(MixtureFn(3), 1.0, start=start)
+
+
+@pytest.mark.parametrize("label, make_xi, beta",
+                         [row[:3] for row in PANEL],
+                         ids=[row[0] for row in PANEL])
+def test_start_that_does_not_certify_restarts_cold(monkeypatch, label,
+                                                   make_xi, beta):
+    # with certification made impossible the solve from the start fails,
+    # so the cold solve answers, bit for bit as it does with no start, and
+    # the steps of both attempts are counted
+    xi = make_xi()
+    start = ParisiMeasure([0.3, 0.8], [0.4, 0.6])
+    monkeypatch.setattr(parisi, "GAP_TOL", -1.0)
+    cold = minimize_cs(xi, beta)
+    attempts = []
+    solve_from = parisi._solve_from
+
+    def recorded(*args):
+        attempts.append(solve_from(*args))
+        return attempts[-1]
+
+    monkeypatch.setattr(parisi, "_solve_from", recorded)
+    res = minimize_cs(xi, beta, start=start)
+    assert len(attempts) == 2 and not attempts[0].converged
+    assert res.value == cold.value and not res.converged
+    assert res.measure.locations.tolist() == cold.measure.locations.tolist()
+    assert res.measure.weights.tolist() == cold.measure.weights.tolist()
+    assert attempts[1].iterations == cold.iterations
+    assert res.iterations == attempts[0].iterations + cold.iterations
+
+
+@pytest.mark.parametrize("p", [128, 1024, 2048])
+def test_certified_answer_as_start_certifies_at_once(p):
+    # at each window point the cold answer, given back as the start, is
+    # certified again within 3 Newton steps, at the same value to the gap
+    beta = 0.9 * beta_c(p)[0]
+    for q in window_grid(p, 48):
+        xi = band_mixture(p, q)
+        cold = minimize_cs(xi, beta)
+        res = minimize_cs(xi, beta, start=cold.measure)
+        assert res.converged and res.iterations <= 3
+        assert abs(res.value - cold.value) <= max(res.gap, cold.gap) + 1e-12
+
+
+def test_start_above_the_endpoint_is_clipped(monkeypatch):
+    # the solve works on [0, Q_TOP]: atoms of a start above it move to
+    # Q_TOP, where two merge, and the solve from there finds the RS atom
+    starts = []
+    solve_from = parisi._solve_from
+
+    def recorded(xi, b2, ends, s, c):
+        starts.append((s, c))
+        return solve_from(xi, b2, ends, s, c)
+
+    monkeypatch.setattr(parisi, "_solve_from", recorded)
+    start = ParisiMeasure([0.5, 0.99995, 0.99999], [0.2, 0.3, 0.5])
+    res = minimize_cs(MixtureFn(3), 1.0, start=start)
+    [(s, c)] = starts
+    assert s[0] == 0.5 and s[1] == pytest.approx(parisi.Q_TOP, abs=1e-15)
+    assert s[1] <= parisi.Q_TOP and c == pytest.approx([0.2], abs=1e-15)
+    assert res.converged and res.gap == 0.0
+    assert res.measure.locations.tolist() == [0.0]
 
 
 @pytest.mark.parametrize("q_top", [0.3, 1.0, 1.5])
