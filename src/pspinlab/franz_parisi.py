@@ -24,9 +24,9 @@ points whose every step V_{i+1} - V_i exceeds gap_i + gap_{i+1}, the
 Frank-Wolfe gaps of the two band solves. Each gap bounds how far that
 solve's value lies above the minimum, so such a step is a rise of the
 potential itself, not of the solver's error. A scan's band solves form a
-chain: each point's solve starts from the certified minimizer of the
-point before it, since neighbouring points have nearly the same one- or
-two-atom minimizer.
+chain: each point's solve starts from an extrapolation of the certified
+minimizers before it, since neighbouring points have nearly the same one-
+or two-atom minimizer.
 """
 
 from __future__ import annotations
@@ -37,8 +37,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ScanError
-from .mixtures import MixtureFn, band_mixture, evaluate
-from .parisi import MinimizeResult, ParisiMeasure, minimize_cs
+from .mixtures import MixtureFn, band_mixture
+from .parisi import MinimizeResult, ParisiMeasure, _xi_at, minimize_cs
 from .phase import _check_p
 
 __all__ = ["FpPoint", "FpWindow", "fp_value", "fp_rs_bound", "find_window",
@@ -96,15 +96,10 @@ def fp_value(p: int, beta: float, q: float,
     res = minimize_cs(xi_q, beta, start=start)
     value = res.value + beta * beta * q ** p + 0.5 * math.log1p(-q * q)
     return FpPoint(
-        q=q,
-        value=value,
-        rs_bound=fp_rs_bound(p, beta, q),
+        q=q, value=value, rs_bound=fp_rs_bound(p, beta, q),
         derivative=_envelope_derivative(xi_q, beta, q, res),
-        band_free_energy=res.value,
-        gap=res.gap,
-        converged=res.converged,
-        measure=res.measure,
-    )
+        band_free_energy=res.value, gap=res.gap, converged=res.converged,
+        measure=res.measure)
 
 
 def fp_rs_bound(p: int, beta: float, q: float) -> float:
@@ -121,10 +116,10 @@ def find_window(p: int, beta: float, q_grid: np.ndarray) -> FpWindow:
     return every point solved, with the first longest run of at least
     MIN_WINDOW_POINTS points whose every step in value exceeds the sum of
     its two points' gaps (``_window``). The solves form a chain: each
-    point's ``fp_value`` starts from the measure of the point before it,
-    and the first point, or one after a point that did not converge,
-    starts cold. If any solve did not converge, a ScanError names their
-    count and the first failed q, and no points are returned."""
+    point's ``fp_value`` starts from ``_predicted`` of the certified
+    measures before it, and the first point, or one after a point that did
+    not converge, starts cold. If any solve did not converge, a ScanError
+    names their count and the first failed q, and no points are returned."""
     q_grid = np.array(q_grid, dtype=float)
     if len(q_grid) < MIN_GRID_POINTS:
         raise ValueError(f"window grid needs at least {MIN_GRID_POINTS} points")
@@ -133,11 +128,13 @@ def find_window(p: int, beta: float, q_grid: np.ndarray) -> FpWindow:
     if q_grid[0] <= 0.0 or q_grid[-1] >= 1.0:
         raise ValueError("window grid must lie inside (0, 1)")
 
-    points, start = [], None
+    points, chain = [], []
     for q in q_grid:
-        pt = fp_value(p, beta, q, start=start)
+        pt = fp_value(p, beta, q, start=_predicted(chain))
         points.append(pt)
-        start = pt.measure if pt.converged else None
+        k = pt.measure.locations.size
+        chain = ([m for m in chain[-2:] if m.locations.size == k]
+                 + [pt.measure]) if pt.converged else []
     failed = [float(q) for q, pt in zip(q_grid, points) if not pt.converged]
     if failed:
         raise ScanError(f"{len(failed)} of {len(q_grid)} window grid points "
@@ -175,12 +172,28 @@ def half_band_grid(p: int, n: int = MIN_GRID_POINTS) -> np.ndarray:
 def _envelope_derivative(xi_q: MixtureFn, beta: float, q: float,
                          res: MinimizeResult) -> float:
     # (1-x)(q^2 + (1-q^2)x)^{p-1} = (1-x) xi_q'(x) / (p (1-q^2))
-    b2 = beta * beta
-    q2 = q * q
-    expect = res.measure.expectation(
-        lambda x: (1.0 - x) * evaluate(xi_q, x, 1))
+    b2, q2, loc = beta * beta, q * q, res.measure.locations.tolist()
+    expect = sum(w * ((1.0 - x) * d1) for w, x, d1 in zip(
+        res.measure.weights.tolist(), loc, _xi_at(xi_q, loc)[1]))
     return (-b2 * q * expect / (1.0 - q2) + b2 * xi_q.p * q ** (xi_q.p - 1)
             - q / (1.0 - q2))
+
+
+def _predicted(chain: list) -> ParisiMeasure | None:
+    """The next start of a scan from the certified measures of up to three
+    points before it, of one atom count: the linear (two) or quadratic
+    (three) extrapolation in the grid index of their locations and weights
+    (so of the CDF levels; exact where they stay), else the last measure."""
+    if len(chain) < 2:
+        return chain[-1] if chain else None
+    x = [m.locations.tolist() + m.weights.tolist() for m in chain]
+    nxt = ([a + 3.0 * (c - b) for a, b, c in zip(*x)] if len(chain) == 3
+           else [b + (b - a) for a, b in zip(*x)])
+    k = chain[-1].locations.size
+    try:
+        return ParisiMeasure(nxt[:k], nxt[k:])
+    except ValueError:
+        return chain[-1]
 
 
 def _window(q: np.ndarray, value: np.ndarray,

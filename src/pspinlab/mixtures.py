@@ -50,7 +50,7 @@ def evaluate(xi: MixtureFn, t, order: int = 0):
     if order not in (0, 1, 2):
         raise ValueError(f"order must be 0, 1 or 2, got {order}")
     t_arr = np.asarray(t, dtype=float)
-    if np.any(np.abs(t_arr) > 1.0):
+    if not np.all(np.abs(t_arr) <= 1.0):  # NaN fails this test too
         raise ValueError("mixture argument outside [-1, 1]")
     out = _closed_forms(xi, t_arr)[order]
     return out if t_arr.ndim else float(out)

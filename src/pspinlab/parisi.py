@@ -35,13 +35,7 @@ computes it with a rigorous lower bound on min G, for any atomic measure.
 locations and CDF levels of at most ``MAX_ATOMS`` atoms, with an atom
 inserted where G is least while the gap exceeds ``GAP_TOL``. At these
 models the minimizer has one or two atoms (the one-step RSB form of
-Crisanti & Sommers, Z. Phys. B 87, 1992). The Newton steps start from a
-given measure, such as a neighbouring window point's certified answer,
-or else from the best single atom on a mesh, which is also the fallback
-when a given start does not certify. Both ends of [0, q_top] are
-bounds that the Newton steps hold; an atom at q_top means the
-minimizer's support may reach past the endpoint, which
-``TruncationWarning`` flags.
+Crisanti & Sommers, Z. Phys. B 87, 1992).
 """
 
 from __future__ import annotations
@@ -49,7 +43,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, replace
-from typing import Callable
+from itertools import accumulate
 
 import numpy as np
 
@@ -84,15 +78,16 @@ class ParisiMeasure:
         w = np.atleast_1d(np.asarray(self.weights, dtype=float))
         if loc.shape != w.shape or loc.ndim != 1 or loc.size == 0:
             raise ValueError("locations and weights must be matching 1-d vectors")
-        # each check is written so that NaN fails it
-        if not np.all((0.0 <= loc) & (loc < 1.0)):
+        # on Python floats, each check written so that NaN fails it
+        s, ws = loc.tolist(), w.tolist()
+        if not all(0.0 <= t < 1.0 for t in s):
             raise ValueError("atom locations must lie in [0, 1)")
-        if not np.all(np.diff(loc) > 0):
+        if not all(a < b for a, b in zip(s, s[1:])):
             raise ValueError("atom locations must be strictly increasing")
-        if not np.all((0.0 < w) & (w < math.inf)):
+        if not all(0.0 < x < math.inf for x in ws):
             raise ValueError("atom weights must be positive and finite")
-        if not abs(w.sum() - 1.0) <= 1e-12:
-            raise ValueError(f"weights must sum to 1, got {w.sum()!r}")
+        if not abs(sum(ws) - 1.0) <= 1e-12:
+            raise ValueError(f"weights must sum to 1, got {sum(ws)!r}")
         object.__setattr__(self, "locations", loc.copy())
         object.__setattr__(self, "weights", w.copy())
 
@@ -100,21 +95,13 @@ class ParisiMeasure:
     def q_hat(self) -> float:
         return float(self.locations[-1])
 
-    def expectation(self, g: Callable) -> float:
-        """Sum of weight times g(location); a g that returns a scalar
-        broadcasts over the atoms."""
-        vals = np.broadcast_to(np.asarray(g(self.locations), dtype=float),
-                               self.locations.shape)
-        return float(self.weights @ vals)
-
 
 @dataclass(frozen=True)
 class MinimizeResult:
     """A solve's value and minimizing measure, with ``gap``, its
     Frank-Wolfe gap: the value lies at most ``gap`` above the minimum over
     measures on [0, Q_TOP], and ``converged`` means gap <= GAP_TOL.
-    ``iterations`` counts Newton steps, those of a start that did not
-    certify and of the cold restart after it included, and
+    ``iterations`` counts Newton steps (``_atomic_solve``), and
     ``kkt_residual`` is the largest absolute component of the gradient in
     the atom locations and CDF levels, over those not held at a bound."""
 
@@ -156,13 +143,12 @@ def cs_functional(zeta: ParisiMeasure, xi: MixtureFn, beta: float,
     q_hat = zeta.q_hat
     if q_top is None:
         q_top = q_hat
-    elif q_top < q_hat or q_top >= 1.0:
+    elif not q_hat <= q_top < 1.0:  # NaN fails this test too
         raise ValueError("q_top must lie in [q_hat, 1)")
 
     cum = np.cumsum(w)  # CDF value on each inter-atom segment
     # first term over segments [loc_i, loc_{i+1}] with final segment to 1
-    edges = np.concatenate([loc, [1.0]])
-    xi_edges = evaluate(xi, edges)
+    xi_edges = evaluate(xi, np.append(loc, 1.0))
     first = beta * beta * float(cum @ np.diff(xi_edges))
 
     # phi at the atoms, top down: 1 - q_hat > 0 at q_hat, growing below
@@ -200,21 +186,15 @@ def minimize_cs(xi: MixtureFn, beta: float,
                 start: ParisiMeasure | None = None) -> MinimizeResult:
     """Minimize the functional over measures on [0, Q_TOP] by the atomic
     solve (``_atomic_solve``), certified by the Frank-Wolfe gap
-    ``_fw_bound``.
-
-    ``start``, a measure of at most MAX_ATOMS atoms (a neighbouring
-    solve's answer, say), is where the Newton steps begin; without one,
-    or where the solve from it does not certify, they begin cold from the
-    best single atom on ``_MESH``. The answer is certified either way, so
-    a start changes the steps taken, not what a converged answer means.
-
-    A solve that does not certify (gap above ``GAP_TOL``) still returns
-    its last measure and gap, with converged=False. An atom at ``Q_TOP``
-    warns with ``TruncationWarning``: the minimizer's support may reach
-    past the endpoint, and the value is then that of a truncated measure.
-    At p = 3 the top atom lies at 0.99989 at beta = 3000 and at Q_TOP at
-    beta = 1e4.
-    """
+    ``_fw_bound``. ``start``, a measure of at most MAX_ATOMS atoms (one
+    predicted from neighbouring solves, say), is where the Newton steps
+    begin, with the cold start as the fallback: it changes the steps
+    taken, not what a converged answer means. A solve that does not
+    certify (gap above ``GAP_TOL``) returns its last measure and gap,
+    converged=False. An atom at ``Q_TOP`` warns with ``TruncationWarning``:
+    the support may reach past the endpoint, and the value is that of a
+    truncated measure (at p = 3 the top atom lies at 0.99989 at
+    beta = 3000, at Q_TOP at beta = 1e4)."""
     _check_beta(beta)
     if start is not None and start.locations.size > MAX_ATOMS:
         raise ValueError(f"start has {start.locations.size} atoms, more "
@@ -233,35 +213,29 @@ def minimize_cs(xi: MixtureFn, beta: float,
 
 def _atomic_solve(xi: MixtureFn, beta: float,
                   start: ParisiMeasure | None = None) -> MinimizeResult:
-    """Newton solve over measures of at most MAX_ATOMS atoms in [0, Q_TOP],
-    with its gap: from ``start`` (its locations clipped to Q_TOP), and
-    where that does not certify, or with no start, from the best single
-    atom on ``_MESH``. A cold restart after a start counts the steps of
-    both in ``iterations``.
-    """
+    """``minimize_cs`` unchecked: the solve from ``start`` (its locations
+    clipped to Q_TOP), then, where that does not certify or with no start,
+    from the best single atom on ``_MESH``, ``iterations`` counting both."""
     b2 = beta * beta
-    ends = evaluate(xi, np.array([Q_TOP, 1.0])).tolist()
+    ends = _xi_at(xi, [Q_TOP, 1.0])[0]
     if start is not None:
         warm = _solve_from(xi, b2, ends, *_cleaned(
             [min(t, Q_TOP) for t in start.locations.tolist()],
-            np.cumsum(start.weights)[:-1].tolist()))
+            list(accumulate(start.weights.tolist()))[:-1]))
         if warm.converged:
             return warm
     s = float(_MESH[np.argmin(rs_value(_MESH[:-1], xi, beta))])
     res = _solve_from(xi, b2, ends, [s], [])
-    if start is None:
-        return res
-    return replace(res, iterations=warm.iterations + res.iterations)
+    return res if start is None else replace(
+        res, iterations=warm.iterations + res.iterations)
 
 
 def _solve_from(xi, b2, ends, s, c) -> MinimizeResult:
     """The atomic solve from atoms ``s`` with CDF levels ``c``, on its own
-    budget of NEWTON_STEPS. While the gap exceeds GAP_TOL, an atom goes in
-    at the certificate's argmin of G, with the weight that minimizes P on
-    the segment from the current measure to the new atom (P is convex
-    there), and Newton steps then move every location and CDF level; an
-    argmin within NEAR_DIST of an atom asks for more Newton steps instead.
-    Atoms closer than MERGE_DIST merge. The solve stops at its last
+    budget of NEWTON_STEPS. While the gap exceeds GAP_TOL, ``_insert_atom``
+    adds an atom at the certificate's argmin of G, and Newton steps then
+    move every location and CDF level; an argmin within NEAR_DIST of an
+    atom asks for more Newton steps instead. The solve stops at its last
     measure when the Newton steps stall or run out of budget, when an
     argmin near an atom no longer moves it, or when MAX_ATOMS atoms do
     not certify.
@@ -271,8 +245,8 @@ def _solve_from(xi, b2, ends, s, c) -> MinimizeResult:
         s, c, taken, terms, done = _newton(xi, b2, ends, s, c,
                                            NEWTON_STEPS - steps)
         steps += taken
-        measure = ParisiMeasure(s, np.diff(c + [1.0], prepend=0.0))
-        gap, _, t_min = _fw_bound(xi, b2, measure)
+        zeta = ParisiMeasure(s, [b - a for a, b in zip([0.0] + c, c + [1.0])])
+        gap, _, t_min = _fw_bound(xi, b2, zeta)
         if gap <= GAP_TOL or not done:
             break
         if min(abs(t_min - t) for t in s) < NEAR_DIST:
@@ -284,15 +258,15 @@ def _solve_from(xi, b2, ends, s, c) -> MinimizeResult:
         s, c = _insert_atom(xi, b2, ends, s, c, t_min)
     grad = terms[1]
     return MinimizeResult(
-        value=terms[0], measure=measure,
+        value=terms[0], measure=zeta,
         kkt_residual=max((abs(grad[i]) for i in _free(s, grad)), default=0.0),
         converged=gap <= GAP_TOL, iterations=steps, gap=gap)
 
 
 def _xi_at(xi: MixtureFn, s: list) -> tuple[list, list, list]:
-    """xi, xi' and xi'' at the atoms, as lists: ``mixtures._closed_forms``
-    in Python floats, since numpy's set-up outweighs the work at one to
-    three atoms (which lie in [0, Q_TOP], so base > 0 where q2 > 0).
+    """xi, xi' and xi'' at the points ``s`` in [0, 1], as lists:
+    ``mixtures._closed_forms`` in Python floats, since numpy's set-up
+    outweighs the work at one to three atoms (base > 0 where q2 > 0).
     libm's pow, log1p and expm1 and numpy's differ in the last bit."""
     p, q2 = xi.p, xi.q2
     a, bottom = 1.0 - q2, q2 ** p
@@ -395,20 +369,18 @@ def _tail(r: float, m: int) -> float:
 
 
 def _tail_array(r: np.ndarray, m: int) -> np.ndarray:
-    """``_tail`` over an array: the same series and closed form, on each
-    entry, to rounding."""
-    out = np.empty_like(r)
-    small = r < 0.1
-    rs = r[small]
-    total = np.zeros_like(rs)
-    for n in range(m + 17, m - 1, -1):
-        total = total * rs + 1.0 / n
-    out[small] = total
-    head = r[~small]
+    """``_tail`` over an array, to rounding: the series, in place on every
+    entry, and the closed form in its stead where r >= 0.1."""
+    out = np.full_like(r, 1.0 / (m + 17))
+    for n in range(m + 16, m - 1, -1):
+        out *= r
+        out += 1.0 / n
+    big = r >= 0.1
+    head = r[big]
     closed = -np.log1p(-head)
     for n in range(1, m):
         closed -= head ** n / n
-    out[~small] = closed / head ** m
+    out[big] = closed / head ** m
     return out
 
 
@@ -537,7 +509,7 @@ def _cleaned(s, c):
         else:
             out_s.append(x)
             out_w.append(wi)
-    return out_s, np.cumsum(out_w)[:-1].tolist()
+    return out_s, list(accumulate(out_w))[:-1]
 
 
 def _insert_atom(xi, b2, ends, s, c, t):
@@ -588,47 +560,62 @@ def _fw_bound(xi: MixtureFn, b2: float, measure: ParisiMeasure):
     are bisected, at most CERT_NODES nodes in all.
     """
     loc, w = measure.locations, measure.weights
-    nodes = np.union1d(_MESH, loc)
+    nodes = _merged(_MESH, loc)
     while True:
         G, g, phi, xi2 = _g_nodes(xi, b2, loc, w, nodes)
-        L = np.diff(nodes)
+        L = nodes[1:] - nodes[:-1]
         ga, gb = G[:-1], G[1:]
         hi = 0.5 * (1.0 / phi[1:] ** 2 - b2 * xi2[:-1])
         lo = 0.5 * (1.0 / phi[:-1] ** 2 - b2 * xi2[1:])
         bound = np.minimum(ga, gb) - np.maximum(hi, 0.0) * L * L / 8.0
         # convex: tangents at a (slope -g_a) and b (slope -g_b)
         da, db = -g[:-1], -g[1:]
-        cross = np.clip((gb - ga - db * L) / np.minimum(da - db, -1e-300),
-                        0.0, L)
+        cross = np.minimum(np.maximum(
+            (gb - ga - db * L) / np.minimum(da - db, -1e-300), 0.0), L)
         tangent = np.where(da >= 0.0, ga,
                            np.where(db <= 0.0, gb, ga + da * cross))
         bound = np.where(lo >= 0.0, np.maximum(bound, tangent), bound)
-        expected = float(w @ G[np.searchsorted(nodes, loc)])
-        least = int(np.argmin(G))
+        expected = float(w @ G[nodes.searchsorted(loc)])
+        least = int(G.argmin())
         slack = max(GAP_TOL / 4.0, (expected - G[least]) / 8.0)
         loose = bound < G[least] - slack
         if not loose.any() or nodes.size + loose.sum() > CERT_NODES:
             lower = float(bound.min())
             return (max(expected - min(lower, 0.0), 0.0), lower,
                     float(nodes[least]))
-        nodes = np.union1d(nodes, 0.5 * (nodes[:-1][loose] + nodes[1:][loose]))
+        nodes = _merged(nodes, 0.5 * (nodes[:-1][loose] + nodes[1:][loose]))
+
+
+def _merged(a, b):
+    """``np.union1d(a, b)`` by sort and ufunc: each repeat dropped."""
+    out = np.empty(a.size + b.size)
+    out[:a.size] = a
+    out[a.size:] = b
+    out.sort()
+    keep = np.ones(out.size, dtype=bool)
+    np.not_equal(out[1:], out[:-1], out=keep[1:])
+    return out[keep]
 
 
 def _g_nodes(xi, b2, loc, w, nodes):
     """G, g, phi and xi'' at ``nodes`` (sorted, from 0 to Q_TOP, holding
     every atom) for atoms ``loc`` of weights ``w``, the mixture read in
-    one ``_closed_forms`` pass."""
-    L = np.diff(nodes)
-    level = np.concatenate(([0.0], np.cumsum(w)))[
-        np.searchsorted(loc, nodes[:-1], side="right")]
+    one ``_closed_forms`` pass and each running sum by ``np.add.accumulate``
+    into its output (reversed where the sum runs down from Q_TOP)."""
+    L = nodes[1:] - nodes[:-1]
+    level = np.array([0.0, *accumulate(w.tolist())])[
+        loc.searchsorted(nodes[:-1], "right")]
     phi = np.empty(nodes.size)
     phi[-1] = 1.0 - nodes[-1]
-    phi[:-1] = phi[-1] + np.cumsum((level * L)[::-1])[::-1]
+    np.add.accumulate((level * L)[::-1], out=phi[-2::-1])
+    phi[:-1] += phi[-1]
     a = L / phi[:-1]
-    inv = np.concatenate(([0.0], np.cumsum(a / phi[1:])))  # I at the nodes
+    inv = np.zeros(nodes.size)  # I at the nodes
+    np.add.accumulate(a / phi[1:], out=inv[1:])
     # int over each interval of I: L I(a) + (L/phi_a)^2 _tail(r, 2)
     part = L * inv[:-1] + a * a * _tail_array(level * a, 2)
-    suffix = np.concatenate((np.cumsum(part[::-1])[::-1], [0.0]))
+    suffix = np.zeros(nodes.size)
+    np.add.accumulate(part[::-1], out=suffix[-2::-1])
     x0, x1, x2 = _closed_forms(xi, nodes)
     G = 0.5 * (b2 * (x0[-1] - x0) - suffix)
     return G, 0.5 * (b2 * x1 - inv), phi, x2

@@ -7,7 +7,7 @@ import pytest
 from pspinlab import franz_parisi as fp
 from pspinlab.errors import ScanError
 from pspinlab.mixtures import band_mixture
-from pspinlab.parisi import minimize_cs, rs_value
+from pspinlab.parisi import Q_TOP, ParisiMeasure, minimize_cs, rs_value
 from pspinlab.phase import beta_c, beta_d_pure
 
 
@@ -203,7 +203,7 @@ def test_find_window_collects_failed_points(monkeypatch):
             self.value = 0.0
             self.gap = 1e-3
             self.converged = self.q < grid[5]  # fail beyond the 5th point
-            self.measure = None
+            self.measure = ParisiMeasure(0.5, 1.0)
 
     monkeypatch.setattr(fp, "fp_value",
                         lambda p, beta, q, start=None: Point(q))
@@ -295,9 +295,22 @@ def test_chained_scan_agrees_with_cold_solves(p, grid):
     assert (win.q_under, win.q_bar, win.n_points) == fp._window(q, value, gap)
 
 
-def test_scan_chains_each_start_from_the_point_before(monkeypatch):
-    # the first point starts cold, each later one from the measure of the
-    # point before it, and a point after one that did not converge cold
+def _levels(measure):
+    """A measure's locations, then its CDF levels between atoms."""
+    w = measure.weights.tolist()
+    return measure.locations.tolist() + [sum(w[:i + 1])
+                                         for i in range(len(w) - 1)]
+
+
+def test_scan_starts_from_predicted_measures(monkeypatch):
+    # at beta = 0.9 beta_c(100) the minimizer has two atoms up to grid
+    # point 12 and one from point 13 on. A scan's first point starts
+    # cold, the next from the measure before it, then from the linear and
+    # the quadratic extrapolation in the grid index of the last two and
+    # three measures, or from the last measure where that is no measure
+    # (at point 13, where the two atoms' paths would cross). A change of
+    # atom count starts the chain afresh from the last measure, and a
+    # point after one that did not converge (3) starts cold
     grid = fp.window_grid(100, n=32)
     fp_value = fp.fp_value
     starts, points = [], []
@@ -312,8 +325,61 @@ def test_scan_chains_each_start_from_the_point_before(monkeypatch):
 
     monkeypatch.setattr(fp, "fp_value", recorded)
     with pytest.raises(ScanError):
-        fp.find_window(100, 1.0, grid)
-    assert len(starts) == len(grid)
+        fp.find_window(100, 0.9 * beta_c(100)[0], grid)
+    counts = [pt.measure.locations.size for pt in points]
+    assert counts == [2] * 13 + [1] * 19
     assert starts[0] is None and starts[4] is None
-    assert all(starts[i] is points[i - 1].measure
-               for i in range(1, len(grid)) if i != 4)
+    # how many measures each start extrapolates from
+    used = [0, 1, 2, 3, 0, 1, 2] + [3] * 7 + [1, 2] + [3] * 16
+    invalid = []
+    for i, n in enumerate(used):
+        last = points[i - 1].measure
+        if n < 2:
+            assert starts[i] is (last if n else None)
+            continue
+        x = [_levels(pt.measure) for pt in points[i - n:i]]
+        want = ([b + (b - a) for a, b in zip(*x)] if n == 2
+                else [a + 3.0 * (c - b) for a, b, c in zip(*x)])
+        k = counts[i - 1]
+        try:
+            ParisiMeasure(want[:k], np.diff([0.0, *want[k:], 1.0]))
+        except ValueError:
+            assert starts[i] is last
+            invalid.append(i)
+            continue
+        assert starts[i].locations.tolist() == want[:k]
+        np.testing.assert_allclose(_levels(starts[i])[k:], want[k:],
+                                   rtol=0, atol=1e-15)
+    assert invalid == [13]
+
+
+def test_invalid_extrapolation_starts_from_the_last_measure():
+    # an atom extrapolated to 1 or a level past 1 is no measure on [0, 1),
+    # so the start is the last measure; steady atoms stay where they are
+    rising = [ParisiMeasure(t, 1.0) for t in (0.4, 0.6, 0.8)]
+    assert fp._predicted(rising) is rising[-1]
+    assert fp._predicted(rising[:2]).locations.tolist() == pytest.approx(
+        [0.8], abs=1e-15)
+    heavier = [ParisiMeasure([0.0, 0.5], [w, 1.0 - w]) for w in (0.6, 0.9)]
+    assert fp._predicted(heavier) is heavier[-1]
+    steady = [ParisiMeasure([0.0, Q_TOP], [0.25, 0.75])] * 3
+    assert fp._predicted(steady).locations.tolist() == [0.0, Q_TOP]
+    assert fp._predicted(steady).weights.tolist() == [0.25, 0.75]
+    assert fp._predicted([]) is None
+
+
+@pytest.mark.parametrize("p", [128, 1024])
+@pytest.mark.parametrize("frac", [0.85, 0.95])
+def test_predicted_starts_certify_every_point(p, frac):
+    # every chained point certifies (find_window raises otherwise), and
+    # its value and the cold solve's lie within their summed gaps, plus
+    # rounding: a gap that rounding puts below 0 reads 0, while values of
+    # order 1 made of several terms differ by a few ulps (here up to
+    # 1.8e-15, 8.9e-16 past the summed gaps)
+    beta = frac * beta_c(p)[0]
+    q = fp.window_grid(p, 48)
+    win = fp.find_window(p, beta, q)
+    cold = [fp.fp_value(p, beta, qi) for qi in q]
+    assert all(pt.converged for pt in cold)
+    assert np.all(np.abs(win.value - [pt.value for pt in cold])
+                  <= win.gap + [pt.gap for pt in cold] + 1e-14)

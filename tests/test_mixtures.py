@@ -82,6 +82,9 @@ def test_eval_domain_guard():
         evaluate(MixtureFn(3), 1.0 + 1e-9)
     with pytest.raises(ValueError):
         evaluate(MixtureFn(3), -1.5)
+    for bad in (math.nan, [0.5, math.nan]):  # NaN is no |t| <= 1
+        with pytest.raises(ValueError, match="outside"):
+            evaluate(MixtureFn(3), bad)
     with pytest.raises(ValueError):
         evaluate(MixtureFn(3), 0.5, order=3)
 

@@ -3,9 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from pspinlab import parisi
+from pspinlab import mixtures, parisi
 from pspinlab.errors import TruncationWarning
-from pspinlab.franz_parisi import fp_value, half_band_grid, window_grid
+from pspinlab.franz_parisi import (_envelope_derivative, fp_value,
+                                   half_band_grid, window_grid)
 from pspinlab.mixtures import MixtureFn, band_mixture, evaluate
 from pspinlab.parisi import (ParisiMeasure, cs_functional, minimize_cs,
                              rs_value)
@@ -300,6 +301,90 @@ def test_gap_is_zero_at_the_rs_atom():
         == ([0.0], [1.0])
 
 
+def _fw_bound_reference(xi, b2, measure):
+    """The certificate pass in its earlier form, through np.union1d,
+    np.diff, np.cumsum, np.clip and np.concatenate, that ``_fw_bound``
+    must reproduce bit for bit: same mesh, bisection rule and bound, in
+    the same order of arithmetic."""
+    loc, w = measure.locations, measure.weights
+    nodes = np.union1d(parisi._MESH, loc)
+    while True:
+        G, g, phi, xi2 = _g_nodes_reference(xi, b2, loc, w, nodes)
+        L = np.diff(nodes)
+        ga, gb = G[:-1], G[1:]
+        hi = 0.5 * (1.0 / phi[1:] ** 2 - b2 * xi2[:-1])
+        lo = 0.5 * (1.0 / phi[:-1] ** 2 - b2 * xi2[1:])
+        bound = np.minimum(ga, gb) - np.maximum(hi, 0.0) * L * L / 8.0
+        da, db = -g[:-1], -g[1:]
+        cross = np.clip((gb - ga - db * L) / np.minimum(da - db, -1e-300),
+                        0.0, L)
+        tangent = np.where(da >= 0.0, ga,
+                           np.where(db <= 0.0, gb, ga + da * cross))
+        bound = np.where(lo >= 0.0, np.maximum(bound, tangent), bound)
+        expected = float(w @ G[np.searchsorted(nodes, loc)])
+        least = int(np.argmin(G))
+        slack = max(parisi.GAP_TOL / 4.0, (expected - G[least]) / 8.0)
+        loose = bound < G[least] - slack
+        if not loose.any() or nodes.size + loose.sum() > parisi.CERT_NODES:
+            lower = float(bound.min())
+            return (max(expected - min(lower, 0.0), 0.0), lower,
+                    float(nodes[least]), nodes.size)
+        nodes = np.union1d(nodes, 0.5 * (nodes[:-1][loose] + nodes[1:][loose]))
+
+
+def _g_nodes_reference(xi, b2, loc, w, nodes):
+    L = np.diff(nodes)
+    level = np.concatenate(([0.0], np.cumsum(w)))[
+        np.searchsorted(loc, nodes[:-1], side="right")]
+    phi = np.empty(nodes.size)
+    phi[-1] = 1.0 - nodes[-1]
+    phi[:-1] = phi[-1] + np.cumsum((level * L)[::-1])[::-1]
+    a = L / phi[:-1]
+    inv = np.concatenate(([0.0], np.cumsum(a / phi[1:])))
+    r = level * a
+    tail = np.empty_like(r)
+    small = r < 0.1
+    rs = r[small]
+    total = np.zeros_like(rs)
+    for n in range(19, 1, -1):
+        total = total * rs + 1.0 / n
+    tail[small] = total
+    head = r[~small]
+    tail[~small] = (-np.log1p(-head) - head) / head ** 2
+    part = L * inv[:-1] + a * a * tail
+    suffix = np.concatenate((np.cumsum(part[::-1])[::-1], [0.0]))
+    x0, x1, x2 = mixtures._closed_forms(xi, nodes)
+    G = 0.5 * (b2 * (x0[-1] - x0) - suffix)
+    return G, 0.5 * (b2 * x1 - inv), phi, x2
+
+
+def test_certificate_pass_matches_its_reference_bit_for_bit():
+    # at each panel point: the solve's answer, measures of one to three
+    # atoms near it and anywhere in [0, Q_TOP], and atoms at the ends and
+    # on a mesh node. Gap, lower bound and argmin node equal the
+    # reference's exactly, bisection rounds included
+    rng = np.random.default_rng(5)
+    bisected = 0
+    for _, make_xi, beta, *_ in PANEL:
+        xi, b2 = make_xi(), beta * beta
+        best = minimize_cs(xi, beta).measure
+        panel = [best, ParisiMeasure(0.0, 1.0),
+                 ParisiMeasure(parisi.Q_TOP, 1.0),
+                 ParisiMeasure([0.0, parisi._MESH[40], parisi.Q_TOP],
+                               [0.2, 0.3, 0.5])]
+        for _ in range(12):
+            panel.append(random_measure(rng, int(rng.integers(1, 4)),
+                                        q_top=parisi.Q_TOP))
+            panel.append(ParisiMeasure(
+                np.minimum(best.locations + rng.uniform(0.0, 1e-4),
+                           parisi.Q_TOP), best.weights))
+        for zeta in panel:
+            *want, size = _fw_bound_reference(xi, b2, zeta)
+            assert parisi._fw_bound(xi, b2, zeta) == tuple(want)
+            bisected += size > parisi._MESH.size + zeta.locations.size
+    assert bisected >= 10
+
+
 def test_low_temperature_solve_is_certified():
     # low temperature: the two atoms lie well inside the fixed endpoint
     res = minimize_cs(MixtureFn(3), 300.0)
@@ -386,20 +471,27 @@ def test_minimize_matches_two_atom_oracle_in_rsb_phase():
                                    rtol=0, atol=1e-6)
 
 
-def test_minimizer_expectation_cases():
-    delta0 = ParisiMeasure(0.0, 1.0)
-    assert delta0.expectation(lambda t: np.ones_like(t)) \
-        == pytest.approx(1.0, abs=1e-15)
-    assert delta0.expectation(lambda t: 1.0) \
-        == pytest.approx(1.0, abs=1e-15)  # scalar-returning g
-    assert delta0.expectation(lambda t: t * 7.0 + 2.0) \
-        == pytest.approx(2.0, abs=1e-15)  # delta_0: g(0)
-    # single atom at a node of the solve's mesh
-    node = float(parisi._MESH[40])
-    assert ParisiMeasure(node, 1.0).expectation(lambda t: t) \
-        == pytest.approx(node, abs=1e-15)
-    two = ParisiMeasure([0.2, 0.6], [0.25, 0.75])
-    assert two.expectation(lambda t: t) == pytest.approx(0.5, abs=1e-15)
+@pytest.mark.parametrize("locations, weights", [
+    ([0.0], [1.0]),  # delta_0: the term is xi_q'(0)
+    ([float(parisi._MESH[40])], [1.0]),  # an atom on the solve's mesh
+    ([0.2, 0.6], [0.25, 0.75]),
+    ([0.0, 0.5, parisi.Q_TOP], [0.2, 0.3, 0.5]),
+], ids=["delta0", "mesh node", "two atoms", "three atoms"])
+def test_envelope_derivative_cases(locations, weights):
+    # the envelope derivative reads the minimizer at its atoms in Python
+    # floats; against its closed form with the expectation through
+    # evaluate, to the last bits in which libm and numpy differ
+    p, beta, q = 128, 2.4, 0.99
+    xi_q, b2, q2 = band_mixture(p, q), beta * beta, q * q
+    measure = ParisiMeasure(locations, weights)
+    res = parisi.MinimizeResult(value=0.0, measure=measure, kkt_residual=0.0,
+                                converged=True, iterations=0, gap=0.0)
+    t = np.array(locations)
+    expect = float(measure.weights @ ((1.0 - t) * evaluate(xi_q, t, 1)))
+    closed = (-b2 * q * expect / (1.0 - q2) + b2 * p * q ** (p - 1)
+              - q / (1.0 - q2))
+    assert _envelope_derivative(xi_q, beta, q, res) == pytest.approx(
+        closed, rel=1e-14)
 
 
 @pytest.mark.parametrize("xi, beta", [
@@ -554,9 +646,10 @@ def test_start_above_the_endpoint_is_clipped(monkeypatch):
     assert res.measure.locations.tolist() == [0.0]
 
 
-@pytest.mark.parametrize("q_top", [0.3, 1.0, 1.5])
+@pytest.mark.parametrize("q_top", [0.3, 1.0, 1.5, math.nan])
 def test_cs_functional_q_top_outside_range_rejected(q_top):
-    # the endpoint extends the measure's top atom, 0.5, and stays below 1
+    # the endpoint extends the measure's top atom, 0.5, and stays below 1;
+    # NaN is no such endpoint
     zeta = ParisiMeasure([0.2, 0.5], [0.5, 0.5])
     with pytest.raises(ValueError, match=r"q_top must lie in \[q_hat, 1\)"):
         cs_functional(zeta, MixtureFn(3), 1.0, q_top=q_top)
